@@ -44,7 +44,6 @@ from .search import (
     SearchConfig,
     count_not_sum_of_reversal,
     formula_lower_bound,
-    multiplier_multiplicity,
     numbers_for_multiplier,
     palindromic_square_search,
     scan_range,
@@ -89,7 +88,6 @@ __all__ = [
     "is_strongly_quadratic_niven",
     "mrh_digit_bound",
     "mrh_witnesses",
-    "multiplier_multiplicity",
     "numbers_for_multiplier",
     "palindromic_square_search",
     "repeat_pattern",

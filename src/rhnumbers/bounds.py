@@ -50,7 +50,7 @@ def arh_digit_bound(base: int, multiplier: int) -> BoundSpec:
     """Digit-count cap for a b-ARH number with additive multiplier M."""
     check_base(base)
     if multiplier < 1:
-        raise ValueError(f"multiplier must positive, got {multiplier}")
+        raise ValueError(f"multiplier must be positive, got {multiplier}")
     if base >= 4:
         k_max, source = multiplier + 2, "k <= M+2 (b >= 4)"
     else:

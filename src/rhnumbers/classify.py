@@ -174,18 +174,31 @@ def verify_witness(
 
 def classify(n: DigitVec) -> ClassifyResult:
     """Full classification record: Niven flags plus both witness lists."""
-    return ClassifyResult(
-        n=n,
-        is_niven=is_niven(n),
-        arh=tuple(arh_witnesses(n)),
-        mrh=tuple(mrh_witnesses(n)),
-        quadratic_niven=is_quadratic_niven(n),
-        strongly_quadratic_niven=is_strongly_quadratic_niven(n),
+    return build_result(
+        n.to_int(),
+        n.base,
+        [w.x.to_int() for w in arh_witnesses(n)],
+        [w.x.to_int() for w in mrh_witnesses(n)],
     )
 
 
-def is_niven_int(value: int, base: int) -> bool:
-    """Plain-int Niven test for the scan paths."""
-    if value < 1:
-        raise ValueError("Niven test undefined for nonpositive values")
-    return value % digit_sum_int(value, base) == 0
+def build_result(
+    value: int, base: int, arh_products: list[int], mrh_products: list[int]
+) -> ClassifyResult:
+    """Classification record of N = value from its ascending witness products X.
+
+    The one record builder: classify and the range scans both call it.
+    """
+    s = digit_sum_int(value, base)
+    sq = value * value
+    sq_sum = digit_sum_int(sq, base)
+    niven = value % s == 0
+    quad = niven and sq % sq_sum == 0
+    return ClassifyResult(
+        n=DigitVec.from_int(value, base),
+        is_niven=niven,
+        arh=tuple(_make_witness(WitnessAdd, x, s, base) for x in arh_products),
+        mrh=tuple(_make_witness(WitnessMul, x, s, base) for x in mrh_products),
+        quadratic_niven=quad,
+        strongly_quadratic_niven=quad and s == sq_sum,
+    )

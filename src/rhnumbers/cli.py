@@ -31,12 +31,11 @@ from .families import (
     gen_square_family,
     verify_family,
 )
-from .oeis import bfile_deviation_note, first_terms
+from .oeis import bfile_deviation_note, bfile_text, first_terms
 from .search import (
     ALLOW,
     FORBID,
     SearchConfig,
-    multiplier_multiplicity,
     numbers_for_multiplier,
     palindromic_square_search,
     scan_range,
@@ -95,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=(ARH, MRH, NIVEN), required=True)
     p.add_argument("--no-zero-digits", action="store_true")
     p.add_argument("--multiplier", type=_positive_int, default=None)
-    p.add_argument("--partitions", type=_positive_int, default=1)
 
     p = sub.add_parser(
         "multiplier", parents=[common], help="complete number set for one multiplier"
@@ -210,7 +208,7 @@ def _dispatch(args, out, err) -> int:
             zero_digit_policy=FORBID if args.no_zero_digits else ALLOW,
             multiplier_filter=args.multiplier,
         )
-        results = list(scan_range(cfg, partitions=args.partitions))
+        results = list(scan_range(cfg))
         if args.format == "json":
             _print_json(
                 {
@@ -230,8 +228,7 @@ def _dispatch(args, out, err) -> int:
         elif args.format == "csv":
             print(_csv_text(_CLASSIFY_HEADER, _classify_rows(results)), end="", file=out)
         else:
-            for i, (n, _) in enumerate(results, start=1):
-                print(f"{i} {n}", file=out)
+            print(bfile_text(n for n, _ in results), end="", file=out)
         return 0
 
     if args.command == "multiplier":
@@ -244,9 +241,7 @@ def _dispatch(args, out, err) -> int:
                     "multiplier": args.multiplier,
                     "kind": args.kind,
                     "zero_digit_policy": policy,
-                    "multiplicity": multiplier_multiplicity(
-                        args.base, args.multiplier, args.kind, policy
-                    ),
+                    "multiplicity": len(numbers),
                     "numbers": numbers,
                 },
                 out,
@@ -254,8 +249,7 @@ def _dispatch(args, out, err) -> int:
         elif args.format == "csv":
             print(_csv_text(["n"], [[n] for n in numbers]), end="", file=out)
         else:
-            for i, n in enumerate(numbers, start=1):
-                print(f"{i} {n}", file=out)
+            print(bfile_text(numbers), end="", file=out)
         return 0
 
     if args.command == "family":
@@ -285,8 +279,7 @@ def _dispatch(args, out, err) -> int:
 
     if args.command == "oeis":
         terms = first_terms(args.seq, args.count)
-        text = "".join(f"{i} {v}\n" for i, v in enumerate(terms, start=1))
-        print(text, end="", file=out)
+        print(bfile_text(terms), end="", file=out)
         note = bfile_deviation_note(args.seq, terms)
         if note:
             print(note, file=err)

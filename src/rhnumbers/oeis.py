@@ -8,6 +8,8 @@ text, the deviation is reported alongside, never silently edited in.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .classify import ARH, MRH
 from .search import SearchConfig, scan_range
 
@@ -48,10 +50,14 @@ def first_terms(seq: str, count: int) -> list[int]:
         hi *= 10
 
 
-def emit_bfile(seq: str, count: int) -> str:
+def bfile_text(terms: Iterable[int]) -> str:
     """OEIS b-file text: 'index value' per line, 1-based, newline-terminated."""
-    terms = first_terms(seq, count)
     return "".join(f"{i} {v}\n" for i, v in enumerate(terms, start=1))
+
+
+def emit_bfile(seq: str, count: int) -> str:
+    """The b-file of the first `count` terms of `seq`."""
+    return bfile_text(first_terms(seq, count))
 
 
 def bfile_deviation_note(seq: str, terms: list[int]) -> str | None:

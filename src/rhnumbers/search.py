@@ -8,10 +8,6 @@ witness of every N <= hi has X <= hi, so one sweep of the X-space is a
 complete scan of the N-range.  The multiplicative sweep only needs X
 with no trailing zeros (X = Y*b^t reverses to Y^R), which keeps it at
 O(sqrt(hi*b)) candidates.
-
-The X-space is what gets partitioned for parallel execution; a single
-merge groups hits by N and sorts, so output is byte-identical for any
-partition count.
 """
 
 from __future__ import annotations
@@ -25,12 +21,9 @@ from .classify import (
     MRH,
     NIVEN,
     WORD_SIZE_CAP,
-    ClassifyResult,
-    WitnessAdd,
-    WitnessMul,
+    build_result,
 )
 from .digitvec import (
-    DigitVec,
     check_base,
     digit_sum_int,
     has_zero_digit,
@@ -65,24 +58,6 @@ class SearchConfig:
                 raise ValueError("multiplier_filter must be a positive integer")
             if self.kind == NIVEN:
                 raise ValueError("multiplier_filter makes no sense for a Niven scan")
-
-
-def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous inclusive chunks covering [lo, hi] exactly; may be fewer than `parts`."""
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    total = hi - lo + 1
-    if total <= 0:
-        return []
-    parts = min(parts, total)
-    q, r = divmod(total, parts)
-    chunks = []
-    start = lo
-    for i in range(parts):
-        size = q + (1 if i < r else 0)
-        chunks.append((start, start + size - 1))
-        start += size
-    return chunks
 
 
 def arh_pairs_chunk(
@@ -127,62 +102,26 @@ def mrh_pairs_chunk(
     return out
 
 
-def _witness_maps(
-    cfg: SearchConfig, partitions: int
-) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
-    """Complete (M, X) witness lists for every N in range, both kinds."""
-    arh_map: dict[int, list[tuple[int, int]]] = {}
-    mrh_map: dict[int, list[tuple[int, int]]] = {}
-    for x_lo, x_hi in split_range(1, cfg.hi - 1, partitions) if cfg.hi > 1 else []:
-        for n, m, x in arh_pairs_chunk(cfg.base, x_lo, x_hi, cfg.lo, cfg.hi):
-            arh_map.setdefault(n, []).append((m, x))
-    y_max = mrh_y_limit(cfg.base, cfg.hi)
-    for y_lo, y_hi in split_range(1, y_max, partitions):
-        for n, m, x in mrh_pairs_chunk(cfg.base, y_lo, y_hi, cfg.lo, cfg.hi):
-            mrh_map.setdefault(n, []).append((m, x))
-    for groups in (arh_map, mrh_map):
-        for pairs in groups.values():
-            pairs.sort()
+def _witness_maps(cfg: SearchConfig) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Complete ascending witness-product lists for every N in range, both kinds."""
+    arh_map: dict[int, list[int]] = {}
+    mrh_map: dict[int, list[int]] = {}
+    for n, _, x in arh_pairs_chunk(cfg.base, 1, cfg.hi - 1, cfg.lo, cfg.hi):
+        arh_map.setdefault(n, []).append(x)
+    for n, _, x in mrh_pairs_chunk(cfg.base, 1, mrh_y_limit(cfg.base, cfg.hi), cfg.lo, cfg.hi):
+        mrh_map.setdefault(n, []).append(x)
+    for products in mrh_map.values():
+        products.sort()  # arh_pairs_chunk yields X ascending; Y ascending does not order X = Y*b^t
     return arh_map, mrh_map
 
 
-def _build_result(
-    n: int,
-    base: int,
-    arh_hits: list[tuple[int, int]],
-    mrh_hits: list[tuple[int, int]],
-) -> ClassifyResult:
-    nd = DigitVec.from_int(n, base)
-    s = digit_sum_int(n, base)
-    niven = n % s == 0
-    sq = n * n
-    sq_sum = digit_sum_int(sq, base)
-    quad = niven and sq % sq_sum == 0
-    arh = tuple(
-        WitnessAdd(m, DigitVec.from_int(x, base), DigitVec.from_int(reverse_int(x, base), base))
-        for m, x in arh_hits
-    )
-    mrh = tuple(
-        WitnessMul(m, DigitVec.from_int(x, base), DigitVec.from_int(reverse_int(x, base), base))
-        for m, x in mrh_hits
-    )
-    return ClassifyResult(
-        n=nd,
-        is_niven=niven,
-        arh=arh,
-        mrh=mrh,
-        quadratic_niven=quad,
-        strongly_quadratic_niven=quad and s == sq_sum,
-    )
-
-
-def scan_range(cfg: SearchConfig, partitions: int = 1):
+def scan_range(cfg: SearchConfig):
     """Ordered stream of (N, ClassifyResult) for every hit of cfg.kind.
 
     Each emitted record carries the complete witness lists of both
-    kinds for that N.  Output is independent of `partitions`.
+    kinds for that N.
     """
-    arh_map, mrh_map = _witness_maps(cfg, partitions)
+    arh_map, mrh_map = _witness_maps(cfg)
     if cfg.kind == ARH:
         candidates = sorted(arh_map)
     elif cfg.kind == MRH:
@@ -198,9 +137,9 @@ def scan_range(cfg: SearchConfig, partitions: int = 1):
             continue
         if cfg.multiplier_filter is not None:
             key = arh_map if cfg.kind == ARH else mrh_map
-            if all(m != cfg.multiplier_filter for m, _ in key.get(n, [])):
+            if cfg.multiplier_filter * digit_sum_int(n, cfg.base) not in key.get(n, []):
                 continue
-        yield n, _build_result(n, cfg.base, arh_map.get(n, []), mrh_map.get(n, []))
+        yield n, build_result(n, cfg.base, arh_map.get(n, []), mrh_map.get(n, []))
 
 
 def numbers_for_multiplier(
@@ -231,13 +170,6 @@ def numbers_for_multiplier(
             continue
         found.append(n)
     return sorted(found)
-
-
-def multiplier_multiplicity(
-    base: int, multiplier: int, kind: str, zero_digit_policy: str = ALLOW
-) -> int:
-    """How many b-ARH/b-MRH numbers admit this multiplier."""
-    return len(numbers_for_multiplier(base, multiplier, kind, zero_digit_policy))
 
 
 def count_not_sum_of_reversal(base: int, k: int) -> int:

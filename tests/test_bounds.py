@@ -76,7 +76,9 @@ class TestMrhBound:
 
 
 def test_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive"):
         arh_digit_bound(10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive"):
+        mrh_digit_bound(10, 0)
+    with pytest.raises(ValueError, match="base must be"):
         mrh_digit_bound(1, 5)

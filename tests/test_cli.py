@@ -31,6 +31,10 @@ class TestClassify:
         assert lines[0].startswith("n,base,niven")
         assert lines[1].split(",")[3] == "1;2;3;4;5"
 
+    def test_zero_is_usage_error(self):
+        code, out, _ = run(["classify", "0"])
+        assert code == 2 and out == ""
+
 
 class TestSearch:
     def test_counts(self):
@@ -42,13 +46,6 @@ class TestSearch:
         code, out, _ = run(["search", "--max", "100", "--kind", "mrh", "--format", "bfile"])
         assert code == 0
         assert out == "1 1\n2 10\n3 40\n4 81\n5 100\n"
-
-    def test_partitions_flag_stable(self):
-        _, one, _ = run(["search", "--max", "9999", "--kind", "arh", "--format", "bfile"])
-        _, many, _ = run(
-            ["search", "--max", "9999", "--kind", "arh", "--format", "bfile", "--partitions", "7"]
-        )
-        assert one == many
 
     def test_usage_error_on_bad_kind(self):
         code, _, _ = run(["search", "--max", "100", "--kind", "weird"])
