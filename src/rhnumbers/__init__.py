@@ -15,8 +15,7 @@ from .classify import (
     WORD_SIZE_CAP,
     ClassifyResult,
     VerifyFailure,
-    WitnessAdd,
-    WitnessMul,
+    Witness,
     arh_witnesses,
     classify,
     is_niven,
@@ -67,8 +66,7 @@ __all__ = [
     "SearchConfig",
     "VerifyFailure",
     "WORD_SIZE_CAP",
-    "WitnessAdd",
-    "WitnessMul",
+    "Witness",
     "arh_digit_bound",
     "arh_witnesses",
     "classify",

@@ -4,7 +4,8 @@ A number N is b-ARH when N = M*s_b(N) + (M*s_b(N))^R for some positive
 integer M, and b-MRH when N = M*s_b(N) * (M*s_b(N))^R.  The witness
 extractors here are complete per-N enumerations; they are meant for
 values below WORD_SIZE_CAP.  verify_witness takes a supplied M instead
-and works at any magnitude through digit-vector arithmetic.
+and works at any magnitude.  All arithmetic is on Python ints; the
+DigitVec arguments only supply N's base-b digits.
 """
 
 from __future__ import annotations
@@ -23,21 +24,15 @@ NIVEN = "niven"
 
 
 @dataclass(frozen=True)
-class WitnessAdd:
-    """Additive multiplier M with X = M*s_b(N) satisfying X + X^R = N."""
+class Witness:
+    """Multiplier M with X = M*s_b(N) and X + X^R = N (ARH) or X * X^R = N (MRH)."""
 
     m: int
-    x: DigitVec
-    xr: DigitVec
+    x: int
+    xr: int
 
-
-@dataclass(frozen=True)
-class WitnessMul:
-    """Multiplicative multiplier M with X = M*s_b(N) satisfying X * X^R = N."""
-
-    m: int
-    x: DigitVec
-    xr: DigitVec
+    def to_json_dict(self) -> dict:
+        return {"m": self.m, "x": self.x, "xr": self.xr}
 
 
 @dataclass(frozen=True)
@@ -46,18 +41,19 @@ class VerifyFailure:
 
     kind: str
     m: int
-    x: DigitVec
-    xr: DigitVec
-    combined: DigitVec
-    expected: DigitVec
+    x: int
+    xr: int
+    combined: int
+    expected: int
 
 
 @dataclass(frozen=True)
 class ClassifyResult:
-    n: DigitVec
+    n: int
+    base: int
     is_niven: bool
-    arh: tuple[WitnessAdd, ...]
-    mrh: tuple[WitnessMul, ...]
+    arh: tuple[Witness, ...]
+    mrh: tuple[Witness, ...]
     quadratic_niven: bool
     strongly_quadratic_niven: bool
 
@@ -71,38 +67,43 @@ class ClassifyResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.n.to_int(),
-            "base": self.n.base,
+            "n": self.n,
+            "base": self.base,
             "niven": self.is_niven,
-            "arh": [{"m": w.m, "x": w.x.to_int(), "xr": w.xr.to_int()} for w in self.arh],
-            "mrh": [{"m": w.m, "x": w.x.to_int(), "xr": w.xr.to_int()} for w in self.mrh],
+            "arh": [w.to_json_dict() for w in self.arh],
+            "mrh": [w.to_json_dict() for w in self.mrh],
             "quadratic_niven": self.quadratic_niven,
             "strongly_quadratic_niven": self.strongly_quadratic_niven,
         }
 
 
 def is_niven(n: DigitVec) -> bool:
-    """True iff digit_sum(n) divides value(n); valid at any size via mod_small."""
+    """True iff digit_sum(n) divides value(n); valid at any size."""
     s = n.digit_sum()
     if s == 0:
         raise ValueError("Niven test undefined for zero (digit sum 0)")
-    return n.mod_small(s) == 0
+    return n.to_int() % s == 0
+
+
+def _square(n: DigitVec) -> DigitVec:
+    value = n.to_int()
+    return DigitVec.from_int(value * value, n.base)
 
 
 def is_quadratic_niven(n: DigitVec) -> bool:
     """N and N^2 both b-Niven (N^2 computed in the same base)."""
-    return is_niven(n) and is_niven(n * n)
+    return is_niven(n) and is_niven(_square(n))
 
 
 def is_strongly_quadratic_niven(n: DigitVec) -> bool:
     """Quadratic Niven with s_b(N) == s_b(N^2)."""
     if not is_niven(n):
         return False
-    sq = n * n
+    sq = _square(n)
     return is_niven(sq) and n.digit_sum() == sq.digit_sum()
 
 
-def arh_witnesses(n: DigitVec) -> list[WitnessAdd]:
+def arh_witnesses(n: DigitVec) -> list[Witness]:
     """All additive multipliers of n, ascending.
 
     Enumerates X over multiples of s = s_b(n) with s <= X < value(n);
@@ -118,12 +119,12 @@ def arh_witnesses(n: DigitVec) -> list[WitnessAdd]:
     x = s
     while x < value:
         if x + reverse_int(x, base) == value:
-            out.append(_make_witness(WitnessAdd, x, s, base))
+            out.append(_witness(x, s, base))
         x += s
     return out
 
 
-def mrh_witnesses(n: DigitVec) -> list[WitnessMul]:
+def mrh_witnesses(n: DigitVec) -> list[Witness]:
     """All multiplicative multipliers of n, ascending.
 
     Trial division: for each divisor pair (d1, d2) of value(n), both
@@ -142,34 +143,30 @@ def mrh_witnesses(n: DigitVec) -> list[WitnessMul]:
         for x, other in ((d1, d2), (d2, d1)):
             if x % s == 0 and reverse_int(x, base) == other:
                 hits.add(x)
-    return [_make_witness(WitnessMul, x, s, base) for x in sorted(hits)]
+    return [_witness(x, s, base) for x in sorted(hits)]
 
 
-def _make_witness(cls, x: int, s: int, base: int):
-    xd = DigitVec.from_int(x, base)
-    return cls(m=x // s, x=xd, xr=xd.reversal())
+def _witness(x: int, s: int, base: int) -> Witness:
+    return Witness(m=x // s, x=x, xr=reverse_int(x, base))
 
 
-def verify_witness(
-    n: DigitVec, m: int, kind: str
-) -> WitnessAdd | WitnessMul | VerifyFailure:
+def verify_witness(n: DigitVec, m: int, kind: str) -> Witness | VerifyFailure:
     """Check the defining equation for a supplied multiplier, at any size.
 
-    X = M*s_b(n) is built and combined with X^R through digit-vector
-    arithmetic only; no enumeration, no factoring.
+    X = M*s_b(n) is combined with X^R directly; no enumeration, no
+    factoring.
     """
     if m < 1:
         raise ValueError(f"multiplier must be positive, got {m}")
     if kind not in (ARH, MRH):
         raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
-    base = n.base
-    x = DigitVec.from_int(m, base) * DigitVec.from_int(n.digit_sum(), base)
-    xr = x.reversal()
+    x = m * n.digit_sum()
+    xr = reverse_int(x, n.base)
     combined = x + xr if kind == ARH else x * xr
-    if combined == n:
-        cls = WitnessAdd if kind == ARH else WitnessMul
-        return cls(m=m, x=x, xr=xr)
-    return VerifyFailure(kind=kind, m=m, x=x, xr=xr, combined=combined, expected=n)
+    value = n.to_int()
+    if combined == value:
+        return Witness(m=m, x=x, xr=xr)
+    return VerifyFailure(kind=kind, m=m, x=x, xr=xr, combined=combined, expected=value)
 
 
 def classify(n: DigitVec) -> ClassifyResult:
@@ -177,8 +174,8 @@ def classify(n: DigitVec) -> ClassifyResult:
     return build_result(
         n.to_int(),
         n.base,
-        [w.x.to_int() for w in arh_witnesses(n)],
-        [w.x.to_int() for w in mrh_witnesses(n)],
+        [w.x for w in arh_witnesses(n)],
+        [w.x for w in mrh_witnesses(n)],
     )
 
 
@@ -195,10 +192,11 @@ def build_result(
     niven = value % s == 0
     quad = niven and sq % sq_sum == 0
     return ClassifyResult(
-        n=DigitVec.from_int(value, base),
+        n=value,
+        base=base,
         is_niven=niven,
-        arh=tuple(_make_witness(WitnessAdd, x, s, base) for x in arh_products),
-        mrh=tuple(_make_witness(WitnessMul, x, s, base) for x in mrh_products),
+        arh=tuple(_witness(x, s, base) for x in arh_products),
+        mrh=tuple(_witness(x, s, base) for x in mrh_products),
         quadratic_niven=quad,
         strongly_quadratic_niven=quad and s == sq_sum,
     )

@@ -65,22 +65,22 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:
+    p.add_argument("--format", choices=choices, default="json", help="output format (default json)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rhnumbers",
         description="Additive and multiplicative Ramanujan-Hardy numbers in arbitrary bases",
     )
+    # Each subcommand takes only the options it honours.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--base", type=int, default=10, help="numeration base (default 10)")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "bfile"),
-        default="json",
-        help="output format (default json)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common], help="classify one integer")
+    _add_format(p, "json", "csv")
     p.add_argument("n", help="the integer (decimal value, or digit string with --digits)")
     p.add_argument(
         "--digits",
@@ -89,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("search", parents=[common], help="scan an inclusive range")
+    _add_format(p, "json", "csv", "bfile")
     p.add_argument("--max", type=_positive_int, required=True, dest="hi")
     p.add_argument("--min", type=_positive_int, default=1, dest="lo")
     p.add_argument("--kind", choices=(ARH, MRH, NIVEN), required=True)
@@ -98,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "multiplier", parents=[common], help="complete number set for one multiplier"
     )
+    _add_format(p, "json", "csv", "bfile")
     p.add_argument("--multiplier", type=_positive_int, required=True)
     p.add_argument("--kind", choices=(ARH, MRH), required=True)
     p.add_argument("--no-zero-digits", action="store_true")
@@ -114,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--which",
         choices=("1", "2", "3", "counts", "all"),
         default="all",
-        help="table to reproduce, or the headline counts",
+        help="table to reproduce (base 10 only), or the headline counts",
     )
 
-    p = sub.add_parser("oeis", parents=[common], help="emit an OEIS b-file")
+    p = sub.add_parser("oeis", help="emit an OEIS b-file")
     p.add_argument("--seq", choices=("A305130", "A305131"), required=True)
     p.add_argument("--count", type=_positive_int, required=True)
 
@@ -126,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=(ARH, MRH), required=True)
 
     p = sub.add_parser("palsquare", parents=[common], help="palindromes with zero-free MRH squares")
+    _add_format(p, "json", "csv")
     p.add_argument("--limit", type=_positive_int, required=True)
     return parser
 
@@ -143,21 +146,18 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _classify_rows(results) -> list[list]:
-    rows = []
-    for n, res in results:
-        d = res.to_json_dict()
-        rows.append(
-            [
-                d["n"],
-                d["base"],
-                d["niven"],
-                ";".join(str(w["m"]) for w in d["arh"]),
-                ";".join(str(w["m"]) for w in d["mrh"]),
-                d["quadratic_niven"],
-                d["strongly_quadratic_niven"],
-            ]
-        )
-    return rows
+    return [
+        [
+            res.n,
+            res.base,
+            res.is_niven,
+            ";".join(str(w.m) for w in res.arh),
+            ";".join(str(w.m) for w in res.mrh),
+            res.quadratic_niven,
+            res.strongly_quadratic_niven,
+        ]
+        for res in results
+    ]
 
 
 _CLASSIFY_HEADER = [
@@ -194,7 +194,7 @@ def _dispatch(args, out, err) -> int:
             n = DigitVec.from_int(int(args.n), args.base)
         result = classify(n)
         if args.format == "csv":
-            print(_csv_text(_CLASSIFY_HEADER, _classify_rows([(n.to_int(), result)])), end="", file=out)
+            print(_csv_text(_CLASSIFY_HEADER, _classify_rows([result])), end="", file=out)
         else:
             _print_json(result.to_json_dict(), out)
         return 0
@@ -226,7 +226,8 @@ def _dispatch(args, out, err) -> int:
                 out,
             )
         elif args.format == "csv":
-            print(_csv_text(_CLASSIFY_HEADER, _classify_rows(results)), end="", file=out)
+            rows = _classify_rows(res for _, res in results)
+            print(_csv_text(_CLASSIFY_HEADER, rows), end="", file=out)
         else:
             print(bfile_text(n for n, _ in results), end="", file=out)
         return 0
@@ -269,6 +270,11 @@ def _dispatch(args, out, err) -> int:
             report = section1_counts(base=args.base)
             _print_json(report.to_json_dict(), out)
             return 0
+        if args.base != 10:
+            raise ValueError(
+                f"--which {args.which} reproduces the printed base-10 tables; "
+                f"--base {args.base} applies only to --which counts"
+            )
         if args.which == "all":
             reports = reproduce_all_tables()
             _print_json([r.to_json_dict() for r in reports], out)

@@ -1,14 +1,17 @@
-"""Exact digit-sequence arithmetic in an arbitrary numeration base.
+"""Base-b digit views of integers, plus plain-int digit helpers.
 
-A DigitVec stores the base-b digits of a nonnegative integer, most
-significant first.  All operations are pure and exact at any length;
-there is no word-size anywhere in this module.  Canonical form: no
-leading zeros, except zero itself which is the single digit [0].
+All arithmetic in the package runs on Python ints, which are exact at
+any size.  A DigitVec is only the digit view of a nonnegative integer:
+its base-b digits, most significant first, in canonical form (no
+leading zeros, except zero itself which is the single digit [0]).  It
+parses and renders the digit strings of the CLI and the family JSON,
+and builds family members digit by digit (from_digits,
+repeat_pattern).  Digits come from divmod (from_int), never from
+str(int), so digit strings have no int-to-str digit limit.
 
-Alongside the structural type there are plain-int helpers
-(reverse_int, digit_sum_int, digit_count_int, has_zero_digit) used by
-the search engines, which need the same digit operations without the
-object overhead.
+The plain-int helpers (reverse_int, digit_sum_int, digit_count_int,
+has_zero_digit) are the digit operations the engines, classifier and
+verifiers use.
 """
 
 from __future__ import annotations
@@ -94,77 +97,6 @@ class DigitVec:
 
     def digit_sum(self) -> int:
         return sum(self.digits)
-
-    def digit_count(self) -> int:
-        return len(self.digits)
-
-    def is_zero(self) -> bool:
-        return self.digits == (0,)
-
-    def mod_small(self, m: int) -> int:
-        """value(self) mod m by left-to-right Horner accumulation."""
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        acc = 0
-        for d in self.digits:
-            acc = (acc * self.base + d) % m
-        return acc
-
-    def reversal(self) -> "DigitVec":
-        """Digits reversed, then re-canonicalized (trailing zeros vanish)."""
-        return DigitVec(self.base, _canonical(self.digits[::-1]))
-
-    def is_palindrome(self) -> bool:
-        return self.reversal() == self
-
-    # -- arithmetic (schoolbook, full carry propagation) --------------
-
-    def _require_same_base(self, other: "DigitVec") -> None:
-        if not isinstance(other, DigitVec):
-            raise TypeError(f"expected DigitVec, got {type(other).__name__}")
-        if other.base != self.base:
-            raise ValueError(f"base mismatch: {self.base} vs {other.base}")
-
-    def __add__(self, other: "DigitVec") -> "DigitVec":
-        self._require_same_base(other)
-        b = self.base
-        a = self.digits[::-1]
-        c = other.digits[::-1]
-        out = []
-        carry = 0
-        for i in range(max(len(a), len(c))):
-            t = carry
-            if i < len(a):
-                t += a[i]
-            if i < len(c):
-                t += c[i]
-            carry, d = divmod(t, b)
-            out.append(d)
-        if carry:
-            out.append(carry)
-        return DigitVec(b, _canonical(out[::-1]))
-
-    def __mul__(self, other: "DigitVec") -> "DigitVec":
-        self._require_same_base(other)
-        b = self.base
-        if self.is_zero() or other.is_zero():
-            return DigitVec(b, (0,))
-        a = self.digits[::-1]
-        c = other.digits[::-1]
-        acc = [0] * (len(a) + len(c))
-        for i, da in enumerate(a):
-            if da == 0:
-                continue
-            carry = 0
-            for j, dc in enumerate(c):
-                t = acc[i + j] + da * dc + carry
-                carry, acc[i + j] = divmod(t, b)
-            k = i + len(c)
-            while carry:
-                t = acc[k] + carry
-                carry, acc[k] = divmod(t, b)
-                k += 1
-        return DigitVec(b, _canonical(acc[::-1]))
 
     # -- rendering ----------------------------------------------------
 

@@ -3,7 +3,7 @@
 Each generator builds its family member as a digit string (never by
 native exponentiation), predicts the multiplier set the corresponding
 theorem describes, and attaches named claims.  verify_family recomputes
-every claim with exact digit-vector arithmetic; a failing claim is data,
+every claim with exact int arithmetic; a failing claim is data,
 not a crash: construction guarantees that fail are IMPLEMENTATION-BUG,
 printed-source assertions that recompute false are CONFLICT-WITH-PAPER.
 """
@@ -23,7 +23,7 @@ from .classify import (
     mrh_witnesses,
     verify_witness,
 )
-from .digitvec import DigitVec, check_base, repeat_pattern
+from .digitvec import DigitVec, check_base, repeat_pattern, reverse_int
 
 REPUNIT12 = "repunit12"
 ALL_ONES = "all_ones"
@@ -42,7 +42,8 @@ SKIPPED = "SKIPPED"
 
 # Materializing 2^((k-2p)/2) multipliers must stay sane.
 MAX_MULTIPLIER_SET = 1 << 16
-# Root of the square family has 2^(k-1) digits; schoolbook squaring caps this.
+# Root of the square family has 2^(k-1) digits and N twice as many; the
+# size of their digit tuples and of the digits-to-int conversions caps this.
 MAX_SQUARE_ROOT_DIGITS = 1 << 12
 # Exhaustive witness searches in the verifier only run below this value.
 DEFAULT_EXHAUSTIVE_CAP = 1 << 20
@@ -291,7 +292,7 @@ def gen_niven_not_mrh(base: int, n: int) -> FamilyInstance:
         f"n = {n} is divisible by b-1 = {base - 1}",
     )
     repunit = repeat_pattern([1], n, base)
-    number = DigitVec.from_int((base - 1) * n, base) * repunit
+    number = DigitVec.from_int((base - 1) * n * repunit.to_int(), base)
     _require(
         number.to_int() <= WORD_SIZE_CAP,
         "value within word size",
@@ -357,10 +358,13 @@ def verify_family(
             ok = not isinstance(got, VerifyFailure)
             results.append(_judge(claim, ok, f"M={m}: X + X^R {'=' if ok else '!='} N"))
         elif name == "half_is_palindrome":
-            m = inst.predicted_multipliers[0]
-            x = m * DigitVec.from_int(s, inst.base)
+            x = inst.predicted_multipliers[0].to_int() * s
             results.append(
-                _judge(claim, x.is_palindrome(), f"X = M*s = {x.render()}")
+                _judge(
+                    claim,
+                    reverse_int(x, inst.base) == x,
+                    f"X = M*s = {DigitVec.from_int(x, inst.base).render()}",
+                )
             )
         elif name == "niven":
             ok = is_niven(n)
@@ -412,8 +416,8 @@ def verify_family(
                 detail += f"; predicted but absent: {missing[:4]}"
             results.append(_judge(claim, ok, detail))
         elif name == "square_is_number":
-            root = _square_root_vec(inst)
-            ok = root * root == n
+            root = _square_root_vec(inst).to_int()
+            ok = root * root == value
             results.append(_judge(claim, ok, f"root^2 {'=' if ok else '!='} N"))
         elif name == "digit_sum_match":
             root = _square_root_vec(inst)
@@ -423,9 +427,8 @@ def verify_family(
                 _judge(claim, ok, f"s_b(root) = {root.digit_sum()}, s_b(N) = {s}, formula {expected_sum}")
             )
         elif name == "digit_sum_divides_root":
-            root = _square_root_vec(inst)
-            ok = root.mod_small(s) == 0
-            results.append(_judge(claim, ok, f"root mod s_b(N) = {root.mod_small(s)}"))
+            rem = _square_root_vec(inst).to_int() % s
+            results.append(_judge(claim, rem == 0, f"root mod s_b(N) = {rem}"))
         elif name == "mrh_witness":
             if not inst.predicted_multipliers:
                 results.append(

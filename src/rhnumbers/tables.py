@@ -342,7 +342,7 @@ def section1_counts(base: int = 10, lo: int = 1, hi: int = 9999) -> CountsReport
     self_only = tuple(
         n
         for n, res in mrh_results
-        if all(w.x.to_int() == n for w in res.mrh)
+        if all(w.x == n for w in res.mrh)
     )
     notes = []
     if len(mrh_hits) != MRH_EXPECTED_BELOW_10000 and hi == 9999 and base == 10:

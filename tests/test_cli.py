@@ -1,7 +1,12 @@
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from rhnumbers.cli import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -155,3 +160,49 @@ class TestPalsquare:
 def test_no_command_is_usage_error():
     code, _, _ = run([])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "1729", "--format", "bfile"],
+        ["palsquare", "--limit", "10", "--format", "bfile"],
+        ["bounds", "--multiplier", "1", "--kind", "mrh", "--format", "csv"],
+        ["family", "repunit12", "--k", "1", "--format", "csv"],
+        ["tables", "--which", "counts", "--format", "csv"],
+        ["oeis", "--seq", "A305131", "--count", "4", "--format", "json"],
+        ["oeis", "--seq", "A305131", "--count", "4", "--base", "7"],
+        ["tables", "--which", "1", "--base", "7"],
+        ["tables", "--base", "7"],
+    ],
+    ids=" ".join,
+)
+def test_unhonoured_option_is_usage_error(argv):
+    code, out, _ = run(argv)
+    assert code == 2 and out == ""
+
+
+# Pinned stdout bytes and exit codes of the record and family outputs.
+# 3024 has both ARH and MRH witnesses in base 7.
+@pytest.mark.parametrize(
+    "argv,golden,expect",
+    [
+        (["classify", "--base", "7", "3024"], "classify_base7_3024.json", 0),
+        (["classify", "--base", "7", "3024", "--format", "csv"], "classify_base7_3024.csv", 0),
+        (
+            ["family", "square", "--base", "17", "--k", "5", "--verify"],
+            "family_square_base17_k5.json",
+            1,
+        ),
+        (["family", "repunit12", "--k", "1", "--verify"], "family_repunit12_k1.json", 0),
+        (
+            ["family", "alternating", "--base", "4", "--p", "1", "--verify"],
+            "family_alternating_base4_p1.json",
+            0,
+        ),
+    ],
+)
+def test_golden_output(argv, golden, expect):
+    code, out, err = run(argv)
+    assert (code, err) == (expect, "")
+    assert out == (GOLDEN / golden).read_text()

@@ -1,10 +1,11 @@
 import pytest
 
-from rhnumbers.classify import ARH, WitnessAdd, arh_witnesses, is_niven, verify_witness
+from rhnumbers.classify import ARH, Witness, arh_witnesses, is_niven, verify_witness
 from rhnumbers.digitvec import DigitVec
 from rhnumbers.families import (
     CONFLICT_WITH_PAPER,
     IMPLEMENTATION_BUG,
+    MAX_SQUARE_ROOT_DIGITS,
     FamilyParameterError,
     gen_all_ones,
     gen_alternating,
@@ -29,16 +30,16 @@ class TestRepunit12:
         report = verify_family(inst)
         assert report.passed
         got = verify_witness(inst.number, 6734, ARH)
-        assert isinstance(got, WitnessAdd) and got.x.to_int() == 60606
+        assert isinstance(got, Witness) and got.x == 60606
 
     def test_k2_eighteen_digits(self):
         inst = gen_repunit12(2)
-        assert inst.number.digit_count() == 18
+        assert len(inst.number.digits) == 18
         assert verify_family(inst).passed
 
     def test_k3_beyond_word_size(self):
         inst = gen_repunit12(3)
-        assert inst.number.digit_count() == 54
+        assert len(inst.number.digits) == 54
         assert inst.number.to_int() > 2**63
         assert verify_family(inst).passed
 
@@ -181,6 +182,17 @@ class TestSquareFamily:
         assert by_name["mrh_witness"].passed
         if base % 4 == 3:
             assert by_name["root_niven"].passed
+
+    @pytest.mark.parametrize("base", [3, 7])
+    def test_at_root_digit_cap(self, base):
+        # k = 13 gives a 2^12-digit root, the largest the generator allows.
+        inst = gen_square_family(base, 13)
+        assert len(inst.number.digits) == 2 * MAX_SQUARE_ROOT_DIGITS
+        report = verify_family(inst)
+        assert [r.passed for r in report.results] == [True] * 5
+        with pytest.raises(FamilyParameterError) as exc:
+            gen_square_family(base, 14)
+        assert exc.value.condition == "root materializable"
 
     def test_even_base_rejected(self):
         with pytest.raises(FamilyParameterError):

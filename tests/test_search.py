@@ -1,6 +1,6 @@
 import pytest
 
-from rhnumbers.classify import ARH, MRH, NIVEN, WitnessAdd, WitnessMul, verify_witness
+from rhnumbers.classify import ARH, MRH, NIVEN, Witness, verify_witness
 from rhnumbers.digitvec import DigitVec
 from rhnumbers.search import (
     ALLOW,
@@ -83,10 +83,11 @@ class TestScanRange:
 
     def test_emitted_witnesses_reverify(self):
         for n, res in scan_range(SearchConfig(base=7, lo=1, hi=20000, kind=ARH)):
+            nd = DigitVec.from_int(n, res.base)
             for w in res.arh:
-                assert isinstance(verify_witness(res.n, w.m, ARH), WitnessAdd)
+                assert isinstance(verify_witness(nd, w.m, ARH), Witness)
             for w in res.mrh:
-                assert isinstance(verify_witness(res.n, w.m, MRH), WitnessMul)
+                assert isinstance(verify_witness(nd, w.m, MRH), Witness)
 
     @pytest.mark.parametrize("base", [2, 5, 10])
     def test_scanned_mrh_numbers_are_niven(self, base):
