@@ -7,7 +7,14 @@ X * X^R, with X a multiple of the digit sum), with exact arithmetic at
 any size and provably complete per-multiplier enumerations.
 """
 
-from .bounds import BoundSpec, arh_digit_bound, digit_bound, floor_log, mrh_digit_bound
+from .bounds import (
+    BoundSpec,
+    arh_digit_bound,
+    digit_bound,
+    digit_sum_cap,
+    floor_log,
+    mrh_digit_bound,
+)
 from .classify import (
     ARH,
     MRH,
@@ -45,6 +52,7 @@ from .search import (
     formula_lower_bound,
     numbers_for_multiplier,
     palindromic_square_search,
+    paper_bound_conflicts,
     scan_range,
 )
 from .tables import CountsReport, DiscrepancyReport, reproduce_table, section1_counts
@@ -72,6 +80,7 @@ __all__ = [
     "classify",
     "count_not_sum_of_reversal",
     "digit_bound",
+    "digit_sum_cap",
     "emit_bfile",
     "first_terms",
     "floor_log",
@@ -88,6 +97,7 @@ __all__ = [
     "mrh_witnesses",
     "numbers_for_multiplier",
     "palindromic_square_search",
+    "paper_bound_conflicts",
     "repeat_pattern",
     "reproduce_table",
     "scan_range",

@@ -160,10 +160,17 @@ def verify_witness(n: DigitVec, m: int, kind: str) -> Witness | VerifyFailure:
         raise ValueError(f"multiplier must be positive, got {m}")
     if kind not in (ARH, MRH):
         raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
-    x = m * n.digit_sum()
-    xr = reverse_int(x, n.base)
+    return check_witness(n.to_int(), n.digit_sum(), n.base, m, kind)
+
+
+def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:
+    """The defining equation for N = value with s = s_b(N): X = M*s, X op X^R == N.
+
+    Callers that test many multipliers of one N compute value and s once.
+    """
+    x = m * s
+    xr = reverse_int(x, base)
     combined = x + xr if kind == ARH else x * xr
-    value = n.to_int()
     if combined == value:
         return Witness(m=m, x=x, xr=xr)
     return VerifyFailure(kind=kind, m=m, x=x, xr=xr, combined=combined, expected=value)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import signal
 import sys
 
 from .bounds import digit_bound
@@ -38,6 +39,7 @@ from .search import (
     SearchConfig,
     numbers_for_multiplier,
     palindromic_square_search,
+    paper_bound_conflicts,
     scan_range,
 )
 from .tables import reproduce_all_tables, reproduce_table, section1_counts
@@ -251,6 +253,16 @@ def _dispatch(args, out, err) -> int:
             print(_csv_text(["n"], [[n] for n in numbers]), end="", file=out)
         else:
             print(bfile_text(numbers), end="", file=out)
+        conflicts = paper_bound_conflicts(args.base, args.multiplier, args.kind, numbers)
+        if conflicts:
+            spec = digit_bound(args.base, args.multiplier, args.kind)
+            for n in conflicts:
+                print(
+                    f"CONFLICT-WITH-PAPER: {n} has more than k_max = {spec.k_max} digits "
+                    f"({spec.source})",
+                    file=err,
+                )
+            return 1
         return 0
 
     if args.command == "family":
@@ -329,6 +341,10 @@ def _build_family(args):
 
 
 def main() -> None:
+    # A closed stdout (`rhnumbers ... | head`) ends the process quietly, as
+    # for other shell tools, instead of a BrokenPipeError traceback.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -19,9 +19,9 @@ from .classify import (
     WORD_SIZE_CAP,
     VerifyFailure,
     arh_witnesses,
+    check_witness,
     is_niven,
     mrh_witnesses,
-    verify_witness,
 )
 from .digitvec import DigitVec, check_base, repeat_pattern, reverse_int
 
@@ -354,7 +354,7 @@ def verify_family(
         name = claim.name
         if name == "arh_witness":
             m = inst.predicted_multipliers[0].to_int()
-            got = verify_witness(n, m, ARH)
+            got = check_witness(value, s, inst.base, m, ARH)
             ok = not isinstance(got, VerifyFailure)
             results.append(_judge(claim, ok, f"M={m}: X + X^R {'=' if ok else '!='} N"))
         elif name == "half_is_palindrome":
@@ -378,7 +378,7 @@ def verify_family(
             bad = [
                 m.to_int()
                 for m in inst.predicted_multipliers
-                if isinstance(verify_witness(n, m.to_int(), ARH), VerifyFailure)
+                if isinstance(check_witness(value, s, inst.base, m.to_int(), ARH), VerifyFailure)
             ]
             results.append(
                 _judge(
@@ -436,7 +436,7 @@ def verify_family(
                 )
                 continue
             m = inst.predicted_multipliers[0].to_int()
-            got = verify_witness(n, m, MRH)
+            got = check_witness(value, s, inst.base, m, MRH)
             ok = not isinstance(got, VerifyFailure)
             results.append(_judge(claim, ok, f"M={m}: X * X^R {'=' if ok else '!='} N"))
         elif name == "root_niven":

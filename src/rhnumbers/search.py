@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .bounds import digit_bound
+from .bounds import digit_bound, digit_sum_cap
 from .classify import (
     ARH,
     MRH,
@@ -25,6 +25,7 @@ from .classify import (
 )
 from .digitvec import (
     check_base,
+    digit_count_int,
     digit_sum_int,
     has_zero_digit,
     reverse_int,
@@ -147,20 +148,16 @@ def numbers_for_multiplier(
 ) -> list[int]:
     """The complete set of b-ARH/b-MRH numbers with the given multiplier.
 
-    Forward generation: any qualifying N has at most k_max digits
-    (digit-count bound), hence s_b(N) <= (b-1)*k_max; each candidate
-    digit sum s determines X = M*s and N, accepted iff s_b(N) == s.
+    Forward generation: any qualifying N has s_b(N) <= digit_sum_cap
+    (proven in bounds.digit_sum_cap from the definitions alone); each
+    candidate digit sum s determines X = M*s and N, accepted iff
+    s_b(N) == s.  The paper's digit-count bound plays no part here;
+    paper_bound_conflicts checks the result against it.
     """
-    check_base(base)
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    if kind not in (ARH, MRH):
-        raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
     if zero_digit_policy not in (ALLOW, FORBID):
         raise ValueError(f"zero_digit_policy must be {ALLOW!r} or {FORBID!r}")
-    k_max = digit_bound(base, multiplier, kind).k_max
     found = []
-    for s in range(1, (base - 1) * k_max + 1):
+    for s in range(1, digit_sum_cap(base, multiplier, kind) + 1):
         x = multiplier * s
         xr = reverse_int(x, base)
         n = x + xr if kind == ARH else x * xr
@@ -170,6 +167,12 @@ def numbers_for_multiplier(
             continue
         found.append(n)
     return sorted(found)
+
+
+def paper_bound_conflicts(base: int, multiplier: int, kind: str, numbers: list[int]) -> list[int]:
+    """Members with more digits than the paper's cap k_max allows (CONFLICT-WITH-PAPER)."""
+    k_max = digit_bound(base, multiplier, kind).k_max
+    return [n for n in numbers if digit_count_int(n, base) > k_max]
 
 
 def count_not_sum_of_reversal(base: int, k: int) -> int:

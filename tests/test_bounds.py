@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rhnumbers.bounds import arh_digit_bound, floor_log, mrh_digit_bound
+from rhnumbers.bounds import (
+    arh_digit_bound,
+    digit_bound,
+    digit_sum_cap,
+    floor_log,
+    mrh_digit_bound,
+)
+from rhnumbers.classify import ARH, MRH
 
 
 class TestFloorLog:
@@ -82,3 +89,63 @@ def test_rejects_bad_inputs():
         mrh_digit_bound(10, 0)
     with pytest.raises(ValueError, match="base must be"):
         mrh_digit_bound(1, 5)
+
+
+def _digit_count(v: int, base: int) -> int:
+    k = 1
+    while v >= base:
+        v //= base
+        k += 1
+    return k
+
+
+def _f(base: int, m: int, kind: str, s: int) -> int:
+    """(b-1)*(c1*D(M*s) + c0): no member with multiplier m has digit sum s > _f(s)."""
+    c1, c0 = (1, 1) if kind == ARH else (2, 0)
+    return (base - 1) * (c1 * _digit_count(m * s, base) + c0)
+
+
+class TestDigitSumCap:
+    @pytest.mark.parametrize(
+        "base,m,kind,cap", [(10, 10**6, MRH, 162), (10, 100, ARH, 45), (16, 2 * 10**4, MRH, 180)]
+    )
+    def test_spot_values(self, base, m, kind, cap):
+        assert digit_sum_cap(base, m, kind) == cap
+
+    @pytest.mark.parametrize("kind", [ARH, MRH])
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_cap_is_fixed_point(self, base, kind):
+        # The cap satisfies s <= f(s), and nothing just above it does.
+        for m in range(1, 61):
+            cap = digit_sum_cap(base, m, kind)
+            assert cap <= _f(base, m, kind, cap), (base, m)
+            above = [s for s in range(cap + 1, 4 * cap + 1) if s <= _f(base, m, kind, s)]
+            assert not above, (base, m, above[:4])
+
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=10**30),
+        st.sampled_from([ARH, MRH]),
+    )
+    def test_cap_is_fixed_point_at_large_m(self, base, m, kind):
+        cap = digit_sum_cap(base, m, kind)
+        assert cap <= _f(base, m, kind, cap)
+        assert all(s > _f(base, m, kind, s) for s in range(cap + 1, 4 * cap + 1))
+
+    def test_looser_than_paper_only_in_base2_mrh(self):
+        looser = [
+            (base, kind, m)
+            for base in range(2, 17)
+            for kind in (ARH, MRH)
+            for m in range(1, 61)
+            if digit_sum_cap(base, m, kind) > (base - 1) * digit_bound(base, m, kind).k_max
+        ]
+        assert looser == [(2, MRH, m) for m in (2, 3, 4, 5, 6, 8)]
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            digit_sum_cap(10, 0, ARH)
+        with pytest.raises(ValueError, match="kind must be"):
+            digit_sum_cap(10, 1, "niven")
+        with pytest.raises(ValueError, match="base must be"):
+            digit_sum_cap(1, 1, MRH)

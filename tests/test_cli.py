@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rhnumbers
+from rhnumbers import cli, search
+from rhnumbers.bounds import BoundSpec
 from rhnumbers.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +72,25 @@ class TestMultiplier:
         d = json.loads(out)
         assert d["numbers"] == [11, 22, 33, 44, 55, 66, 77, 88, 99]
         assert d["multiplicity"] == 9
+
+    def test_conflict_with_paper_bound(self, monkeypatch):
+        # A member above the paper's digit bound is reported, not dropped.
+        argv = ["multiplier", "--kind", "mrh", "--multiplier", "1"]
+        code, expected_out, err = run(argv)
+        assert (code, err) == (0, "")
+
+        def two_digits(base, multiplier, kind):
+            return BoundSpec(kind, base, multiplier, 2, "k <= 2 (test)")
+
+        monkeypatch.setattr(search, "digit_bound", two_digits)
+        monkeypatch.setattr(cli, "digit_bound", two_digits)
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == expected_out
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("CONFLICT-WITH-PAPER: 1458 ")
+        assert lines[1].startswith("CONFLICT-WITH-PAPER: 1729 ")
 
 
 class TestFamily:
@@ -206,3 +231,28 @@ def test_golden_output(argv, golden, expect):
     code, out, err = run(argv)
     assert (code, err) == (expect, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_closed_stdout_ends_quietly():
+    # The JSON is larger than a pipe buffer, so the process is still
+    # writing when the reader goes away.
+    path = [str(Path(rhnumbers.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rhnumbers.cli", "search", "--max", "100000", "--kind", "arh"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert err == b""
+    assert code != 1

@@ -246,6 +246,24 @@ class TestVerdictTaxonomy:
         assert not report.passed
         assert report.results[0].verdict == IMPLEMENTATION_BUG
 
+    def test_square_not_equal_to_number_is_bug(self):
+        # Forge a square-family instance whose root (22 in base 3, i.e. 8)
+        # does not square to its number.
+        from rhnumbers.families import SQUARE, Claim, FamilyInstance
+
+        bogus = FamilyInstance(
+            family=SQUARE,
+            base=3,
+            params={"k": 2},
+            number=DigitVec.from_int(65, 3),
+            predicted_multipliers=(),
+            claims=(Claim("square_is_number", "construction", True),),
+        )
+        report = verify_family(bogus)
+        assert not report.passed
+        assert report.results[0].verdict == IMPLEMENTATION_BUG
+        assert report.results[0].detail == "root^2 != N"
+
     def test_reports_are_json_serializable(self):
         import json
 

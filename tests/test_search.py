@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rhnumbers.bounds import digit_bound
 from rhnumbers.classify import ARH, MRH, NIVEN, Witness, verify_witness
 from rhnumbers.digitvec import DigitVec
 from rhnumbers.search import (
@@ -11,8 +14,33 @@ from rhnumbers.search import (
     is_expressible_as_sum_of_reversal,
     numbers_for_multiplier,
     palindromic_square_search,
+    paper_bound_conflicts,
     scan_range,
 )
+
+
+def _digits(x: int, base: int) -> list[int]:
+    """Base-b digits of x, least significant first."""
+    out = []
+    while x:
+        x, d = divmod(x, base)
+        out.append(d)
+    return out
+
+
+def _paper_capped_members(base: int, m: int, kind: str, policy: str) -> list[int]:
+    """Brute force over every digit sum s <= (b-1)*k_max, k_max the paper's digit bound."""
+    found = []
+    for s in range(1, (base - 1) * digit_bound(base, m, kind).k_max + 1):
+        x = m * s
+        xr = 0
+        for d in _digits(x, base):
+            xr = xr * base + d
+        n = x + xr if kind == ARH else x * xr
+        digits = _digits(n, base)
+        if sum(digits) == s and not (policy == FORBID and 0 in digits):
+            found.append(n)
+    return sorted(found)
 
 
 class TestSearchConfig:
@@ -149,6 +177,35 @@ class TestNumbersForMultiplier:
         scanned = [n for n, _ in scan_range(cfg)]
         bounded = [n for n in numbers_for_multiplier(10, m, kind, ALLOW) if n <= hi]
         assert scanned == bounded, (kind, m)
+
+    @pytest.mark.parametrize("kind", [ARH, MRH])
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_equals_paper_capped_brute_force(self, base, kind):
+        # Base 2 MRH with M in {2..6, 8} is where the proven cap is looser
+        # than the paper's; the sets agree there too.
+        for m in range(1, 61):
+            for policy in (ALLOW, FORBID):
+                got = numbers_for_multiplier(base, m, kind, policy)
+                assert got == _paper_capped_members(base, m, kind, policy), (base, m, policy)
+                assert paper_bound_conflicts(base, m, kind, got) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=10**4),
+        st.sampled_from([ARH, MRH]),
+    )
+    def test_equals_paper_capped_brute_force_large_m(self, base, m, kind):
+        assert numbers_for_multiplier(base, m, kind) == _paper_capped_members(base, m, kind, ALLOW)
+
+    def test_mrh_one_million(self):
+        assert numbers_for_multiplier(10, 10**6, MRH) == [1000000, 81000000, 1458000000, 1729000000]
+
+    def test_paper_bound_conflicts(self):
+        numbers = numbers_for_multiplier(10, 1, MRH)
+        assert paper_bound_conflicts(10, 1, MRH, numbers) == []
+        # k <= M+4 = 5 digits for base-10 MRH with M = 1.
+        assert paper_bound_conflicts(10, 1, MRH, [1, 99999, 100000]) == [100000]
 
 
 class TestCountingExperiment:
