@@ -4,8 +4,9 @@ A number N is b-ARH when N = M*s_b(N) + (M*s_b(N))^R for some positive
 integer M, and b-MRH when N = M*s_b(N) * (M*s_b(N))^R.  The witness
 extractors here are complete per-N enumerations; they are meant for
 values below WORD_SIZE_CAP.  verify_witness takes a supplied M instead
-and works at any magnitude.  All arithmetic is on Python ints; the
-DigitVec arguments only supply N's base-b digits.
+and works at any magnitude.  Every public function takes N as
+(value, base), a Python int and its numeration base, and refuses
+values below 1 and bases below 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .digitvec import DigitVec, digit_sum_int, reverse_int
+from .digitvec import check_base, digit_sum_int, reverse_int
 
 # Enumeration contract bound for the per-N searches and range scans.
 WORD_SIZE_CAP = 2**63 - 1
@@ -77,44 +78,47 @@ class ClassifyResult:
         }
 
 
-def is_niven(n: DigitVec) -> bool:
-    """True iff digit_sum(n) divides value(n); valid at any size."""
-    s = n.digit_sum()
-    if s == 0:
-        raise ValueError("Niven test undefined for zero (digit sum 0)")
-    return n.to_int() % s == 0
+def _require_n(value: int, base: int, cap: int | None = None) -> None:
+    """Refuse b < 2 and N < 1 (or N > cap) before any digit helper sees them.
+
+    The digit helpers never return on a negative N (divmod(-1, b) is
+    (-1, b-1)) or in base 1, and N = 0 (digit sum 0, X = 0) would pass
+    the defining equation for every M.
+    """
+    check_base(base)
+    if cap is not None and not 1 <= value <= cap:
+        raise ValueError(f"value {value} outside [1, {cap}]")
+    if value < 1:
+        raise ValueError(f"value must be positive, got {value}")
 
 
-def _square(n: DigitVec) -> DigitVec:
-    value = n.to_int()
-    return DigitVec.from_int(value * value, n.base)
+def is_niven(value: int, base: int) -> bool:
+    """True iff s_b(value) divides value; valid at any size."""
+    _require_n(value, base)
+    return value % digit_sum_int(value, base) == 0
 
 
-def is_quadratic_niven(n: DigitVec) -> bool:
-    """N and N^2 both b-Niven (N^2 computed in the same base)."""
-    return is_niven(n) and is_niven(_square(n))
+def is_quadratic_niven(value: int, base: int) -> bool:
+    """N and N^2 both b-Niven."""
+    return is_niven(value, base) and is_niven(value * value, base)
 
 
-def is_strongly_quadratic_niven(n: DigitVec) -> bool:
+def is_strongly_quadratic_niven(value: int, base: int) -> bool:
     """Quadratic Niven with s_b(N) == s_b(N^2)."""
-    if not is_niven(n):
+    if not is_quadratic_niven(value, base):
         return False
-    sq = _square(n)
-    return is_niven(sq) and n.digit_sum() == sq.digit_sum()
+    return digit_sum_int(value, base) == digit_sum_int(value * value, base)
 
 
-def arh_witnesses(n: DigitVec) -> list[Witness]:
-    """All additive multipliers of n, ascending.
+def arh_witnesses(value: int, base: int) -> list[Witness]:
+    """All additive multipliers of N = value, ascending.
 
-    Enumerates X over multiples of s = s_b(n) with s <= X < value(n);
+    Enumerates X over multiples of s = s_b(N) with s <= X < N;
     X + X^R = N forces s | X and X < N (X^R >= 1), so the scan is
     complete.
     """
-    value = n.to_int()
-    if not 1 <= value <= WORD_SIZE_CAP:
-        raise ValueError(f"value {value} outside [1, {WORD_SIZE_CAP}]")
-    base = n.base
-    s = n.digit_sum()
+    _require_n(value, base, WORD_SIZE_CAP)
+    s = digit_sum_int(value, base)
     out = []
     x = s
     while x < value:
@@ -124,17 +128,14 @@ def arh_witnesses(n: DigitVec) -> list[Witness]:
     return out
 
 
-def mrh_witnesses(n: DigitVec) -> list[Witness]:
-    """All multiplicative multipliers of n, ascending.
+def mrh_witnesses(value: int, base: int) -> list[Witness]:
+    """All multiplicative multipliers of N = value, ascending.
 
-    Trial division: for each divisor pair (d1, d2) of value(n), both
-    orders are tested; X = d1 qualifies when rev(d1) == d2 and s | d1.
+    Trial division: for each divisor pair (d1, d2) of N, both orders
+    are tested; X = d1 qualifies when rev(d1) == d2 and s | d1.
     """
-    value = n.to_int()
-    if not 1 <= value <= WORD_SIZE_CAP:
-        raise ValueError(f"value {value} outside [1, {WORD_SIZE_CAP}]")
-    base = n.base
-    s = n.digit_sum()
+    _require_n(value, base, WORD_SIZE_CAP)
+    s = digit_sum_int(value, base)
     hits = set()
     for d1 in range(1, isqrt(value) + 1):
         if value % d1:
@@ -150,17 +151,18 @@ def _witness(x: int, s: int, base: int) -> Witness:
     return Witness(m=x // s, x=x, xr=reverse_int(x, base))
 
 
-def verify_witness(n: DigitVec, m: int, kind: str) -> Witness | VerifyFailure:
-    """Check the defining equation for a supplied multiplier, at any size.
+def verify_witness(value: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:
+    """Check the defining equation of N = value for a supplied multiplier, at any size.
 
-    X = M*s_b(n) is combined with X^R directly; no enumeration, no
+    X = M*s_b(N) is combined with X^R directly; no enumeration, no
     factoring.
     """
+    _require_n(value, base)
     if m < 1:
         raise ValueError(f"multiplier must be positive, got {m}")
     if kind not in (ARH, MRH):
         raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
-    return check_witness(n.to_int(), n.digit_sum(), n.base, m, kind)
+    return check_witness(value, digit_sum_int(value, base), base, m, kind)
 
 
 def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:
@@ -176,13 +178,13 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
     return VerifyFailure(kind=kind, m=m, x=x, xr=xr, combined=combined, expected=value)
 
 
-def classify(n: DigitVec) -> ClassifyResult:
-    """Full classification record: Niven flags plus both witness lists."""
+def classify(value: int, base: int) -> ClassifyResult:
+    """Full classification record of N = value: Niven flags plus both witness lists."""
     return build_result(
-        n.to_int(),
-        n.base,
-        [w.x for w in arh_witnesses(n)],
-        [w.x for w in mrh_witnesses(n)],
+        value,
+        base,
+        [w.x for w in arh_witnesses(value, base)],
+        [w.x for w in mrh_witnesses(value, base)],
     )
 
 

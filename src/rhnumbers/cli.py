@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import signal
@@ -190,11 +191,8 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 
 def _dispatch(args, out, err) -> int:
     if args.command == "classify":
-        if args.digits:
-            n = DigitVec.parse(args.n, args.base)
-        else:
-            n = DigitVec.from_int(int(args.n), args.base)
-        result = classify(n)
+        n = DigitVec.parse(args.n, args.base).to_int() if args.digits else int(args.n)
+        result = classify(n, args.base)
         if args.format == "csv":
             print(_csv_text(_CLASSIFY_HEADER, _classify_rows([result])), end="", file=out)
         else:
@@ -214,14 +212,7 @@ def _dispatch(args, out, err) -> int:
         if args.format == "json":
             _print_json(
                 {
-                    "config": {
-                        "base": cfg.base,
-                        "lo": cfg.lo,
-                        "hi": cfg.hi,
-                        "kind": cfg.kind,
-                        "zero_digit_policy": cfg.zero_digit_policy,
-                        "multiplier_filter": cfg.multiplier_filter,
-                    },
+                    "config": dataclasses.asdict(cfg),
                     "count": len(results),
                     "results": [res.to_json_dict() for _, res in results],
                 },

@@ -20,7 +20,6 @@ from .classify import (
     VerifyFailure,
     arh_witnesses,
     check_witness,
-    is_niven,
     mrh_witnesses,
 )
 from .digitvec import DigitVec, check_base, repeat_pattern, reverse_int
@@ -46,7 +45,7 @@ MAX_MULTIPLIER_SET = 1 << 16
 # size of their digit tuples and of the digits-to-int conversions caps this.
 MAX_SQUARE_ROOT_DIGITS = 1 << 12
 # Exhaustive witness searches in the verifier only run below this value.
-DEFAULT_EXHAUSTIVE_CAP = 1 << 20
+EXHAUSTIVE_CAP = 1 << 20
 
 
 class FamilyParameterError(ValueError):
@@ -312,15 +311,6 @@ def gen_niven_not_mrh(base: int, n: int) -> FamilyInstance:
     )
 
 
-GENERATORS = {
-    REPUNIT12: gen_repunit12,
-    ALL_ONES: gen_all_ones,
-    ALTERNATING: gen_alternating,
-    SQUARE: gen_square_family,
-    NIVEN_NOT_MRH: gen_niven_not_mrh,
-}
-
-
 # -- verification ------------------------------------------------------
 
 
@@ -337,18 +327,16 @@ def _skip(claim: Claim, reason: str) -> ClaimResult:
     return ClaimResult(claim.name, None, SKIPPED, reason)
 
 
-def verify_family(
-    inst: FamilyInstance, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> FamilyReport:
+def verify_family(inst: FamilyInstance) -> FamilyReport:
     """Recompute every claim of the instance with exact arithmetic.
 
     Constructive witnesses are used at any size; exhaustive witness
     searches (set-completeness, not-MRH) only run for values at or
-    below `exhaustive_cap` / the word-size cap and are SKIPPED above.
+    below EXHAUSTIVE_CAP / the word-size cap and are SKIPPED above.
+    Digit sums come from the digit tuples, never from the int.
     """
-    n = inst.number
-    value = n.to_int()
-    s = n.digit_sum()
+    value = inst.number.to_int()
+    s = inst.number.digit_sum()
     results = []
     for claim in inst.claims:
         name = claim.name
@@ -367,10 +355,10 @@ def verify_family(
                 )
             )
         elif name == "niven":
-            ok = is_niven(n)
+            ok = value % s == 0
             results.append(_judge(claim, ok, f"s_b(N) = {s} {'|' if ok else 'does not divide'} N"))
         elif name == "not_niven":
-            ok = not is_niven(n)
+            ok = value % s != 0
             results.append(
                 _judge(claim, ok, f"s_b(N) = {s} {'does not divide' if ok else '|'} N")
             )
@@ -401,10 +389,10 @@ def verify_family(
                 _judge(claim, got == expected_count, f"predicted {got}, formula {expected_count}")
             )
         elif name == "multiplier_set_complete":
-            if value > exhaustive_cap:
-                results.append(_skip(claim, f"value {value} above exhaustive cap {exhaustive_cap}"))
+            if value > EXHAUSTIVE_CAP:
+                results.append(_skip(claim, f"value {value} above exhaustive cap {EXHAUSTIVE_CAP}"))
                 continue
-            brute = {w.m for w in arh_witnesses(n)}
+            brute = {w.m for w in arh_witnesses(value, inst.base)}
             predicted = {m.to_int() for m in inst.predicted_multipliers}
             extra = sorted(brute - predicted)
             missing = sorted(predicted - brute)
@@ -441,7 +429,7 @@ def verify_family(
             results.append(_judge(claim, ok, f"M={m}: X * X^R {'=' if ok else '!='} N"))
         elif name == "root_niven":
             root = _square_root_vec(inst)
-            ok = is_niven(root)
+            ok = root.to_int() % root.digit_sum() == 0
             results.append(
                 _judge(claim, ok, f"root is {'a' if ok else 'not a'} {inst.base}-Niven number")
             )
@@ -454,7 +442,7 @@ def verify_family(
             if value > WORD_SIZE_CAP:
                 results.append(_skip(claim, "value above word-size cap"))
                 continue
-            witnesses = mrh_witnesses(n)
+            witnesses = mrh_witnesses(value, inst.base)
             ok = not witnesses
             results.append(
                 _judge(

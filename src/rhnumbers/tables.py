@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import ARH, MRH, VerifyFailure, verify_witness
-from .digitvec import DigitVec, digit_count_int, has_zero_digit, reverse_int
+from .digitvec import digit_count_int, has_zero_digit, reverse_int
 from .search import (
     FORBID,
     SearchConfig,
@@ -193,7 +193,7 @@ def _adjudicate(
     unsound = [
         n
         for n in recomputed
-        if isinstance(verify_witness(DigitVec.from_int(n, base), multiplier, kind), VerifyFailure)
+        if isinstance(verify_witness(n, base, multiplier, kind), VerifyFailure)
     ]
     if unsound:
         return RowReport(
@@ -206,9 +206,7 @@ def _adjudicate(
     unexplained = []
     for x in paper_only:
         twin = reverse_int(x, base)
-        x_verifies = not isinstance(
-            verify_witness(DigitVec.from_int(x, base), multiplier, kind), VerifyFailure
-        )
+        x_verifies = not isinstance(verify_witness(x, base, multiplier, kind), VerifyFailure)
         if twin in rec_only:
             explanations.append(f"printed {x} is the digit reversal of recomputed {twin}")
         elif x_verifies and digit_count is not None and digit_count_int(x, base) != digit_count:

@@ -15,128 +15,142 @@ from rhnumbers.classify import (
     mrh_witnesses,
     verify_witness,
 )
-from rhnumbers.digitvec import DigitVec
-
-
-def dv(n, base=10):
-    return DigitVec.from_int(n, base)
 
 
 class TestIsNiven:
     def test_1729(self):
-        assert is_niven(dv(1729))
+        assert is_niven(1729, 10)
 
     def test_144_base7(self):
         # [144]_7 = 81, digit sum 9: Niven despite the printed example's framing.
-        assert is_niven(DigitVec.from_digits([1, 4, 4], 7))
+        assert is_niven(81, 7)
 
     def test_10(self):
-        assert is_niven(dv(10))
+        assert is_niven(10, 10)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            is_niven(dv(0))
+            is_niven(0, 10)
+
+
+ENTRIES = {
+    "classify": classify,
+    "arh_witnesses": arh_witnesses,
+    "mrh_witnesses": mrh_witnesses,
+    "verify_witness_arh": lambda value, base: verify_witness(value, base, 5, ARH),
+    "verify_witness_mrh": lambda value, base: verify_witness(value, base, 5, MRH),
+    "is_niven": is_niven,
+    "is_quadratic_niven": is_quadratic_niven,
+    "is_strongly_quadratic_niven": is_strongly_quadratic_niven,
+}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+@pytest.mark.parametrize("value,base", [(-1, 10), (0, 10), (7, 1)])
+def test_int_entries_refuse_bad_input(name, value, base):
+    # The digit helpers never return on -1 or in base 1, and 0 (digit sum 0,
+    # X = 0) meets X op X^R = N for every M: each entry must refuse them first.
+    with pytest.raises(ValueError):
+        ENTRIES[name](value, base)
 
 
 class TestArhWitnesses:
     def test_99_has_five(self):
-        assert [w.m for w in arh_witnesses(dv(99))] == [1, 2, 3, 4, 5]
+        assert [w.m for w in arh_witnesses(99, 10)] == [1, 2, 3, 4, 5]
 
     def test_747(self):
         # Table 1's row M=7 lists 747; the complete multiplier set is larger
         # (324 + 423 = 522 + 225 = 720 + 27 = 747 as well, double-loop verified).
-        ms = [w.m for w in arh_witnesses(dv(747))]
+        ms = [w.m for w in arh_witnesses(747, 10)]
         assert 7 in ms
         assert ms == [7, 18, 29, 40]
 
     def test_one_has_none(self):
-        assert arh_witnesses(dv(1)) == []
+        assert arh_witnesses(1, 10) == []
 
     def test_witness_invariant_fields(self):
-        for w in arh_witnesses(dv(747)):
-            assert w.x == w.m * dv(747).digit_sum()
+        for w in arh_witnesses(747, 10):
+            assert w.x == w.m * (7 + 4 + 7)
             assert w.x + w.xr == 747
 
     def test_12_base10_but_not_base9(self):
         # ARH-ness depends on the base.
-        assert [w.m for w in arh_witnesses(dv(12))] == [2]
-        assert arh_witnesses(DigitVec.from_digits([1, 2], 9)) == []
+        assert [w.m for w in arh_witnesses(12, 10)] == [2]
+        assert arh_witnesses(11, 9) == []  # [12]_9
 
 
 class TestMrhWitnesses:
     def test_1729(self):
-        assert [w.m for w in mrh_witnesses(dv(1729))] == [1]
+        assert [w.m for w in mrh_witnesses(1729, 10)] == [1]
 
     def test_332424_two_multipliers(self):
-        assert [w.m for w in mrh_witnesses(dv(332424))] == [27, 38]
+        assert [w.m for w in mrh_witnesses(332424, 10)] == [27, 38]
 
     @pytest.mark.parametrize("p", [11, 13, 97, 1009])
     def test_primes_never_mrh(self, p):
-        assert mrh_witnesses(dv(p)) == []
+        assert mrh_witnesses(p, 10) == []
 
     def test_144_base7_not_mrh(self):
-        assert mrh_witnesses(DigitVec.from_digits([1, 4, 4], 7)) == []
+        assert mrh_witnesses(81, 7) == []  # [144]_7
 
     def test_trivial_power_of_base(self):
         # 100 = 100 * 1 with s = 1; the classifier admits M = N.
-        assert [w.m for w in mrh_witnesses(dv(100))] == [100]
+        assert [w.m for w in mrh_witnesses(100, 10)] == [100]
 
 
 class TestVerifyWitness:
     def test_121212(self):
-        got = verify_witness(dv(121212), 6734, ARH)
+        got = verify_witness(121212, 10, 6734, ARH)
         assert isinstance(got, Witness)
         assert got.x == 60606
 
     def test_2268(self):
-        got = verify_witness(dv(2268), 2, MRH)
+        got = verify_witness(2268, 10, 2, MRH)
         assert isinstance(got, Witness)
         assert (got.x, got.xr) == (36, 63)
 
     def test_failure_names_sides(self):
-        got = verify_witness(dv(1729), 2, MRH)
+        got = verify_witness(1729, 10, 2, MRH)
         assert isinstance(got, VerifyFailure)
         assert got.combined == 38 * 83
         assert got.expected == 1729
 
     def test_big_instance_digitvec_only(self):
         # 18-digit member verified without any enumeration.
-        n = dv(int("12" * 9))
-        got = verify_witness(n, 2244668911335578, ARH)
+        got = verify_witness(int("12" * 9), 10, 2244668911335578, ARH)
         assert isinstance(got, Witness)
 
 
 class TestQuadraticNiven:
     def test_22_base3_strongly(self):
-        n = DigitVec.from_digits([2, 2], 3)
-        assert is_quadratic_niven(n)
-        assert is_strongly_quadratic_niven(n)
+        assert is_quadratic_niven(8, 3)  # [22]_3
+        assert is_strongly_quadratic_niven(8, 3)
 
     def test_one(self):
-        assert is_quadratic_niven(dv(1))
-        assert is_strongly_quadratic_niven(dv(1))
+        assert is_quadratic_niven(1, 10)
+        assert is_strongly_quadratic_niven(1, 10)
 
     def test_11_fails(self):
-        assert not is_quadratic_niven(dv(11))
+        assert not is_quadratic_niven(11, 10)
 
 
 class TestClassify:
     def test_99(self):
-        res = classify(dv(99))
+        res = classify(99, 10)
         assert res.arh_multiplicity == 5
         assert res.mrh == ()
 
     def test_7744(self):
-        res = classify(dv(7744))
+        res = classify(7744, 10)
         assert [w.m for w in res.mrh] == [4]
 
     def test_2(self):
-        res = classify(dv(2))
+        res = classify(2, 10)
         assert not res.is_niven or res.is_niven  # 2 is Niven (s=2)
         assert res.arh == () and res.mrh == ()
 
     def test_json_schema(self):
-        d = classify(dv(1729)).to_json_dict()
+        d = classify(1729, 10).to_json_dict()
         assert set(d) == {
             "n", "base", "niven", "arh", "mrh",
             "quadratic_niven", "strongly_quadratic_niven",
@@ -182,23 +196,20 @@ def test_witness_completeness_small_range(base, limit):
         s = oracle_digit_sum(n, base)
         adds = [x // s for x in range(s, n + 1, s) if x + rev[x] == n]
         muls = [x // s for x in range(s, n + 1, s) if x * rev[x] == n]
-        d = DigitVec.from_int(n, base)
-        assert [w.m for w in arh_witnesses(d)] == adds, (base, n)
-        assert [w.m for w in mrh_witnesses(d)] == muls, (base, n)
+        assert [w.m for w in arh_witnesses(n, base)] == adds, (base, n)
+        assert [w.m for w in mrh_witnesses(n, base)] == muls, (base, n)
 
 
 def test_every_emitted_witness_reverifies():
     for n in range(1, 3000):
-        d = dv(n)
-        for w in arh_witnesses(d):
-            assert isinstance(verify_witness(d, w.m, ARH), Witness)
-        for w in mrh_witnesses(d):
-            assert isinstance(verify_witness(d, w.m, MRH), Witness)
+        for w in arh_witnesses(n, 10):
+            assert isinstance(verify_witness(n, 10, w.m, ARH), Witness)
+        for w in mrh_witnesses(n, 10):
+            assert isinstance(verify_witness(n, 10, w.m, MRH), Witness)
 
 
 @pytest.mark.parametrize("base", [2, 3, 7, 10])
 def test_mrh_implies_niven(base):
     for n in range(1, 4000):
-        d = DigitVec.from_int(n, base)
-        if mrh_witnesses(d):
-            assert is_niven(d), (base, n)
+        if mrh_witnesses(n, base):
+            assert is_niven(n, base), (base, n)

@@ -43,8 +43,17 @@ class TestClassify:
         assert lines[1].split(",")[3] == "1;2;3;4;5"
 
     def test_zero_is_usage_error(self):
-        code, out, _ = run(["classify", "0"])
-        assert code == 2 and out == ""
+        for n in ("0", "-5"):
+            code, out, _ = run(["classify", "--", n])
+            assert code == 2 and out == "", n
+
+    def test_comma_separated_digits(self):
+        # Above base 10 digits are comma-separated: [1,2,3]_16 = 291.
+        assert run(["classify", "--base", "16", "--digits", "1,2,3"]) == run(
+            ["classify", "--base", "16", "291"]
+        )
+        code, out, err = run(["classify", "--base", "7", "--digits", "18"])
+        assert code == 2 and out == "" and "out of range" in err
 
 
 class TestSearch:

@@ -29,7 +29,7 @@ class TestRepunit12:
         assert inst.predicted_multipliers[0].to_int() == 6734
         report = verify_family(inst)
         assert report.passed
-        got = verify_witness(inst.number, 6734, ARH)
+        got = verify_witness(inst.number.to_int(), inst.base, 6734, ARH)
         assert isinstance(got, Witness) and got.x == 60606
 
     def test_k2_eighteen_digits(self):
@@ -75,7 +75,7 @@ class TestAllOnes:
 
     def test_b2_p4_brute_force_equality(self):
         inst = gen_all_ones(2, 4)
-        brute = {w.m for w in arh_witnesses(inst.number)}
+        brute = {w.m for w in arh_witnesses(inst.number.to_int(), inst.base)}
         assert {m.to_int() for m in inst.predicted_multipliers} == brute
 
     def test_b2_p4_against_printed_list(self):
@@ -108,7 +108,7 @@ class TestAllOnes:
         inst = gen_all_ones(base, p)
         k = base**p
         assert len(inst.predicted_multipliers) == 2 ** ((k - 2 * p) // 2)
-        assert not is_niven(inst.number)
+        assert not is_niven(inst.number.to_int(), inst.base)
 
 
 class TestAlternating:
@@ -140,7 +140,7 @@ class TestAlternating:
         inst = gen_alternating(base, p)
         k = base**p
         assert len(inst.predicted_multipliers) == (base - 1) ** ((k - 2 * p) // 2)
-        assert not is_niven(inst.number)
+        assert not is_niven(inst.number.to_int(), inst.base)
 
 
 class TestSquareFamily:

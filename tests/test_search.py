@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from rhnumbers.bounds import digit_bound
 from rhnumbers.classify import ARH, MRH, NIVEN, Witness, verify_witness
-from rhnumbers.digitvec import DigitVec
 from rhnumbers.search import (
     ALLOW,
     FORBID,
@@ -111,11 +110,10 @@ class TestScanRange:
 
     def test_emitted_witnesses_reverify(self):
         for n, res in scan_range(SearchConfig(base=7, lo=1, hi=20000, kind=ARH)):
-            nd = DigitVec.from_int(n, res.base)
             for w in res.arh:
-                assert isinstance(verify_witness(nd, w.m, ARH), Witness)
+                assert isinstance(verify_witness(n, res.base, w.m, ARH), Witness)
             for w in res.mrh:
-                assert isinstance(verify_witness(nd, w.m, MRH), Witness)
+                assert isinstance(verify_witness(n, res.base, w.m, MRH), Witness)
 
     @pytest.mark.parametrize("base", [2, 5, 10])
     def test_scanned_mrh_numbers_are_niven(self, base):
@@ -135,12 +133,11 @@ class TestScanRange:
         cfg = SearchConfig(base=base, lo=1, hi=3000, kind=kind)
         scanned = {n: res for n, res in scan_range(cfg)}
         for n in range(1, 3001):
-            nd = DigitVec.from_int(n, base)
-            full = classify(nd)
+            full = classify(n, base)
             assert (full.is_niven, full.quadratic_niven, full.strongly_quadratic_niven) == (
-                is_niven(nd),
-                is_quadratic_niven(nd),
-                is_strongly_quadratic_niven(nd),
+                is_niven(n, base),
+                is_quadratic_niven(n, base),
+                is_strongly_quadratic_niven(n, base),
             ), (base, n)
             hit = {ARH: full.arh, MRH: full.mrh, NIVEN: full.is_niven}[kind]
             if hit:
@@ -258,4 +255,4 @@ class TestPalindromicSquareSearch:
         for n, sq, s in palindromic_square_search(1000):
             assert n % s == 0
             assert "0" not in str(sq)
-            assert n // s in [w.m for w in mrh_witnesses(DigitVec.from_int(sq, 10))]
+            assert n // s in [w.m for w in mrh_witnesses(sq, 10)]
