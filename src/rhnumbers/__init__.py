@@ -31,7 +31,7 @@ from .classify import (
     mrh_witnesses,
     verify_witness,
 )
-from .digitvec import DigitVec, repeat_pattern
+from .digitvec import DigitVec
 from .families import (
     FamilyInstance,
     FamilyParameterError,
@@ -98,7 +98,6 @@ __all__ = [
     "numbers_for_multiplier",
     "palindromic_square_search",
     "paper_bound_conflicts",
-    "repeat_pattern",
     "reproduce_table",
     "scan_range",
     "section1_counts",

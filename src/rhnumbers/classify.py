@@ -58,14 +58,6 @@ class ClassifyResult:
     quadratic_niven: bool
     strongly_quadratic_niven: bool
 
-    @property
-    def arh_multiplicity(self) -> int:
-        return len(self.arh)
-
-    @property
-    def mrh_multiplicity(self) -> int:
-        return len(self.mrh)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

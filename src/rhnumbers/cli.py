@@ -20,11 +20,6 @@ from .bounds import digit_bound
 from .classify import ARH, MRH, NIVEN, classify
 from .digitvec import DigitVec
 from .families import (
-    ALL_ONES,
-    ALTERNATING,
-    NIVEN_NOT_MRH,
-    REPUNIT12,
-    SQUARE,
     FamilyParameterError,
     gen_all_ones,
     gen_alternating,
@@ -45,12 +40,13 @@ from .search import (
 )
 from .tables import reproduce_all_tables, reproduce_table, section1_counts
 
-FAMILY_NAMES = {
-    "repunit12": REPUNIT12,
-    "all-ones": ALL_ONES,
-    "alternating": ALTERNATING,
-    "square": SQUARE,
-    "niven-not-mrh": NIVEN_NOT_MRH,
+# CLI family name -> (the one parameter it takes, generator of (base, parameter)).
+FAMILIES = {
+    "repunit12": ("k", lambda base, k: gen_repunit12(k)),
+    "all-ones": ("p", gen_all_ones),
+    "alternating": ("p", gen_alternating),
+    "square": ("k", gen_square_family),
+    "niven-not-mrh": ("n", gen_niven_not_mrh),
 }
 
 
@@ -108,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-zero-digits", action="store_true")
 
     p = sub.add_parser("family", parents=[common], help="generate/verify a family instance")
-    p.add_argument("name", choices=sorted(FAMILY_NAMES))
+    p.add_argument("name", choices=sorted(FAMILIES))
     p.add_argument("--k", type=_nonnegative_int, default=None)
     p.add_argument("--p", type=_positive_int, default=None)
     p.add_argument("--n", type=_positive_int, default=None)
@@ -258,15 +254,12 @@ def _dispatch(args, out, err) -> int:
 
     if args.command == "family":
         inst = _build_family(args)
-        payload = inst.to_json_dict()
-        code = 0
-        if args.verify:
-            report = verify_family(inst)
-            payload = report.to_json_dict()
-            if not report.passed:
-                code = 1
-        _print_json(payload, out)
-        return code
+        if not args.verify:
+            _print_json(inst.to_json_dict(), out)
+            return 0
+        report = verify_family(inst)
+        _print_json(report.to_json_dict(), out)
+        return 0 if report.passed else 1
 
     if args.command == "tables":
         if args.which == "counts":
@@ -313,22 +306,16 @@ def _dispatch(args, out, err) -> int:
 
 
 def _build_family(args):
-    family = FAMILY_NAMES[args.name]
-    def need(param, flag):
-        if param is None:
-            raise FamilyParameterError(flag, f"family {args.name!r} requires {flag}")
-        return param
-    if family == REPUNIT12:
-        if args.base != 10:
-            raise FamilyParameterError("base is 10", "repunit12 is a base-10 family")
-        return gen_repunit12(need(args.k, "--k"))
-    if family == ALL_ONES:
-        return gen_all_ones(args.base, need(args.p, "--p"))
-    if family == ALTERNATING:
-        return gen_alternating(args.base, need(args.p, "--p"))
-    if family == SQUARE:
-        return gen_square_family(args.base, need(args.k, "--k"))
-    return gen_niven_not_mrh(args.base, need(args.n, "--n"))
+    param, generate = FAMILIES[args.name]
+    for flag in ("k", "p", "n"):
+        if flag != param and getattr(args, flag) is not None:
+            raise ValueError(f"family {args.name!r} takes --{param}, not --{flag}")
+    if args.name == "repunit12" and args.base != 10:
+        raise FamilyParameterError("base is 10", "repunit12 is a base-10 family")
+    value = getattr(args, param)
+    if value is None:
+        raise FamilyParameterError(f"--{param}", f"family {args.name!r} requires --{param}")
+    return generate(args.base, value)
 
 
 def main() -> None:

@@ -5,9 +5,9 @@ any size.  A DigitVec is only the digit view of a nonnegative integer:
 its base-b digits, most significant first, in canonical form (no
 leading zeros, except zero itself which is the single digit [0]).  It
 parses and renders the digit strings of the CLI and the family JSON,
-and builds family members digit by digit (from_digits,
-repeat_pattern).  Digits come from divmod (from_int), never from
-str(int), so digit strings have no int-to-str digit limit.
+and builds family members digit by digit (from_digits).  Digits come
+from divmod (from_int), never from str(int), so digit strings have no
+int-to-str digit limit.
 
 The plain-int helpers (reverse_int, digit_sum_int, digit_count_int,
 has_zero_digit) are the digit operations the engines, classifier and
@@ -108,24 +108,6 @@ class DigitVec:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def repeat_pattern(pattern: str | Sequence[int], times: int, base: int) -> DigitVec:
-    """Digit vector of `pattern` concatenated `times` times, canonicalized."""
-    check_base(base)
-    if times < 1:
-        raise ValueError(f"times must be >= 1, got {times}")
-    if isinstance(pattern, str):
-        parts = list(pattern) if base <= 10 else pattern.split(",")
-        pattern_digits = tuple(int(p) for p in parts)
-    else:
-        pattern_digits = tuple(pattern)
-    if not pattern_digits:
-        raise ValueError("empty pattern")
-    for d in pattern_digits:
-        if not 0 <= d < base:
-            raise ValueError(f"pattern digit {d} out of range for base {base}")
-    return DigitVec.from_digits(pattern_digits * times, base)
 
 
 # -- plain-int digit helpers (search engine workhorses) ---------------

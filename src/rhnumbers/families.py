@@ -2,10 +2,12 @@
 
 Each generator builds its family member as a digit string (never by
 native exponentiation), predicts the multiplier set the corresponding
-theorem describes, and attaches named claims.  verify_family recomputes
-every claim with exact int arithmetic; a failing claim is data,
-not a crash: construction guarantees that fail are IMPLEMENTATION-BUG,
-printed-source assertions that recompute false are CONFLICT-WITH-PAPER.
+theorem describes, and attaches named claims.  verify_family converts
+N, its multipliers and (for the square family) the root to ints once,
+then recomputes every claim from them with exact int arithmetic; a
+failing claim is data, not a crash: construction guarantees that fail
+are IMPLEMENTATION-BUG, printed-source assertions that recompute false
+are CONFLICT-WITH-PAPER, and claims with no expected value are INFO.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .classify import (
     check_witness,
     mrh_witnesses,
 )
-from .digitvec import DigitVec, check_base, repeat_pattern, reverse_int
+from .digitvec import DigitVec, check_base, reverse_int
 
 REPUNIT12 = "repunit12"
 ALL_ONES = "all_ones"
@@ -138,7 +140,7 @@ def _require(ok: bool, condition: str, message: str) -> None:
 def gen_repunit12(k: int) -> FamilyInstance:
     """Base-10 numbers (12) repeated 3^k times; ARH and Niven for every k."""
     _require(k >= 0, "k >= 0", f"k must be a nonnegative integer, got {k}")
-    number = repeat_pattern("12", 3**k, 10)
+    number = DigitVec.from_digits((1, 2) * 3**k, 10)
     s = 3 ** (k + 1)
     value = number.to_int()
     quot, rem = divmod(value, 2 * s)
@@ -219,7 +221,6 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
         for a in alphas:
             inner += [0, a]
         multipliers.append(DigitVec.from_digits(prefix + inner + [0], base))
-    multipliers.sort(key=DigitVec.to_int)
     return FamilyInstance(
         family=ALTERNATING,
         base=base,
@@ -290,7 +291,7 @@ def gen_niven_not_mrh(base: int, n: int) -> FamilyInstance:
         "(b-1) does not divide n",
         f"n = {n} is divisible by b-1 = {base - 1}",
     )
-    repunit = repeat_pattern([1], n, base)
+    repunit = DigitVec.from_digits([1] * n, base)
     number = DigitVec.from_int((base - 1) * n * repunit.to_int(), base)
     _require(
         number.to_int() <= WORD_SIZE_CAP,
@@ -330,134 +331,103 @@ def _skip(claim: Claim, reason: str) -> ClaimResult:
 def verify_family(inst: FamilyInstance) -> FamilyReport:
     """Recompute every claim of the instance with exact arithmetic.
 
-    Constructive witnesses are used at any size; exhaustive witness
-    searches (set-completeness, not-MRH) only run for values at or
-    below EXHAUSTIVE_CAP / the word-size cap and are SKIPPED above.
+    N's value and digit sum, the predicted multipliers and, for the
+    square family, the root are computed once, before the claims; each
+    claim then only sets its outcome and detail, which one _judge
+    records.  Constructive witnesses are used at any size; exhaustive
+    witness searches (set-completeness, not-MRH) only run for values at
+    or below EXHAUSTIVE_CAP / the word-size cap and are SKIPPED above.
     Digit sums come from the digit tuples, never from the int.
     """
+    base = inst.base
     value = inst.number.to_int()
     s = inst.number.digit_sum()
+    multipliers = [m.to_int() for m in inst.predicted_multipliers]
+    if inst.family == SQUARE:
+        root_vec = DigitVec.from_digits([base - 1] * 2 ** (inst.params["k"] - 1), base)
+        root, root_sum = root_vec.to_int(), root_vec.digit_sum()
     results = []
     for claim in inst.claims:
         name = claim.name
         if name == "arh_witness":
-            m = inst.predicted_multipliers[0].to_int()
-            got = check_witness(value, s, inst.base, m, ARH)
-            ok = not isinstance(got, VerifyFailure)
-            results.append(_judge(claim, ok, f"M={m}: X + X^R {'=' if ok else '!='} N"))
+            ok = not isinstance(check_witness(value, s, base, multipliers[0], ARH), VerifyFailure)
+            detail = f"M={multipliers[0]}: X + X^R {'=' if ok else '!='} N"
         elif name == "half_is_palindrome":
-            x = inst.predicted_multipliers[0].to_int() * s
-            results.append(
-                _judge(
-                    claim,
-                    reverse_int(x, inst.base) == x,
-                    f"X = M*s = {DigitVec.from_int(x, inst.base).render()}",
-                )
-            )
+            x = multipliers[0] * s
+            ok = reverse_int(x, base) == x
+            detail = f"X = M*s = {DigitVec.from_int(x, base).render()}"
         elif name == "niven":
             ok = value % s == 0
-            results.append(_judge(claim, ok, f"s_b(N) = {s} {'|' if ok else 'does not divide'} N"))
+            detail = f"s_b(N) = {s} {'|' if ok else 'does not divide'} N"
         elif name == "not_niven":
             ok = value % s != 0
-            results.append(
-                _judge(claim, ok, f"s_b(N) = {s} {'does not divide' if ok else '|'} N")
-            )
+            detail = f"s_b(N) = {s} {'does not divide' if ok else '|'} N"
         elif name == "multipliers_verify":
             bad = [
-                m.to_int()
-                for m in inst.predicted_multipliers
-                if isinstance(check_witness(value, s, inst.base, m.to_int(), ARH), VerifyFailure)
+                m for m in multipliers
+                if isinstance(check_witness(value, s, base, m, ARH), VerifyFailure)
             ]
-            results.append(
-                _judge(
-                    claim,
-                    not bad,
-                    f"{len(inst.predicted_multipliers) - len(bad)}/"
-                    f"{len(inst.predicted_multipliers)} multipliers satisfy X + X^R = N"
-                    + (f"; failing: {bad[:4]}" if bad else ""),
-                )
+            ok = not bad
+            detail = (
+                f"{len(multipliers) - len(bad)}/{len(multipliers)} multipliers satisfy X + X^R = N"
+                + (f"; failing: {bad[:4]}" if bad else "")
             )
         elif name == "multiplier_cardinality":
-            if inst.family == ALL_ONES:
-                expected_count = 1 << ((inst.params["k"] - 2 * inst.params["p"]) // 2)
-            else:
-                expected_count = (inst.base - 1) ** (
-                    (inst.params["k"] - 2 * inst.params["p"]) // 2
-                )
-            got = len(inst.predicted_multipliers)
-            results.append(
-                _judge(claim, got == expected_count, f"predicted {got}, formula {expected_count}")
-            )
+            half = (inst.params["k"] - 2 * inst.params["p"]) // 2
+            expected_count = 1 << half if inst.family == ALL_ONES else (base - 1) ** half
+            ok = len(multipliers) == expected_count
+            detail = f"predicted {len(multipliers)}, formula {expected_count}"
         elif name == "multiplier_set_complete":
             if value > EXHAUSTIVE_CAP:
                 results.append(_skip(claim, f"value {value} above exhaustive cap {EXHAUSTIVE_CAP}"))
                 continue
-            brute = {w.m for w in arh_witnesses(value, inst.base)}
-            predicted = {m.to_int() for m in inst.predicted_multipliers}
-            extra = sorted(brute - predicted)
-            missing = sorted(predicted - brute)
+            brute = {w.m for w in arh_witnesses(value, base)}
+            extra = sorted(brute.difference(multipliers))
+            missing = sorted(set(multipliers) - brute)
             ok = not extra and not missing
             detail = f"brute force found {len(brute)} multipliers"
             if extra:
                 detail += f"; unpredicted: {extra[:4]}"
             if missing:
                 detail += f"; predicted but absent: {missing[:4]}"
-            results.append(_judge(claim, ok, detail))
         elif name == "square_is_number":
-            root = _square_root_vec(inst).to_int()
             ok = root * root == value
-            results.append(_judge(claim, ok, f"root^2 {'=' if ok else '!='} N"))
+            detail = f"root^2 {'=' if ok else '!='} N"
         elif name == "digit_sum_match":
-            root = _square_root_vec(inst)
-            expected_sum = 2 ** (inst.params["k"] - 1) * (inst.base - 1)
-            ok = root.digit_sum() == s == expected_sum
-            results.append(
-                _judge(claim, ok, f"s_b(root) = {root.digit_sum()}, s_b(N) = {s}, formula {expected_sum}")
-            )
+            expected_sum = 2 ** (inst.params["k"] - 1) * (base - 1)
+            ok = root_sum == s == expected_sum
+            detail = f"s_b(root) = {root_sum}, s_b(N) = {s}, formula {expected_sum}"
         elif name == "digit_sum_divides_root":
-            rem = _square_root_vec(inst).to_int() % s
-            results.append(_judge(claim, rem == 0, f"root mod s_b(N) = {rem}"))
+            rem = root % s
+            ok = rem == 0
+            detail = f"root mod s_b(N) = {rem}"
         elif name == "mrh_witness":
-            if not inst.predicted_multipliers:
-                results.append(
-                    _judge(claim, False, "no integer multiplier: s_b(N) does not divide the root")
-                )
-                continue
-            m = inst.predicted_multipliers[0].to_int()
-            got = check_witness(value, s, inst.base, m, MRH)
-            ok = not isinstance(got, VerifyFailure)
-            results.append(_judge(claim, ok, f"M={m}: X * X^R {'=' if ok else '!='} N"))
+            if multipliers:
+                ok = not isinstance(check_witness(value, s, base, multipliers[0], MRH), VerifyFailure)
+                detail = f"M={multipliers[0]}: X * X^R {'=' if ok else '!='} N"
+            else:
+                ok = False
+                detail = "no integer multiplier: s_b(N) does not divide the root"
         elif name == "root_niven":
-            root = _square_root_vec(inst)
-            ok = root.to_int() % root.digit_sum() == 0
-            results.append(
-                _judge(claim, ok, f"root is {'a' if ok else 'not a'} {inst.base}-Niven number")
-            )
+            ok = root % root_sum == 0
+            detail = f"root is {'a' if ok else 'not a'} {base}-Niven number"
         elif name == "digit_sum_lemma":
-            expected_sum = (inst.base - 1) * inst.params["n"]
-            results.append(
-                _judge(claim, s == expected_sum, f"s_b(N) = {s}, (b-1)*n = {expected_sum}")
-            )
+            expected_sum = (base - 1) * inst.params["n"]
+            ok = s == expected_sum
+            detail = f"s_b(N) = {s}, (b-1)*n = {expected_sum}"
         elif name == "not_mrh":
             if value > WORD_SIZE_CAP:
                 results.append(_skip(claim, "value above word-size cap"))
                 continue
-            witnesses = mrh_witnesses(value, inst.base)
-            ok = not witnesses
-            results.append(
-                _judge(
-                    claim,
-                    ok,
-                    "exhaustive search found no multiplicative multiplier"
-                    if ok
-                    else f"multiplicative multipliers exist: {[w.m for w in witnesses][:4]}",
-                )
+            found = [w.m for w in mrh_witnesses(value, base)]
+            ok = not found
+            detail = (
+                "exhaustive search found no multiplicative multiplier"
+                if ok
+                else f"multiplicative multipliers exist: {found[:4]}"
             )
         else:  # unknown claim name is a construction bug
             results.append(ClaimResult(name, False, IMPLEMENTATION_BUG, "unknown claim"))
+            continue
+        results.append(_judge(claim, ok, detail))
     return FamilyReport(instance=inst, results=tuple(results))
-
-
-def _square_root_vec(inst: FamilyInstance) -> DigitVec:
-    half_len = 2 ** (inst.params["k"] - 1)
-    return DigitVec.from_digits([inst.base - 1] * half_len, inst.base)

@@ -161,10 +161,6 @@ class DiscrepancyReport:
     def has_toolkit_mismatch(self) -> bool:
         return any(r.verdict == TOOLKIT_MISMATCH for r in self.rows)
 
-    @property
-    def suspected_typos(self) -> tuple[RowReport, ...]:
-        return tuple(r for r in self.rows if r.verdict == PAPER_TYPO_SUSPECTED)
-
     def to_json_dict(self) -> dict:
         return {
             "table": self.table,

@@ -137,7 +137,7 @@ class TestQuadraticNiven:
 class TestClassify:
     def test_99(self):
         res = classify(99, 10)
-        assert res.arh_multiplicity == 5
+        assert len(res.arh) == 5
         assert res.mrh == ()
 
     def test_7744(self):

@@ -11,6 +11,7 @@ import rhnumbers
 from rhnumbers import cli, search
 from rhnumbers.bounds import BoundSpec
 from rhnumbers.cli import run_cli
+from rhnumbers.families import FamilyInstance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,6 +132,19 @@ class TestFamily:
         d = json.loads(out)
         assert len(d["predicted_multipliers"]) == 16
 
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_instance_json_built_once(self, monkeypatch, verify):
+        calls = []
+        to_json_dict = FamilyInstance.to_json_dict
+
+        def counted(inst):
+            calls.append(inst)
+            return to_json_dict(inst)
+
+        monkeypatch.setattr(FamilyInstance, "to_json_dict", counted)
+        code, _, _ = run(["family", "all-ones", "--base", "2", "--p", "2", *verify])
+        assert code == 0 and len(calls) == 1
+
 
 class TestTables:
     def test_t2_exit_zero(self):
@@ -208,6 +222,9 @@ def test_no_command_is_usage_error():
         ["oeis", "--seq", "A305131", "--count", "4", "--base", "7"],
         ["tables", "--which", "1", "--base", "7"],
         ["tables", "--base", "7"],
+        ["family", "repunit12", "--k", "1", "--p", "9", "--n", "4"],
+        ["family", "all-ones", "--base", "2", "--p", "1", "--k", "7"],
+        ["family", "square", "--base", "3", "--k", "2", "--n", "1"],
     ],
     ids=" ".join,
 )
@@ -234,6 +251,25 @@ def test_unhonoured_option_is_usage_error(argv):
             "family_alternating_base4_p1.json",
             0,
         ),
+        # multiplier_set_complete PASS
+        (
+            ["family", "all-ones", "--base", "2", "--p", "4", "--verify"],
+            "family_all_ones_base2_p4.json",
+            0,
+        ),
+        # multiplier_set_complete SKIPPED above the exhaustive cap
+        (
+            ["family", "alternating", "--base", "6", "--p", "1", "--verify"],
+            "family_alternating_base6_p1.json",
+            0,
+        ),
+        (
+            ["family", "niven-not-mrh", "--base", "10", "--n", "7", "--verify"],
+            "family_niven_not_mrh_base10_n7.json",
+            0,
+        ),
+        # root_niven INFO (base 5 is 1 mod 4)
+        (["family", "square", "--base", "5", "--k", "3", "--verify"], "family_square_base5_k3.json", 0),
     ],
 )
 def test_golden_output(argv, golden, expect):

@@ -7,7 +7,6 @@ from rhnumbers.digitvec import (
     digit_count_int,
     digit_sum_int,
     has_zero_digit,
-    repeat_pattern,
     reverse_int,
 )
 
@@ -48,6 +47,9 @@ class TestToInt:
     def test_44_base5(self):
         assert DigitVec.from_digits([4, 4], 5).to_int() == 24
 
+    def test_ones_base2(self):
+        assert DigitVec.from_digits([1] * 16, 2).to_int() == 2**16 - 1
+
 
 class TestReversal:
     def test_19_to_91(self):
@@ -68,7 +70,7 @@ class TestDigitSum:
         assert DigitVec.from_int(1729, 10).digit_sum() == 19
 
     def test_ones_base2(self):
-        assert repeat_pattern("1", 16, 2).digit_sum() == 16
+        assert DigitVec.from_digits([1] * 16, 2).digit_sum() == 16
 
     def test_zero(self):
         assert DigitVec.from_int(0, 10).digit_sum() == 0
@@ -95,21 +97,6 @@ class TestAddMul:
             DigitVec.parse("1020200", 2)
         with pytest.raises(ValueError):
             DigitVec.from_digits((16, 16, 15), 10)
-
-
-class TestRepeatPattern:
-    def test_12_three_times(self):
-        assert repeat_pattern("12", 3, 10).to_int() == 121212
-
-    def test_ones_base2(self):
-        assert repeat_pattern("1", 16, 2).to_int() == 2**16 - 1
-
-    def test_once_is_identity(self):
-        assert repeat_pattern("305", 1, 10).to_int() == 305
-
-    def test_digit_out_of_range(self):
-        with pytest.raises(ValueError):
-            repeat_pattern("12", 2, 2)
 
 
 class TestRendering:

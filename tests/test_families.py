@@ -3,9 +3,19 @@ import pytest
 from rhnumbers.classify import ARH, Witness, arh_witnesses, is_niven, verify_witness
 from rhnumbers.digitvec import DigitVec
 from rhnumbers.families import (
+    ALL_ONES,
+    ALTERNATING,
     CONFLICT_WITH_PAPER,
+    CONSTRUCTION,
     IMPLEMENTATION_BUG,
     MAX_SQUARE_ROOT_DIGITS,
+    NIVEN_NOT_MRH,
+    PAPER,
+    REPUNIT12,
+    SKIPPED,
+    SQUARE,
+    Claim,
+    FamilyInstance,
     FamilyParameterError,
     gen_all_ones,
     gen_alternating,
@@ -140,6 +150,8 @@ class TestAlternating:
         inst = gen_alternating(base, p)
         k = base**p
         assert len(inst.predicted_multipliers) == (base - 1) ** ((k - 2 * p) // 2)
+        values = [m.to_int() for m in inst.predicted_multipliers]
+        assert values == sorted(values)
         assert not is_niven(inst.number.to_int(), inst.base)
 
 
@@ -229,11 +241,77 @@ class TestNivenNotMrh:
             assert inst.number.digit_sum() == (base - 1) * n, (base, n)
 
 
+# One forged instance per failing (or skipping) branch of verify_family:
+# (family, base, params, N, predicted multipliers, claim name, source,
+# expected, verdict, detail).
+FORGED = [
+    (REPUNIT12, 10, {"k": 0}, 12, (3,), "arh_witness", CONSTRUCTION, True,
+     IMPLEMENTATION_BUG, "M=3: X + X^R != N"),
+    (REPUNIT12, 10, {"k": 0}, 12, (4,), "half_is_palindrome", CONSTRUCTION, True,
+     IMPLEMENTATION_BUG, "X = M*s = 12"),
+    (REPUNIT12, 10, {"k": 0}, 13, (), "niven", PAPER, True,
+     CONFLICT_WITH_PAPER, "s_b(N) = 4 does not divide N"),
+    (ALL_ONES, 10, {"p": 1, "k": 10}, 12, (), "not_niven", PAPER, True,
+     CONFLICT_WITH_PAPER, "s_b(N) = 3 | N"),
+    (ALL_ONES, 2, {"p": 1, "k": 2}, 3, (1, 2, 3, 4, 5, 6), "multipliers_verify",
+     CONSTRUCTION, True, IMPLEMENTATION_BUG,
+     "1/6 multipliers satisfy X + X^R = N; failing: [2, 3, 4, 5]"),
+    (ALL_ONES, 2, {"p": 1, "k": 4}, 15, (1, 2, 3), "multiplier_cardinality", PAPER, True,
+     CONFLICT_WITH_PAPER, "predicted 3, formula 2"),
+    (ALTERNATING, 4, {"p": 1, "k": 4}, 5185, (1,), "multiplier_cardinality", PAPER, True,
+     CONFLICT_WITH_PAPER, "predicted 1, formula 3"),
+    (ALL_ONES, 2, {"p": 1, "k": 2}, 3, (2,), "multiplier_set_complete", PAPER, True,
+     CONFLICT_WITH_PAPER,
+     "brute force found 1 multipliers; unpredicted: [1]; predicted but absent: [2]"),
+    (ALL_ONES, 2, {"p": 1, "k": 2}, 2**20 + 1, (), "multiplier_set_complete", PAPER, True,
+     SKIPPED, "value 1048577 above exhaustive cap 1048576"),
+    (SQUARE, 3, {"k": 2}, 65, (), "digit_sum_match", PAPER, True,
+     CONFLICT_WITH_PAPER, "s_b(root) = 4, s_b(N) = 5, formula 4"),
+    (SQUARE, 3, {"k": 2}, 65, (), "digit_sum_divides_root", PAPER, True,
+     CONFLICT_WITH_PAPER, "root mod s_b(N) = 3"),
+    (SQUARE, 3, {"k": 2}, 64, (), "mrh_witness", PAPER, True,
+     CONFLICT_WITH_PAPER, "no integer multiplier: s_b(N) does not divide the root"),
+    (SQUARE, 3, {"k": 2}, 64, (1,), "mrh_witness", PAPER, True,
+     CONFLICT_WITH_PAPER, "M=1: X * X^R != N"),
+    # [33]_4 = 15 has digit sum 6.
+    (SQUARE, 4, {"k": 2}, 225, (), "root_niven", PAPER, True,
+     CONFLICT_WITH_PAPER, "root is not a 4-Niven number"),
+    (SQUARE, 3, {"k": 2}, 64, (), "root_niven", PAPER, False,
+     CONFLICT_WITH_PAPER, "root is a 3-Niven number"),
+    (NIVEN_NOT_MRH, 10, {"n": 7}, 12, (), "digit_sum_lemma", PAPER, True,
+     CONFLICT_WITH_PAPER, "s_b(N) = 3, (b-1)*n = 63"),
+    (NIVEN_NOT_MRH, 10, {"n": 1}, 1729, (), "not_mrh", PAPER, True,
+     CONFLICT_WITH_PAPER, "multiplicative multipliers exist: [1]"),
+    (NIVEN_NOT_MRH, 10, {"n": 1}, 2**63, (), "not_mrh", PAPER, True,
+     SKIPPED, "value above word-size cap"),
+    (REPUNIT12, 10, {"k": 0}, 12, (2,), "no_such_claim", CONSTRUCTION, True,
+     IMPLEMENTATION_BUG, "unknown claim"),
+]
+
+
 class TestVerdictTaxonomy:
+    @pytest.mark.parametrize(
+        "family,base,params,n,multipliers,name,source,expected,verdict,detail",
+        FORGED,
+        ids=[f"{row[5]}-{row[8]}-{i}" for i, row in enumerate(FORGED)],
+    )
+    def test_forged_branch_verdict_and_detail(
+        self, family, base, params, n, multipliers, name, source, expected, verdict, detail
+    ):
+        inst = FamilyInstance(
+            family=family,
+            base=base,
+            params=params,
+            number=DigitVec.from_int(n, base),
+            predicted_multipliers=tuple(DigitVec.from_int(m, base) for m in multipliers),
+            claims=(Claim(name, source, expected),),
+        )
+        (result,) = verify_family(inst).results
+        assert (result.name, result.verdict, result.detail) == (name, verdict, detail)
+        assert result.passed is (None if verdict == SKIPPED else False)
+
     def test_construction_failure_is_bug(self):
         # Forge an instance with a wrong multiplier to see the verdict side.
-        from rhnumbers.families import Claim, FamilyInstance, REPUNIT12
-
         bogus = FamilyInstance(
             family=REPUNIT12,
             base=10,
@@ -249,8 +327,6 @@ class TestVerdictTaxonomy:
     def test_square_not_equal_to_number_is_bug(self):
         # Forge a square-family instance whose root (22 in base 3, i.e. 8)
         # does not square to its number.
-        from rhnumbers.families import SQUARE, Claim, FamilyInstance
-
         bogus = FamilyInstance(
             family=SQUARE,
             base=3,
