@@ -31,7 +31,6 @@ from .classify import (
     mrh_witnesses,
     verify_witness,
 )
-from .digitvec import DigitVec
 from .families import (
     FamilyInstance,
     FamilyParameterError,
@@ -63,7 +62,6 @@ __all__ = [
     "BoundSpec",
     "ClassifyResult",
     "CountsReport",
-    "DigitVec",
     "DiscrepancyReport",
     "FORBID",
     "FamilyInstance",

@@ -18,7 +18,7 @@ import sys
 
 from .bounds import digit_bound
 from .classify import ARH, MRH, NIVEN, classify
-from .digitvec import DigitVec
+from .digitvec import parse_digits
 from .families import (
     FamilyParameterError,
     gen_all_ones,
@@ -110,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("tables", parents=[common], help="reproduce printed tables")
+    p = sub.add_parser("tables", help="reproduce the printed base-10 tables and counts")
     p.add_argument(
         "--which",
         choices=("1", "2", "3", "counts", "all"),
         default="all",
-        help="table to reproduce (base 10 only), or the headline counts",
+        help="table to reproduce, or the headline counts",
     )
 
     p = sub.add_parser("oeis", help="emit an OEIS b-file")
@@ -187,7 +187,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 
 def _dispatch(args, out, err) -> int:
     if args.command == "classify":
-        n = DigitVec.parse(args.n, args.base).to_int() if args.digits else int(args.n)
+        n = parse_digits(args.n, args.base) if args.digits else int(args.n)
         result = classify(n, args.base)
         if args.format == "csv":
             print(_csv_text(_CLASSIFY_HEADER, _classify_rows([result])), end="", file=out)
@@ -263,14 +263,8 @@ def _dispatch(args, out, err) -> int:
 
     if args.command == "tables":
         if args.which == "counts":
-            report = section1_counts(base=args.base)
-            _print_json(report.to_json_dict(), out)
+            _print_json(section1_counts().to_json_dict(), out)
             return 0
-        if args.base != 10:
-            raise ValueError(
-                f"--which {args.which} reproduces the printed base-10 tables; "
-                f"--base {args.base} applies only to --which counts"
-            )
         if args.which == "all":
             reports = reproduce_all_tables()
             _print_json([r.to_json_dict() for r in reports], out)

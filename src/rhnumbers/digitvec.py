@@ -1,23 +1,20 @@
-"""Base-b digit views of integers, plus plain-int digit helpers.
+"""Plain-int digit helpers, and the digit text at the package's edges.
 
 All arithmetic in the package runs on Python ints, which are exact at
-any size.  A DigitVec is only the digit view of a nonnegative integer:
-its base-b digits, most significant first, in canonical form (no
-leading zeros, except zero itself which is the single digit [0]).  It
-parses and renders the digit strings of the CLI and the family JSON,
-and builds family members digit by digit (from_digits).  Digits come
-from divmod (from_int), never from str(int), so digit strings have no
-int-to-str digit limit.
-
-The plain-int helpers (reverse_int, digit_sum_int, digit_count_int,
-has_zero_digit) are the digit operations the engines, classifier and
-verifiers use.
+any size.  The plain-int helpers (reverse_int, digit_sum_int,
+digit_count_int, has_zero_digit) are the digit operations the engines,
+classifier and verifiers use.  from_digits builds a value from its
+base-b digits, most significant first; the family generators build
+their members this way.  Digits are text in two places only: the
+`classify --digits` input (parse_digits) and the family JSON
+(render_digits), juxtaposed for b <= 10 and comma-separated above.
+Rendering takes digits by divmod, never by str(int), so digit text has
+no int-to-str digit limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def check_base(base: int) -> int:
@@ -26,88 +23,39 @@ def check_base(base: int) -> int:
     return base
 
 
-def _canonical(digits: Sequence[int]) -> tuple[int, ...]:
-    """Strip leading zeros; the empty/all-zero sequence collapses to (0,)."""
-    i = 0
-    while i < len(digits) - 1 and digits[i] == 0:
-        i += 1
-    out = tuple(digits[i:])
-    return out if out else (0,)
+def from_digits(digits: Iterable[int], base: int) -> int:
+    """Value of base-b digits, most significant first; leading zeros are allowed."""
+    check_base(base)
+    value = 0
+    for d in digits:
+        if not 0 <= d < base:
+            raise ValueError(f"digit {d} out of range for base {base}")
+        value = value * base + d
+    return value
 
 
-@dataclass(frozen=True)
-class DigitVec:
-    """Base-b digit sequence, most significant digit first."""
+def parse_digits(text: str, base: int) -> int:
+    """Inverse of render_digits (leading zeros are read, so "0012" is 12)."""
+    check_base(base)
+    text = text.strip()
+    if not text:
+        raise ValueError("empty digit string")
+    parts = text if base <= 10 else text.split(",")
+    return from_digits([int(p) for p in parts], base)
 
-    base: int
-    digits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        check_base(self.base)
-        if not self.digits:
-            raise ValueError("digit sequence must be nonempty")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
-        if len(self.digits) > 1 and self.digits[0] == 0:
-            raise ValueError("leading zero in non-zero digit sequence")
-
-    # -- construction ------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int, base: int) -> "DigitVec":
-        """Canonical digit vector of a nonnegative integer."""
-        check_base(base)
-        if n < 0:
-            raise ValueError(f"negative value {n} has no digit vector")
-        if n == 0:
-            return cls(base, (0,))
-        digits = []
-        while n:
-            n, d = divmod(n, base)
-            digits.append(d)
-        return cls(base, tuple(reversed(digits)))
-
-    @classmethod
-    def from_digits(cls, digits: Iterable[int], base: int) -> "DigitVec":
-        """Build from a digit sequence, canonicalizing leading zeros."""
-        return cls(check_base(base), _canonical(tuple(digits)))
-
-    @classmethod
-    def parse(cls, text: str, base: int) -> "DigitVec":
-        """Inverse of render(): juxtaposed digits for b <= 10, comma-separated above."""
-        check_base(base)
-        text = text.strip()
-        if not text:
-            raise ValueError("empty digit string")
-        if base <= 10:
-            parts = list(text)
-        else:
-            parts = text.split(",")
-        return cls.from_digits([int(p) for p in parts], base)
-
-    # -- queries -----------------------------------------------------
-
-    def to_int(self) -> int:
-        """Exact value (unbounded)."""
-        value = 0
-        for d in self.digits:
-            value = value * self.base + d
-        return value
-
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-    # -- rendering ----------------------------------------------------
-
-    def render(self) -> str:
-        """Digits base-10-per-digit: juxtaposed for b <= 10, comma-separated above."""
-        if self.base <= 10:
-            return "".join(str(d) for d in self.digits)
-        return ",".join(str(d) for d in self.digits)
-
-    def __str__(self) -> str:
-        return self.render()
+def render_digits(value: int, base: int) -> str:
+    """Base-b digits of a nonnegative value, one decimal numeral per digit."""
+    check_base(base)
+    if value < 0:
+        raise ValueError(f"negative value {value} has no digits")
+    digits = []
+    while True:
+        value, d = divmod(value, base)
+        digits.append(str(d))
+        if not value:
+            break
+    return ("" if base <= 10 else ",").join(reversed(digits))
 
 
 # -- plain-int digit helpers (search engine workhorses) ---------------

@@ -1,13 +1,13 @@
 """Constructive generators for the infinite families, with verifiers.
 
-Each generator builds its family member as a digit string (never by
-native exponentiation), predicts the multiplier set the corresponding
-theorem describes, and attaches named claims.  verify_family converts
-N, its multipliers and (for the square family) the root to ints once,
-then recomputes every claim from them with exact int arithmetic; a
-failing claim is data, not a crash: construction guarantees that fail
-are IMPLEMENTATION-BUG, printed-source assertions that recompute false
-are CONFLICT-WITH-PAPER, and claims with no expected value are INFO.
+Each generator builds its family member as an int from the digit
+pattern the paper defines it by, predicts (as ints) the multiplier set
+the corresponding theorem describes, and attaches named claims.
+verify_family recomputes every claim from those ints with exact
+arithmetic; a failing claim is data, not a crash: construction
+guarantees that fail are IMPLEMENTATION-BUG, printed-source assertions
+that recompute false are CONFLICT-WITH-PAPER, and claims with no
+expected value are INFO.  Digit text is rendered only for output.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .classify import (
     check_witness,
     mrh_witnesses,
 )
-from .digitvec import DigitVec, check_base, reverse_int
+from .digitvec import check_base, digit_sum_int, from_digits, render_digits, reverse_int
 
 REPUNIT12 = "repunit12"
 ALL_ONES = "all_ones"
@@ -43,8 +43,9 @@ SKIPPED = "SKIPPED"
 
 # Materializing 2^((k-2p)/2) multipliers must stay sane.
 MAX_MULTIPLIER_SET = 1 << 16
-# Root of the square family has 2^(k-1) digits and N twice as many; the
-# size of their digit tuples and of the digits-to-int conversions caps this.
+# Root of the square family has 2^(k-1) digits and N twice as many.  Building
+# them from digits, and the digit sums and digit text taken from them by
+# divmod, each cost time quadratic in the digit count; this keeps k <= 13.
 MAX_SQUARE_ROOT_DIGITS = 1 << 12
 # Exhaustive witness searches in the verifier only run below this value.
 EXHAUSTIVE_CAP = 1 << 20
@@ -70,8 +71,8 @@ class FamilyInstance:
     family: str
     base: int
     params: dict
-    number: DigitVec
-    predicted_multipliers: tuple[DigitVec, ...]
+    number: int
+    predicted_multipliers: tuple[int, ...]
     claims: tuple[Claim, ...]
 
     def to_json_dict(self) -> dict:
@@ -79,9 +80,9 @@ class FamilyInstance:
             "family": self.family,
             "base": self.base,
             "params": dict(self.params),
-            "number": {"value": self.number.to_int(), "digits": self.number.render()},
+            "number": {"value": self.number, "digits": render_digits(self.number, self.base)},
             "predicted_multipliers": [
-                {"value": m.to_int(), "digits": m.render()}
+                {"value": m, "digits": render_digits(m, self.base)}
                 for m in self.predicted_multipliers
             ],
             "claims": [
@@ -140,10 +141,9 @@ def _require(ok: bool, condition: str, message: str) -> None:
 def gen_repunit12(k: int) -> FamilyInstance:
     """Base-10 numbers (12) repeated 3^k times; ARH and Niven for every k."""
     _require(k >= 0, "k >= 0", f"k must be a nonnegative integer, got {k}")
-    number = DigitVec.from_digits((1, 2) * 3**k, 10)
+    number = from_digits((1, 2) * 3**k, 10)
     s = 3 ** (k + 1)
-    value = number.to_int()
-    quot, rem = divmod(value, 2 * s)
+    quot, rem = divmod(number, 2 * s)
     if rem:  # construction guarantee, must not occur
         raise ArithmeticError(f"2*s(N) does not divide N for k={k}")
     return FamilyInstance(
@@ -151,7 +151,7 @@ def gen_repunit12(k: int) -> FamilyInstance:
         base=10,
         params={"k": k},
         number=number,
-        predicted_multipliers=(DigitVec.from_int(quot, 10),),
+        predicted_multipliers=(quot,),
         claims=(
             Claim("arh_witness", CONSTRUCTION, True),
             Claim("half_is_palindrome", CONSTRUCTION, True),
@@ -177,12 +177,12 @@ def gen_all_ones(base: int, p: int) -> FamilyInstance:
         "multiplier set materializable",
         f"2^{half} multipliers exceed the materialization limit",
     )
-    number = DigitVec.from_digits([1] * k, base)
+    number = from_digits([1] * k, base)
     prefix = [1] * p
     multipliers = []
     for bits in itertools.product((0, 1), repeat=half):
         inner = list(bits) + [1 - b for b in reversed(bits)]
-        multipliers.append(DigitVec.from_digits(prefix + inner, base))
+        multipliers.append(from_digits(prefix + inner, base))
     claims = [
         Claim("multipliers_verify", CONSTRUCTION, True),
         Claim("multiplier_cardinality", PAPER, True),
@@ -212,7 +212,7 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
         "multiplier set materializable",
         f"(b-1)^{half} multipliers exceed the materialization limit",
     )
-    number = DigitVec.from_digits([1] * p + [1, 0] * blocks + [0] + [1] * p, base)
+    number = from_digits([1] * p + [1, 0] * blocks + [0] + [1] * p, base)
     prefix = [1] * p
     multipliers = []
     for free in itertools.product(range(1, base), repeat=half):
@@ -220,7 +220,7 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
         inner = []
         for a in alphas:
             inner += [0, a]
-        multipliers.append(DigitVec.from_digits(prefix + inner + [0], base))
+        multipliers.append(from_digits(prefix + inner + [0], base))
     return FamilyInstance(
         family=ALTERNATING,
         base=base,
@@ -251,15 +251,12 @@ def gen_square_family(base: int, k: int) -> FamilyInstance:
         "root materializable",
         f"root would have {half_len} digits, over the materialization limit",
     )
-    number = DigitVec.from_digits(
+    number = from_digits(
         [base - 1] * (half_len - 1) + [base - 2] + [0] * (half_len - 1) + [1], base
     )
-    root = DigitVec.from_digits([base - 1] * half_len, base)
+    root = from_digits([base - 1] * half_len, base)
     s = half_len * (base - 1)
-    root_value = root.to_int()
-    predicted = ()
-    if root_value % s == 0:
-        predicted = (DigitVec.from_int(root_value // s, base),)
+    predicted = (root // s,) if root % s == 0 else ()
     if base % 4 == 3:
         root_claim = Claim("root_niven", PAPER, True)
     elif (base, k) == SQUARE_PAPER_NOT_NIVEN:
@@ -291,10 +288,9 @@ def gen_niven_not_mrh(base: int, n: int) -> FamilyInstance:
         "(b-1) does not divide n",
         f"n = {n} is divisible by b-1 = {base - 1}",
     )
-    repunit = DigitVec.from_digits([1] * n, base)
-    number = DigitVec.from_int((base - 1) * n * repunit.to_int(), base)
+    number = (base - 1) * n * from_digits([1] * n, base)
     _require(
-        number.to_int() <= WORD_SIZE_CAP,
+        number <= WORD_SIZE_CAP,
         "value within word size",
         "(b-1)*n*R_n exceeds the word-size cap needed for the exhaustive not-MRH check",
     )
@@ -331,21 +327,20 @@ def _skip(claim: Claim, reason: str) -> ClaimResult:
 def verify_family(inst: FamilyInstance) -> FamilyReport:
     """Recompute every claim of the instance with exact arithmetic.
 
-    N's value and digit sum, the predicted multipliers and, for the
-    square family, the root are computed once, before the claims; each
-    claim then only sets its outcome and detail, which one _judge
-    records.  Constructive witnesses are used at any size; exhaustive
-    witness searches (set-completeness, not-MRH) only run for values at
-    or below EXHAUSTIVE_CAP / the word-size cap and are SKIPPED above.
-    Digit sums come from the digit tuples, never from the int.
+    N's digit sum and, for the square family, the root and its digit
+    sum are computed once, before the claims; each claim then only sets
+    its outcome and detail, which one _judge records.  Constructive
+    witnesses are used at any size; exhaustive witness searches
+    (set-completeness, not-MRH) only run for values at or below
+    EXHAUSTIVE_CAP / the word-size cap and are SKIPPED above.
     """
     base = inst.base
-    value = inst.number.to_int()
-    s = inst.number.digit_sum()
-    multipliers = [m.to_int() for m in inst.predicted_multipliers]
+    value = inst.number
+    s = digit_sum_int(value, base)
+    multipliers = inst.predicted_multipliers
     if inst.family == SQUARE:
-        root_vec = DigitVec.from_digits([base - 1] * 2 ** (inst.params["k"] - 1), base)
-        root, root_sum = root_vec.to_int(), root_vec.digit_sum()
+        root = from_digits([base - 1] * 2 ** (inst.params["k"] - 1), base)
+        root_sum = digit_sum_int(root, base)
     results = []
     for claim in inst.claims:
         name = claim.name
@@ -355,7 +350,7 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
         elif name == "half_is_palindrome":
             x = multipliers[0] * s
             ok = reverse_int(x, base) == x
-            detail = f"X = M*s = {DigitVec.from_int(x, base).render()}"
+            detail = f"X = M*s = {render_digits(x, base)}"
         elif name == "niven":
             ok = value % s == 0
             detail = f"s_b(N) = {s} {'|' if ok else 'does not divide'} N"

@@ -180,7 +180,6 @@ def _adjudicate(
     paper: tuple[int, ...],
     recomputed: list[int],
     kind: str,
-    base: int = 10,
 ) -> RowReport:
     paper_set, rec_set = set(paper), set(recomputed)
     if paper_set == rec_set:
@@ -189,7 +188,7 @@ def _adjudicate(
     unsound = [
         n
         for n in recomputed
-        if isinstance(verify_witness(n, base, multiplier, kind), VerifyFailure)
+        if isinstance(verify_witness(n, 10, multiplier, kind), VerifyFailure)
     ]
     if unsound:
         return RowReport(
@@ -201,14 +200,14 @@ def _adjudicate(
     explanations = []
     unexplained = []
     for x in paper_only:
-        twin = reverse_int(x, base)
-        x_verifies = not isinstance(verify_witness(x, base, multiplier, kind), VerifyFailure)
+        twin = reverse_int(x, 10)
+        x_verifies = not isinstance(verify_witness(x, 10, multiplier, kind), VerifyFailure)
         if twin in rec_only:
             explanations.append(f"printed {x} is the digit reversal of recomputed {twin}")
-        elif x_verifies and digit_count is not None and digit_count_int(x, base) != digit_count:
+        elif x_verifies and digit_count is not None and digit_count_int(x, 10) != digit_count:
             explanations.append(
                 f"printed {x} re-verifies with M={multiplier} but has "
-                f"{digit_count_int(x, base)} digits, not {digit_count} (misplaced row)"
+                f"{digit_count_int(x, 10)} digits, not {digit_count} (misplaced row)"
             )
         else:
             unexplained.append(x)
@@ -277,9 +276,6 @@ MRH_EXPECTED_BELOW_10000 = 23
 
 @dataclass(frozen=True)
 class CountsReport:
-    base: int
-    lo: int
-    hi: int
     arh_count: int
     mrh_count: int
     arh_expected: int
@@ -301,8 +297,8 @@ class CountsReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "base": self.base,
-            "range": [self.lo, self.hi],
+            "base": 10,
+            "range": [1, 9999],
             "arh": {
                 "count": self.arh_count,
                 "expected": self.arh_expected,
@@ -322,16 +318,14 @@ class CountsReport:
         }
 
 
-def section1_counts(base: int = 10, lo: int = 1, hi: int = 9999) -> CountsReport:
+def section1_counts() -> CountsReport:
     """Reproduce the headline counts (264 ARH, 23 MRH below 10000).
 
     The scan is literal; when a count disagrees, the composition fields
     and notes attribute the gap instead of hiding it.
     """
-    arh_hits = [
-        n for n, _ in scan_range(SearchConfig(base=base, lo=lo, hi=hi, kind=ARH))
-    ]
-    mrh_results = list(scan_range(SearchConfig(base=base, lo=lo, hi=hi, kind=MRH)))
+    arh_hits = [n for n, _ in scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=ARH))]
+    mrh_results = list(scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=MRH)))
     mrh_hits = [n for n, _ in mrh_results]
     self_only = tuple(
         n
@@ -339,28 +333,25 @@ def section1_counts(base: int = 10, lo: int = 1, hi: int = 9999) -> CountsReport
         if all(w.x == n for w in res.mrh)
     )
     notes = []
-    if len(mrh_hits) != MRH_EXPECTED_BELOW_10000 and hi == 9999 and base == 10:
+    if len(mrh_hits) != MRH_EXPECTED_BELOW_10000:
         inclusive = sum(
-            1 for _ in scan_range(SearchConfig(base=base, lo=lo, hi=hi + 1, kind=MRH))
+            1 for _ in scan_range(SearchConfig(base=10, lo=1, hi=10000, kind=MRH))
         )
         notes.append(
-            f"literal scan of [{lo}, {hi}] finds {len(mrh_hits)} MRH numbers; "
-            f"[{lo}, {hi + 1}] inclusive finds {inclusive} "
-            f"({hi + 1} qualifies trivially with X = {hi + 1}, X^R = 1), so the printed "
+            f"literal scan of [1, 9999] finds {len(mrh_hits)} MRH numbers; "
+            f"[1, 10000] inclusive finds {inclusive} "
+            "(10000 qualifies trivially with X = 10000, X^R = 1), so the printed "
             "count matches an inclusive-range search"
         )
     return CountsReport(
-        base=base,
-        lo=lo,
-        hi=hi,
         arh_count=len(arh_hits),
         mrh_count=len(mrh_hits),
         arh_expected=ARH_EXPECTED_BELOW_10000,
         mrh_expected=MRH_EXPECTED_BELOW_10000,
         arh_numbers=tuple(arh_hits),
         mrh_numbers=tuple(mrh_hits),
-        arh_with_zero_digit=tuple(n for n in arh_hits if has_zero_digit(n, base)),
-        mrh_with_zero_digit=tuple(n for n in mrh_hits if has_zero_digit(n, base)),
+        arh_with_zero_digit=tuple(n for n in arh_hits if has_zero_digit(n, 10)),
+        mrh_with_zero_digit=tuple(n for n in mrh_hits if has_zero_digit(n, 10)),
         mrh_self_multiplier_only=self_only,
         notes=tuple(notes),
     )

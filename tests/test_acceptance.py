@@ -16,7 +16,13 @@ import pytest
 from rhnumbers.bounds import digit_bound, mrh_digit_bound
 from rhnumbers.classify import ARH, MRH, classify, is_niven, mrh_witnesses
 from rhnumbers.cli import run_cli
-from rhnumbers.digitvec import DigitVec, digit_count_int
+from rhnumbers.digitvec import (
+    digit_count_int,
+    digit_sum_int,
+    from_digits,
+    has_zero_digit,
+    render_digits,
+)
 from rhnumbers.families import (
     CONFLICT_WITH_PAPER,
     gen_all_ones,
@@ -143,7 +149,7 @@ def test_c05_all_ones_b2_p4():
     inst = gen_all_ones(2, 4)
     report = verify_family(inst)
     by_name = {r.name: r for r in report.results}
-    generated = {m.render() for m in inst.predicted_multipliers}
+    generated = {render_digits(m, 2) for m in inst.predicted_multipliers}
     diff_printed = PRINTED_16 - generated
     diff_generated = generated - PRINTED_16
     # The printed list's 4th entry breaks the symmetric-digit condition;
@@ -175,10 +181,10 @@ def test_c06_alternating_b4_p1():
     inst = gen_alternating(4, 1)
     report = verify_family(inst)
     by_name = {r.name: r for r in report.results}
-    rendered = {m.render() for m in inst.predicted_multipliers}
+    rendered = {render_digits(m, 4) for m in inst.predicted_multipliers}
     ok = (
         rendered == {"102020", "101030", "103010"}
-        and inst.number.to_int() == 5185
+        and inst.number == 5185
         and by_name["multiplier_set_complete"].verdict == "PASS"
         and by_name["not_niven"].verdict == "PASS"
     )
@@ -193,11 +199,11 @@ def test_c07_repunit12_k012():
         inst = gen_repunit12(k)
         report = verify_family(inst)
         ok &= report.passed
-        details.append(f"k={k}: N has {len(inst.number.digits)} digits")
+        details.append(f"k={k}: N has {digit_count_int(inst.number, 10)} digits")
     inst1 = gen_repunit12(1)
-    ok &= inst1.predicted_multipliers[0].to_int() == 6734
+    ok &= inst1.predicted_multipliers == (6734,)
     inst2 = gen_repunit12(2)
-    ok &= len(inst2.number.digits) == 18
+    ok &= digit_count_int(inst2.number, 10) == 18
     check("C07", ok, "; ".join(details) + "; k=1 gives M=6734, X=60606", t0)
 
 
@@ -209,20 +215,20 @@ def test_c08_square_family():
         inst = gen_square_family(base, k)
         report = verify_family(inst)
         by_name = {r.name: r for r in report.results}
-        root = DigitVec.from_digits([base - 1] * (2 ** (k - 1)), base)
+        root = from_digits([base - 1] * (2 ** (k - 1)), base)
         ok &= report.passed or all(
             r.passed is not False for r in report.results if r.name != "root_niven"
         )
         ok &= by_name["digit_sum_match"].passed is True
         ok &= by_name["mrh_witness"].passed is True
-        ok &= inst.predicted_multipliers[0].to_int() == expect_m
-        ok &= is_niven(root.to_int(), base)
+        ok &= inst.predicted_multipliers == (expect_m,)
+        ok &= is_niven(root, base)
         details.append(f"b={base}: M={expect_m}, root Niven")
     inst17 = gen_square_family(17, 5)
     report17 = verify_family(inst17)
     conflict = next(r for r in report17.results if r.name == "root_niven")
     ok &= conflict.verdict == CONFLICT_WITH_PAPER
-    ok &= len(inst17.number.digits) == 32  # exercises >64-bit arithmetic
+    ok &= digit_count_int(inst17.number, 17) == 32  # exercises >64-bit arithmetic
     ok &= all(r.passed is not False for r in report17.results if r.name != "root_niven")
     print(
         f"[acceptance] C08 CONFLICT-WITH-PAPER: b=17, k=5 root recomputes as "
@@ -236,9 +242,9 @@ def test_c09_niven_not_mrh():
     ok = True
     for n in range(1, 9):
         inst = gen_niven_not_mrh(10, n)
-        ok &= inst.number.digit_sum() == 9 * n
-        ok &= is_niven(inst.number.to_int(), inst.base)
-        ok &= mrh_witnesses(inst.number.to_int(), inst.base) == []
+        ok &= digit_sum_int(inst.number, 10) == 9 * n
+        ok &= is_niven(inst.number, inst.base)
+        ok &= mrh_witnesses(inst.number, inst.base) == []
         ok &= verify_family(inst).passed
     check("C09", ok, "n=1..8: digit sum 9n, Niven, exhaustively not MRH", t0)
 
@@ -300,7 +306,7 @@ def test_c13_palindromic_square_search():
     for n, sq, s in palindromic_square_search(1000):
         res = classify(sq, 10)
         ok &= n // s in [w.m for w in res.mrh]
-        ok &= 0 not in DigitVec.from_int(res.n, res.base).digits
+        ok &= not has_zero_digit(res.n, res.base)
     check("C13", ok, f"434/484/828 present with s(N^2) = 31/22/36; squares classify as zero-free MRH", t0)
 
 

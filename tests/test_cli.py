@@ -35,6 +35,8 @@ class TestClassify:
         assert code == 0
         d = json.loads(out)
         assert d["n"] == 81 and d["niven"] is True and d["mrh"] == []
+        # Leading zeros are read, not refused.
+        assert run(["classify", "--digits", "0012"]) == run(["classify", "12"])
 
     def test_csv(self):
         code, out, _ = run(["classify", "99", "--format", "csv"])
@@ -222,6 +224,7 @@ def test_no_command_is_usage_error():
         ["oeis", "--seq", "A305131", "--count", "4", "--base", "7"],
         ["tables", "--which", "1", "--base", "7"],
         ["tables", "--base", "7"],
+        ["tables", "--which", "counts", "--base", "2"],
         ["family", "repunit12", "--k", "1", "--p", "9", "--n", "4"],
         ["family", "all-ones", "--base", "2", "--p", "1", "--k", "7"],
         ["family", "square", "--base", "3", "--k", "2", "--n", "1"],

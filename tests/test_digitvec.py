@@ -3,10 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rhnumbers.digitvec import (
-    DigitVec,
     digit_count_int,
     digit_sum_int,
+    from_digits,
     has_zero_digit,
+    parse_digits,
+    render_digits,
     reverse_int,
 )
 
@@ -16,39 +18,125 @@ def value_oracle(digits, base):
     return sum(d * base**i for i, d in enumerate(reversed(digits)))
 
 
+def digits_oracle(n, base):
+    """Base-b digits of n >= 0, most significant first, by repeated divmod."""
+    digits = []
+    while True:
+        n, d = divmod(n, base)
+        digits.append(d)
+        if not n:
+            return digits[::-1]
+
+
 class TestFromInt:
+    """Digit text of an int (render_digits)."""
+
     def test_taxicab(self):
-        assert DigitVec.from_int(1729, 10).digits == (1, 7, 2, 9)
+        assert render_digits(1729, 10) == "1729"
 
     def test_zero_base2(self):
-        assert DigitVec.from_int(0, 2).digits == (0,)
+        assert render_digits(0, 2) == "0"
 
     def test_64_base3(self):
-        assert DigitVec.from_int(64, 3).digits == (2, 1, 0, 1)
+        assert render_digits(64, 3) == "2101"
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            DigitVec.from_int(-1, 10)
+            render_digits(-1, 10)
 
     def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            DigitVec.from_int(5, 1)
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            render_digits(5, 1)
+
+    def test_no_int_to_str_limit(self):
+        # 5000 decimal digits, beyond CPython's default str(int) limit.
+        assert render_digits(from_digits([1] * 5000, 10), 10) == "1" * 5000
 
 
 class TestToInt:
+    """Value of a digit sequence (from_digits)."""
+
     def test_base4_positional_oracle(self):
         digits = (1, 1, 0, 1, 0, 0, 1)
         assert value_oracle(digits, 4) == 5185
-        assert DigitVec.from_digits(digits, 4).to_int() == 5185
+        assert from_digits(digits, 4) == 5185
 
     def test_zero(self):
-        assert DigitVec.from_int(0, 7).to_int() == 0
+        assert from_digits([0], 7) == 0
+        assert from_digits([], 7) == 0
 
     def test_44_base5(self):
-        assert DigitVec.from_digits([4, 4], 5).to_int() == 24
+        assert from_digits([4, 4], 5) == 24
 
     def test_ones_base2(self):
-        assert DigitVec.from_digits([1] * 16, 2).to_int() == 2**16 - 1
+        assert from_digits([1] * 16, 2) == 2**16 - 1
+
+    def test_leading_zeros(self):
+        assert from_digits([0, 0, 1, 2], 10) == 12
+
+    def test_rejects_digit_out_of_range(self):
+        with pytest.raises(ValueError, match="digit 10 out of range for base 10"):
+            from_digits((1, 10), 10)
+        with pytest.raises(ValueError, match="digit -1 out of range for base 10"):
+            from_digits((1, -1), 10)
+
+    def test_rejects_bad_base(self):
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            from_digits([1], 1)
+
+
+class TestParse:
+    def test_leading_zeros_read(self):
+        assert parse_digits("0012", 10) == 12
+        assert parse_digits("0,0,1,2", 16) == 18
+
+    def test_comma_separated_above_base_10(self):
+        assert parse_digits("1,2,3", 16) == 291
+        assert parse_digits(" 16,16,15 ", 17) == 16 * 17**2 + 16 * 17 + 15
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_refused(self, text):
+        with pytest.raises(ValueError, match="empty digit string"):
+            parse_digits(text, 10)
+
+    def test_rejects_bad_base(self):
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            parse_digits("1", 1)
+
+
+class TestAddMul:
+    """Sums and products are int arithmetic; the digit text shows them."""
+
+    def test_add_base4_with_carries(self):
+        a = parse_digits("1020200", 4)
+        c = parse_digits("20201", 4)
+        assert render_digits(a + c, 4) == "1101001"
+
+    def test_mul_19_91(self):
+        assert render_digits(19 * reverse_int(19, 10), 10) == "1729"
+
+    def test_mul_identity(self):
+        assert parse_digits(render_digits(4821 * 1, 10), 10) == 4821
+
+    def test_base_mismatch_rejected(self):
+        # Digits of one base are refused in a smaller one.
+        with pytest.raises(ValueError, match="digit 2 out of range for base 2"):
+            parse_digits("1020200", 2)
+        with pytest.raises(ValueError, match="digit 16 out of range for base 10"):
+            from_digits((16, 16, 15), 10)
+
+
+class TestRendering:
+    def test_small_base_juxtaposed(self):
+        assert render_digits(1729, 10) == "1729"
+
+    def test_large_base_commas(self):
+        assert render_digits(from_digits([16, 16, 15], 17), 17) == "16,16,15"
+
+    @pytest.mark.parametrize("base", range(2, 37))
+    @pytest.mark.parametrize("n", [0, 1, 5184, 65535])
+    def test_round_trip(self, base, n):
+        assert parse_digits(render_digits(n, base), base) == n
 
 
 class TestReversal:
@@ -61,73 +149,36 @@ class TestReversal:
 
     @pytest.mark.parametrize("n", [1, 7, 33, 434, 65556])
     def test_palindrome_fixed(self, n):
-        digits = DigitVec.from_int(n, 10).digits
+        digits = digits_oracle(n, 10)
         assert (reverse_int(n, 10) == n) == (digits == digits[::-1])
 
 
 class TestDigitSum:
     def test_1729(self):
-        assert DigitVec.from_int(1729, 10).digit_sum() == 19
+        assert digit_sum_int(1729, 10) == 19
 
     def test_ones_base2(self):
-        assert DigitVec.from_digits([1] * 16, 2).digit_sum() == 16
+        assert digit_sum_int(from_digits([1] * 16, 2), 2) == 16
 
     def test_zero(self):
-        assert DigitVec.from_int(0, 10).digit_sum() == 0
-
-
-class TestAddMul:
-    """Sums and products are int arithmetic; the digit view renders them."""
-
-    def test_add_base4_with_carries(self):
-        a = DigitVec.parse("1020200", 4)
-        c = DigitVec.parse("20201", 4)
-        assert DigitVec.from_int(a.to_int() + c.to_int(), 4).render() == "1101001"
-
-    def test_mul_19_91(self):
-        assert DigitVec.from_int(19 * reverse_int(19, 10), 10).render() == "1729"
-
-    def test_mul_identity(self):
-        d = DigitVec.from_int(4821, 10)
-        assert DigitVec.from_int(d.to_int() * 1, 10) == d
-
-    def test_base_mismatch_rejected(self):
-        # Digits of one base are refused in a smaller one.
-        with pytest.raises(ValueError):
-            DigitVec.parse("1020200", 2)
-        with pytest.raises(ValueError):
-            DigitVec.from_digits((16, 16, 15), 10)
-
-
-class TestRendering:
-    def test_small_base_juxtaposed(self):
-        assert DigitVec.from_int(1729, 10).render() == "1729"
-
-    def test_large_base_commas(self):
-        d = DigitVec.from_digits([16, 16, 15], 17)
-        assert d.render() == "16,16,15"
-
-    @pytest.mark.parametrize("base", [2, 7, 10, 11, 17, 36])
-    @pytest.mark.parametrize("n", [0, 1, 5184, 65535])
-    def test_round_trip(self, base, n):
-        d = DigitVec.from_int(n, base)
-        assert DigitVec.parse(d.render(), base) == d
+        assert digit_sum_int(0, 10) == 0
 
 
 # -- property tests ----------------------------------------------------
 
 values = st.integers(min_value=0, max_value=10**12)
-bases = st.integers(min_value=2, max_value=16)
+bases = st.integers(min_value=2, max_value=36)
 
 
 @given(values, bases)
 def test_round_trip_int(n, base):
-    assert DigitVec.from_int(n, base).to_int() == n
+    assert parse_digits(render_digits(n, base), base) == n
+    assert from_digits(digits_oracle(n, base), base) == n
 
 
 @given(st.integers(min_value=1, max_value=10**12), bases)
 def test_reversal_involution_and_bound(n, base):
-    digits = DigitVec.from_int(n, base).digits
+    digits = digits_oracle(n, base)
     r = reverse_int(n, base)
     assert r == value_oracle(digits[::-1], base)
     assert r < base * n  # reversal grows by strictly less than b
@@ -140,15 +191,15 @@ def test_reversal_involution_and_bound(n, base):
 
 @given(values, bases)
 def test_casting_out_base_minus_one(n, base):
-    d = DigitVec.from_int(n, base)
-    assert d.digit_sum() % (base - 1) == n % (base - 1)
+    assert digit_sum_int(n, base) % (base - 1) == n % (base - 1)
 
 
 @given(values, bases)
 def test_int_helpers_match_digitvec(n, base):
-    digits = DigitVec.from_int(n, base).digits
+    digits = digits_oracle(n, base)
     assert value_oracle(digits, base) == n
     assert reverse_int(n, base) == value_oracle(digits[::-1], base)
     assert digit_sum_int(n, base) == sum(digits)
     assert digit_count_int(n, base) == len(digits)
     assert has_zero_digit(n, base) == (0 in digits)
+    assert render_digits(n, base) == ("" if base <= 10 else ",").join(map(str, digits))

@@ -1,7 +1,7 @@
 import pytest
 
 from rhnumbers.classify import ARH, Witness, arh_witnesses, is_niven, verify_witness
-from rhnumbers.digitvec import DigitVec
+from rhnumbers.digitvec import digit_count_int, digit_sum_int, parse_digits, render_digits
 from rhnumbers.families import (
     ALL_ONES,
     ALTERNATING,
@@ -29,28 +29,28 @@ from rhnumbers.families import (
 class TestRepunit12:
     def test_k0(self):
         inst = gen_repunit12(0)
-        assert inst.number.to_int() == 12
-        assert inst.predicted_multipliers[0].to_int() == 2
+        assert inst.number == 12
+        assert inst.predicted_multipliers == (2,)
         assert verify_family(inst).passed
 
     def test_k1(self):
         inst = gen_repunit12(1)
-        assert inst.number.to_int() == 121212
-        assert inst.predicted_multipliers[0].to_int() == 6734
+        assert inst.number == 121212
+        assert inst.predicted_multipliers == (6734,)
         report = verify_family(inst)
         assert report.passed
-        got = verify_witness(inst.number.to_int(), inst.base, 6734, ARH)
+        got = verify_witness(inst.number, inst.base, 6734, ARH)
         assert isinstance(got, Witness) and got.x == 60606
 
     def test_k2_eighteen_digits(self):
         inst = gen_repunit12(2)
-        assert len(inst.number.digits) == 18
+        assert digit_count_int(inst.number, 10) == 18
         assert verify_family(inst).passed
 
     def test_k3_beyond_word_size(self):
         inst = gen_repunit12(3)
-        assert len(inst.number.digits) == 54
-        assert inst.number.to_int() > 2**63
+        assert digit_count_int(inst.number, 10) == 54
+        assert inst.number > 2**63
         assert verify_family(inst).passed
 
     def test_negative_k_rejected(self):
@@ -72,10 +72,10 @@ PRINTED_16 = [
 class TestAllOnes:
     def test_b2_p4(self):
         inst = gen_all_ones(2, 4)
-        assert inst.number.to_int() == 65535
+        assert inst.number == 65535
         assert len(inst.predicted_multipliers) == 16
-        assert inst.predicted_multipliers[0].render() == "111100001111"
-        assert inst.predicted_multipliers[-1].render() == "111111110000"
+        assert render_digits(inst.predicted_multipliers[0], 2) == "111100001111"
+        assert render_digits(inst.predicted_multipliers[-1], 2) == "111111110000"
         report = verify_family(inst)
         assert report.passed
         assert {r.name for r in report.results} >= {
@@ -85,11 +85,11 @@ class TestAllOnes:
 
     def test_b2_p4_brute_force_equality(self):
         inst = gen_all_ones(2, 4)
-        brute = {w.m for w in arh_witnesses(inst.number.to_int(), inst.base)}
-        assert {m.to_int() for m in inst.predicted_multipliers} == brute
+        brute = {w.m for w in arh_witnesses(inst.number, inst.base)}
+        assert set(inst.predicted_multipliers) == brute
 
     def test_b2_p4_against_printed_list(self):
-        generated = {m.render() for m in gen_all_ones(2, 4).predicted_multipliers}
+        generated = {render_digits(m, 2) for m in gen_all_ones(2, 4).predicted_multipliers}
         printed = set(PRINTED_16)
         assert printed - generated == {"111100111100"}
         assert generated - printed == {"111100110011"}
@@ -99,8 +99,8 @@ class TestAllOnes:
 
     def test_b2_p1_single_multiplier(self):
         inst = gen_all_ones(2, 1)
-        assert inst.number.to_int() == 3
-        assert [m.to_int() for m in inst.predicted_multipliers] == [1]
+        assert inst.number == 3
+        assert inst.predicted_multipliers == (1,)
         assert verify_family(inst).passed
 
     def test_b4_p1_two_multipliers(self):
@@ -118,14 +118,14 @@ class TestAllOnes:
         inst = gen_all_ones(base, p)
         k = base**p
         assert len(inst.predicted_multipliers) == 2 ** ((k - 2 * p) // 2)
-        assert not is_niven(inst.number.to_int(), inst.base)
+        assert not is_niven(inst.number, inst.base)
 
 
 class TestAlternating:
     def test_b4_p1_exact_set(self):
         inst = gen_alternating(4, 1)
-        assert inst.number.to_int() == 5185
-        assert {m.render() for m in inst.predicted_multipliers} == {
+        assert inst.number == 5185
+        assert {render_digits(m, inst.base) for m in inst.predicted_multipliers} == {
             "102020", "101030", "103010",
         }
         report = verify_family(inst)
@@ -150,25 +150,24 @@ class TestAlternating:
         inst = gen_alternating(base, p)
         k = base**p
         assert len(inst.predicted_multipliers) == (base - 1) ** ((k - 2 * p) // 2)
-        values = [m.to_int() for m in inst.predicted_multipliers]
-        assert values == sorted(values)
-        assert not is_niven(inst.number.to_int(), inst.base)
+        values = inst.predicted_multipliers
+        assert list(values) == sorted(values)
+        assert not is_niven(inst.number, inst.base)
 
 
 class TestSquareFamily:
     def test_b3_k2(self):
         inst = gen_square_family(3, 2)
-        assert inst.number.render() == "2101"
-        assert inst.number.to_int() == 64
-        assert [m.to_int() for m in inst.predicted_multipliers] == [2]
+        assert render_digits(inst.number, 3) == "2101"
+        assert inst.number == 64
+        assert inst.predicted_multipliers == (2,)
         assert verify_family(inst).passed
 
     def test_b7_k2(self):
         inst = gen_square_family(7, 2)
-        assert inst.number.render() == "6501"
-        assert [m.to_int() for m in inst.predicted_multipliers] == [4]
-        root = DigitVec.from_digits([6, 6], 7)
-        assert root.to_int() == 48
+        assert render_digits(inst.number, 7) == "6501"
+        assert inst.predicted_multipliers == (4,)
+        assert parse_digits("66", 7) == 48  # the root
         assert verify_family(inst).passed
 
     def test_b17_k5_conflict_with_paper(self):
@@ -199,7 +198,7 @@ class TestSquareFamily:
     def test_at_root_digit_cap(self, base):
         # k = 13 gives a 2^12-digit root, the largest the generator allows.
         inst = gen_square_family(base, 13)
-        assert len(inst.number.digits) == 2 * MAX_SQUARE_ROOT_DIGITS
+        assert digit_count_int(inst.number, base) == 2 * MAX_SQUARE_ROOT_DIGITS
         report = verify_family(inst)
         assert [r.passed for r in report.results] == [True] * 5
         with pytest.raises(FamilyParameterError) as exc:
@@ -218,8 +217,8 @@ class TestSquareFamily:
 class TestNivenNotMrh:
     def test_b10_n7(self):
         inst = gen_niven_not_mrh(10, 7)
-        assert inst.number.to_int() == 69999993
-        assert inst.number.digit_sum() == 63
+        assert inst.number == 69999993
+        assert digit_sum_int(inst.number, 10) == 63
         assert verify_family(inst).passed
 
     def test_b10_n9_rejected(self):
@@ -229,7 +228,7 @@ class TestNivenNotMrh:
 
     def test_b3_n1(self):
         inst = gen_niven_not_mrh(3, 1)
-        assert inst.number.to_int() == 2
+        assert inst.number == 2
         assert verify_family(inst).passed
 
     @pytest.mark.parametrize("base", range(2, 13))
@@ -238,7 +237,36 @@ class TestNivenNotMrh:
             if n % (base - 1) == 0:
                 continue
             inst = gen_niven_not_mrh(base, n)
-            assert inst.number.digit_sum() == (base - 1) * n, (base, n)
+            assert digit_sum_int(inst.number, base) == (base - 1) * n, (base, n)
+
+
+# Two parameter sets per generator, with a base above 10 (comma-separated digits).
+JSON_CASES = [
+    (gen_repunit12, (0,)),
+    (gen_repunit12, (2,)),
+    (gen_all_ones, (2, 4)),
+    (gen_all_ones, (16, 1)),
+    (gen_alternating, (4, 1)),
+    (gen_alternating, (8, 1)),
+    (gen_square_family, (3, 3)),
+    (gen_square_family, (17, 5)),
+    (gen_niven_not_mrh, (10, 7)),
+    (gen_niven_not_mrh, (16, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "generate,args",
+    JSON_CASES,
+    ids=[f"{g.__name__}-" + "-".join(map(str, a)) for g, a in JSON_CASES],
+)
+def test_json_digits_spell_the_value(generate, args):
+    inst = generate(*args)
+    d = inst.to_json_dict()
+    entries = [d["number"]] + d["predicted_multipliers"]
+    assert [e["value"] for e in entries] == [inst.number, *inst.predicted_multipliers]
+    for e in entries:
+        assert parse_digits(e["digits"], inst.base) == e["value"]
 
 
 # One forged instance per failing (or skipping) branch of verify_family:
@@ -302,8 +330,8 @@ class TestVerdictTaxonomy:
             family=family,
             base=base,
             params=params,
-            number=DigitVec.from_int(n, base),
-            predicted_multipliers=tuple(DigitVec.from_int(m, base) for m in multipliers),
+            number=n,
+            predicted_multipliers=tuple(multipliers),
             claims=(Claim(name, source, expected),),
         )
         (result,) = verify_family(inst).results
@@ -316,8 +344,8 @@ class TestVerdictTaxonomy:
             family=REPUNIT12,
             base=10,
             params={"k": 0},
-            number=DigitVec.from_int(12, 10),
-            predicted_multipliers=(DigitVec.from_int(3, 10),),
+            number=12,
+            predicted_multipliers=(3,),
             claims=(Claim("arh_witness", "construction", True),),
         )
         report = verify_family(bogus)
@@ -331,7 +359,7 @@ class TestVerdictTaxonomy:
             family=SQUARE,
             base=3,
             params={"k": 2},
-            number=DigitVec.from_int(65, 3),
+            number=65,
             predicted_multipliers=(),
             claims=(Claim("square_is_number", "construction", True),),
         )
