@@ -2,21 +2,26 @@
 
 A number N is b-ARH when N = M*s_b(N) + (M*s_b(N))^R for some positive
 integer M, and b-MRH when N = M*s_b(N) * (M*s_b(N))^R.  The witness
-extractors here are complete per-N enumerations; they are meant for
-values below WORD_SIZE_CAP.  verify_witness takes a supplied M instead
-and works at any magnitude.  Every public function takes N as
-(value, base), a Python int and its numeration base, and refuses
-values below 1 and bases below 2.
+extractors here are complete per-N enumerations.  arh_witnesses solves
+N = X + X^R from N's digits (solve_arh) and works at any size;
+mrh_witnesses tries divisors up to sqrt(N) and is meant for values
+below WORD_SIZE_CAP, which classify therefore inherits.
+verify_witness takes a supplied M instead and works at any magnitude.
+Every public function takes N as (value, base), a Python int and its
+numeration base, and refuses values below 1 and bases below 2.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import isqrt
+from operator import add
+from typing import Iterator
 
-from .digitvec import check_base, digit_sum_int, reverse_int
+from .digitvec import check_base, digit_sum_int, digits_int, reverse_int
 
-# Enumeration contract bound for the per-N searches and range scans.
+# Enumeration contract bound for mrh_witnesses and the range scans.
 WORD_SIZE_CAP = 2**63 - 1
 
 ARH = "arh"
@@ -103,21 +108,149 @@ def is_strongly_quadratic_niven(value: int, base: int) -> bool:
 
 
 def arh_witnesses(value: int, base: int) -> list[Witness]:
-    """All additive multipliers of N = value, ascending.
-
-    Enumerates X over multiples of s = s_b(N) with s <= X < N;
-    X + X^R = N forces s | X and X < N (X^R >= 1), so the scan is
-    complete.
-    """
-    _require_n(value, base, WORD_SIZE_CAP)
+    """All additive multipliers of N = value, ascending, at any size (solve_arh)."""
+    products = solve_arh(value, base)[1]  # refuses a bad value or base first
     s = digit_sum_int(value, base)
-    out = []
-    x = s
-    while x < value:
-        if x + reverse_int(x, base) == value:
-            out.append(_witness(x, s, base))
-        x += s
-    return out
+    return [_witness(x, s, base) for x in products]
+
+
+def reversal_pair_sums(value: int, base: int) -> list[tuple[int, list[int]]]:
+    """Every (k, p) such that value = X + X^R for a k-digit X with digit-pair sums p.
+
+    Write a k-digit X as sum x_j*b^j with x_{k-1} >= 1.  Then
+    X^R = sum x_{k-1-j}*b^j (a trailing zero of X becomes a leading zero
+    of X^R), so value = sum p_j*b^j with p_j = x_j + x_{k-1-j}.  Hence p
+    is symmetric, each p_j lies in [0, 2b-2], p_0 >= 1 because it holds
+    the leading digit, and for odd k the middle sum is twice a digit, so
+    it is even (for k = 1 it is value itself, so not 0).  Conversely,
+    every such p is the pair-sum vector of some k-digit X.  Since
+    X < value < 2*b^k, k is D(value)-1 or D(value).
+
+    The carry into any position is 0 or 1, because p_j + 1 <= 2b-1.  For
+    each k, p is read from both ends at once.  At pair (j, i = k-1-j) the
+    carry c_lo into position j is known from below, and the carry c_hi
+    that position i must send up is known from above; for the top
+    position it is value's digit at index k.  The low end fixes p_j mod
+    b: p_j = (n_j - c_lo) mod b + b*e.  The high end needs
+    p_j + c_in = n_i + b*c_hi for a carry c_in into position i.  The two
+    candidates for p_j differ by b >= 2, so at most one leaves c_in in
+    {0, 1}, and that c_in is what position i-1 must send up.  The ends
+    meet with equal carries (even k) or an even middle sum (odd k).  So
+    each k has at most one p, and the list holds at most two entries.
+    """
+    _require_n(value, base)
+    digits = digits_int(value, base)  # least significant first
+    found = []
+    for k in (len(digits) - 1, len(digits)):
+        p = _pair_sums_of_length(digits, k, base)
+        if p is not None:
+            found.append((k, p))
+    return found
+
+
+def _pair_sums_of_length(digits: list[int], k: int, base: int) -> list[int] | None:
+    """The pair sums p of a k-digit X with X + X^R = N, from N's digits; None if there is none."""
+    c_hi = digits[k] if k < len(digits) else 0
+    if k < 1 or c_hi > 1:
+        return None
+    c_lo = 0
+    p = [0] * k
+    for j in range(k // 2):
+        low = (digits[j] - c_lo) % base
+        v = digits[k - 1 - j] + base * c_hi - low  # b*e + c_in
+        if v not in (0, 1, base, base + 1):
+            return None
+        c_hi = v % base  # c_in, which position i-1 must now send up
+        p[j] = p[k - 1 - j] = low + v - c_hi
+        if p[j] > 2 * base - 2 or (j == 0 and p[j] < 1):
+            return None
+        c_lo = (p[j] + c_lo) // base
+    if k % 2 == 0:
+        return p if c_lo == c_hi else None
+    mid = k // 2
+    p[mid] = digits[mid] + base * c_hi - c_lo
+    return p if p[mid] % 2 == 0 and 0 <= p[mid] <= 2 * base - 2 else None
+
+
+def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
+    """Count of, and ascending stream over, every X with X + X^R = value and s_b(value) | X.
+
+    Complete at any size: every such X has one of the pair-sum vectors
+    p that reversal_pair_sums lists.  Given (k, p), the high digit
+    a_j = x_{k-1-j} of each pair fixes the low one, x_j = p_j - a_j, so
+    X = x0 + sum_j a_j*(b^(k-1-j) - b^j).  Here x0 holds the sums p_j at
+    the low positions and the middle digit p_mid/2, and a_j ranges over
+    [max(p_j-b+1, 0), min(p_j, b-1)], with a_0 >= 1.  A backward DP over
+    the pairs, mod s = s_b(value), gives for each pair the bitmask of
+    residues from which some choice of the remaining high digits makes
+    s | X, and the number of such choices.  A depth-first walk then
+    tries each high digit in ascending order and enters only reachable
+    residues, so every branch it enters ends in a qualifying X.  It
+    yields exactly the qualifying X of that p, ascending, because X's
+    high half decides its order and fixes its low half.  The X for
+    k = D(value)-1 all lie below those for k = D(value).
+
+    The count comes from the DP alone, so a caller can refuse an
+    oversized output before listing anything.  The DP takes up to
+    k/2 * b rotations of a length-s vector for each p (a pair whose
+    weight b^(k-1-j) - b^j is 0 mod s only scales the count); the walk
+    takes k/2 steps on k-digit ints for each X it yields.
+    """
+    pair_sums = reversal_pair_sums(value, base)
+    if not pair_sums:
+        return 0, iter(())
+    s = digit_sum_int(value, base)
+    full = (1 << s) - 1
+    count = 0
+    streams = []
+    for k, p in pair_sums:
+        half = k // 2
+        x0 = p[half] // 2 if k % 2 else 0  # the middle digit, then the low sums
+        for j in reversed(range(half)):
+            x0 = x0 * base + p[j]
+        highs = [range(max(p[j] - base + 1, 1 if j == 0 else 0), min(p[j], base - 1) + 1)
+                 for j in range(half)]
+        mask, ways = 1, [1] + [0] * (s - 1)  # after the last pair: residue 0 only
+        masks = [mask]
+        scale = 1  # true number of completions is scale * ways[r]
+        for j in reversed(range(half)):
+            w = (pow(base, k - 1 - j, s) - pow(base, j, s)) % s
+            if w == 0:  # no choice moves the residue: the pair only multiplies the count
+                scale *= len(highs[j])
+                masks.append(mask)
+                continue
+            next_mask, next_ways = 0, [0] * s
+            for a in highs[j]:
+                shift = a * w % s
+                next_mask |= ((mask >> shift) | (mask << (s - shift))) & full
+                next_ways = list(map(add, next_ways, ways[shift:] + ways[:shift]))
+            mask, ways = next_mask, next_ways
+            masks.append(mask)
+        masks.reverse()
+        count += scale * ways[x0 % s]
+        if ways[x0 % s]:
+            streams.append(_ascending(x0, k, base, highs, masks, s))
+    return count, itertools.chain.from_iterable(streams)
+
+
+def _ascending(x0: int, k: int, base: int, highs: list[range], masks: list[int], s: int):
+    """Depth-first walk over the high digits; masks[t] are the residues pair t can finish from.
+
+    Pair t's step b^(k-1-t) - b^t is formed when the walk enters the
+    pair, so memory stays linear in k.
+    """
+    half = len(highs)
+    stack = [(0, x0, x0 % s)]
+    while stack:
+        t, x, r = stack.pop()
+        if t == half:
+            yield x
+            continue
+        step, reachable = base ** (k - 1 - t) - base**t, masks[t + 1]
+        for a in reversed(highs[t]):  # popped smallest first
+            r2 = (r + a * step) % s
+            if reachable >> r2 & 1:
+                stack.append((t + 1, x + a * step, r2))
 
 
 def mrh_witnesses(value: int, base: int) -> list[Witness]:
@@ -172,12 +305,8 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 
 def classify(value: int, base: int) -> ClassifyResult:
     """Full classification record of N = value: Niven flags plus both witness lists."""
-    return build_result(
-        value,
-        base,
-        [w.x for w in arh_witnesses(value, base)],
-        [w.x for w in mrh_witnesses(value, base)],
-    )
+    mrh = [w.x for w in mrh_witnesses(value, base)]  # first: it refuses values above the cap
+    return build_result(value, base, list(solve_arh(value, base)[1]), mrh)
 
 
 def build_result(

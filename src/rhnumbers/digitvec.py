@@ -2,10 +2,10 @@
 
 All arithmetic in the package runs on Python ints, which are exact at
 any size.  The plain-int helpers (reverse_int, digit_sum_int,
-digit_count_int, has_zero_digit) are the digit operations the engines,
-classifier and verifiers use.  from_digits builds a value from its
-base-b digits, most significant first; the family generators build
-their members this way.  Digits are text in two places only: the
+digits_int, digit_count_int, has_zero_digit) are the digit operations
+the engines, classifier and verifiers use.  from_digits builds a value
+from its base-b digits, most significant first; the family generators
+build their members this way.  Digits are text in two places only: the
 `classify --digits` input (parse_digits) and the family JSON
 (render_digits), juxtaposed for b <= 10 and comma-separated above.
 Rendering takes digits by divmod, never by str(int), so digit text has
@@ -14,7 +14,15 @@ no int-to-str digit limit.
 
 from __future__ import annotations
 
+from math import log2
 from typing import Iterable
+
+# Digit count above which from_digits joins, and digits_int (behind
+# digit_sum_int and render_digits) splits, a value in halves: the
+# per-digit loop costs time quadratic in the digit count, the halving
+# only what its few big products and divisions cost.  Below it the loop
+# is the faster, so the engines' word-size ints never leave it.
+_SPLIT_DIGITS = 64
 
 
 def check_base(base: int) -> int:
@@ -26,6 +34,14 @@ def check_base(base: int) -> int:
 def from_digits(digits: Iterable[int], base: int) -> int:
     """Value of base-b digits, most significant first; leading zeros are allowed."""
     check_base(base)
+    return _join_digits(list(digits), base)
+
+
+def _join_digits(digits: list[int], base: int) -> int:
+    """from_digits below _SPLIT_DIGITS digits, and hi*b^m + lo of the two halves above."""
+    if len(digits) > _SPLIT_DIGITS:
+        m = len(digits) // 2
+        return _join_digits(digits[:-m], base) * base**m + _join_digits(digits[-m:], base)
     value = 0
     for d in digits:
         if not 0 <= d < base:
@@ -49,13 +65,8 @@ def render_digits(value: int, base: int) -> str:
     check_base(base)
     if value < 0:
         raise ValueError(f"negative value {value} has no digits")
-    digits = []
-    while True:
-        value, d = divmod(value, base)
-        digits.append(str(d))
-        if not value:
-            break
-    return ("" if base <= 10 else ",").join(reversed(digits))
+    digits = digits_int(value, base) or [0]
+    return ("" if base <= 10 else ",").join([str(d) for d in reversed(digits)])
 
 
 # -- plain-int digit helpers (search engine workhorses) ---------------
@@ -71,11 +82,32 @@ def reverse_int(x: int, base: int) -> int:
 
 
 def digit_sum_int(x: int, base: int) -> int:
+    if x.bit_length() > _SPLIT_DIGITS:  # else x has at most that many digits, in any base
+        return sum(digits_int(x, base))
     s = 0
     while x:
         x, d = divmod(x, base)
         s += d
     return s
+
+
+def digits_int(x: int, base: int) -> list[int]:
+    """Base-b digits of x >= 0, least significant first ([] for 0).
+
+    Above _SPLIT_DIGITS digits, x = hi*b^m + lo with m about half its
+    digit count and the halves recurse, so the cost is that of the
+    few big divisions rather than one division of all of x per digit.
+    """
+    if x.bit_length() > _SPLIT_DIGITS and x >= base**_SPLIT_DIGITS:
+        m = int(x.bit_length() / log2(base)) // 2
+        hi, lo = divmod(x, base**m)
+        low = digits_int(lo, base)
+        return low + [0] * (m - len(low)) + digits_int(hi, base)
+    digits = []
+    while x:
+        x, d = divmod(x, base)
+        digits.append(d)
+    return digits
 
 
 def digit_count_int(x: int, base: int) -> int:

@@ -20,9 +20,9 @@ from .classify import (
     MRH,
     WORD_SIZE_CAP,
     VerifyFailure,
-    arh_witnesses,
     check_witness,
     mrh_witnesses,
+    solve_arh,
 )
 from .digitvec import check_base, digit_sum_int, from_digits, render_digits, reverse_int
 
@@ -43,12 +43,11 @@ SKIPPED = "SKIPPED"
 
 # Materializing 2^((k-2p)/2) multipliers must stay sane.
 MAX_MULTIPLIER_SET = 1 << 16
-# Root of the square family has 2^(k-1) digits and N twice as many.  Building
-# them from digits, and the digit sums and digit text taken from them by
-# divmod, each cost time quadratic in the digit count; this keeps k <= 13.
+# Root of the square family has 2^(k-1) digits and N twice as many; this
+# keeps k <= 13.  Building them from digits, and taking their digit sums
+# and digit text, split them in halves, so each costs about what the
+# squaring does rather than time quadratic in the digit count.
 MAX_SQUARE_ROOT_DIGITS = 1 << 12
-# Exhaustive witness searches in the verifier only run below this value.
-EXHAUSTIVE_CAP = 1 << 20
 
 
 class FamilyParameterError(ValueError):
@@ -330,9 +329,13 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
     N's digit sum and, for the square family, the root and its digit
     sum are computed once, before the claims; each claim then only sets
     its outcome and detail, which one _judge records.  Constructive
-    witnesses are used at any size; exhaustive witness searches
-    (set-completeness, not-MRH) only run for values at or below
-    EXHAUSTIVE_CAP / the word-size cap and are SKIPPED above.
+    witnesses are used at any size.  Set-completeness solves
+    N = X + X^R from N's digits (classify.solve_arh, complete at any
+    size): the solver's count, compared with the predicted set, decides
+    whether the predicted multipliers need checking one by one, and the
+    listing stops after four unpredicted multipliers.  The exhaustive
+    not-MRH search runs at or below the word-size cap and is SKIPPED
+    above.
     """
     base = inst.base
     value = inst.number
@@ -373,18 +376,21 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
             ok = len(multipliers) == expected_count
             detail = f"predicted {len(multipliers)}, formula {expected_count}"
         elif name == "multiplier_set_complete":
-            if value > EXHAUSTIVE_CAP:
-                results.append(_skip(claim, f"value {value} above exhaustive cap {EXHAUSTIVE_CAP}"))
-                continue
-            brute = {w.m for w in arh_witnesses(value, base)}
-            extra = sorted(brute.difference(multipliers))
-            missing = sorted(set(multipliers) - brute)
+            count, products = solve_arh(value, base)
+            predicted = set(multipliers)
+            extra = list(itertools.islice((x // s for x in products if x // s not in predicted), 4))
+            missing = []
+            if extra or count != len(predicted):  # else the listing met every predicted M
+                missing = sorted(
+                    m for m in predicted
+                    if isinstance(check_witness(value, s, base, m, ARH), VerifyFailure)
+                )[:4]
             ok = not extra and not missing
-            detail = f"brute force found {len(brute)} multipliers"
+            detail = f"brute force found {count} multipliers"
             if extra:
-                detail += f"; unpredicted: {extra[:4]}"
+                detail += f"; unpredicted: {extra}"
             if missing:
-                detail += f"; predicted but absent: {missing[:4]}"
+                detail += f"; predicted but absent: {missing}"
         elif name == "square_is_number":
             ok = root * root == value
             detail = f"root^2 {'=' if ok else '!='} N"

@@ -22,6 +22,8 @@ from .classify import (
     NIVEN,
     WORD_SIZE_CAP,
     build_result,
+    reversal_pair_sums,
+    solve_arh,
 )
 from .digitvec import (
     check_base,
@@ -103,16 +105,24 @@ def mrh_pairs_chunk(
     return out
 
 
-def _witness_maps(cfg: SearchConfig) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Complete ascending witness-product lists for every N in range, both kinds."""
-    arh_map: dict[int, list[int]] = {}
+def _witness_maps(
+    cfg: SearchConfig,
+) -> tuple[dict[int, list[int]] | None, dict[int, list[int]]]:
+    """Complete ascending witness-product lists for every N in range.
+
+    The ARH map is None for an MRH scan: it solves the ARH witnesses of
+    its few hits instead of sweeping all X <= hi for them.
+    """
     mrh_map: dict[int, list[int]] = {}
-    for n, _, x in arh_pairs_chunk(cfg.base, 1, cfg.hi - 1, cfg.lo, cfg.hi):
-        arh_map.setdefault(n, []).append(x)
     for n, _, x in mrh_pairs_chunk(cfg.base, 1, mrh_y_limit(cfg.base, cfg.hi), cfg.lo, cfg.hi):
         mrh_map.setdefault(n, []).append(x)
     for products in mrh_map.values():
-        products.sort()  # arh_pairs_chunk yields X ascending; Y ascending does not order X = Y*b^t
+        products.sort()  # Y ascending does not order X = Y*b^t
+    if cfg.kind == MRH:
+        return None, mrh_map
+    arh_map: dict[int, list[int]] = {}
+    for n, _, x in arh_pairs_chunk(cfg.base, 1, cfg.hi - 1, cfg.lo, cfg.hi):
+        arh_map.setdefault(n, []).append(x)  # X ascending
     return arh_map, mrh_map
 
 
@@ -140,7 +150,11 @@ def scan_range(cfg: SearchConfig):
             key = arh_map if cfg.kind == ARH else mrh_map
             if cfg.multiplier_filter * digit_sum_int(n, cfg.base) not in key.get(n, []):
                 continue
-        yield n, build_result(n, cfg.base, arh_map.get(n, []), mrh_map.get(n, []))
+        if arh_map is None:
+            arh = list(solve_arh(n, cfg.base)[1])
+        else:
+            arh = arh_map.get(n, [])
+        yield n, build_result(n, cfg.base, arh, mrh_map.get(n, []))
 
 
 def numbers_for_multiplier(
@@ -208,10 +222,8 @@ def formula_lower_bound(base: int, k: int) -> int:
 
 
 def is_expressible_as_sum_of_reversal(n: int, base: int) -> bool:
-    """Whether n = X + X^R for some positive X (X < n suffices)."""
-    if n < 2:
-        return False
-    return any(x + reverse_int(x, base) == n for x in range(1, n))
+    """Whether n = X + X^R for some positive X: some digit-pair sum vector exists."""
+    return n >= 1 and bool(reversal_pair_sums(n, base))
 
 
 def palindromic_square_search(limit: int, base: int = 10) -> list[tuple[int, int, int]]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from rhnumbers.digitvec import (
     digit_count_int,
     digit_sum_int,
+    digits_int,
     from_digits,
     has_zero_digit,
     parse_digits,
@@ -203,3 +204,19 @@ def test_int_helpers_match_digitvec(n, base):
     assert digit_count_int(n, base) == len(digits)
     assert has_zero_digit(n, base) == (0 in digits)
     assert render_digits(n, base) == ("" if base <= 10 else ",").join(map(str, digits))
+
+
+@given(st.integers(min_value=0, max_value=2**3000), bases)
+def test_long_values_match_the_per_digit_loop(n, base):
+    # Above 64 digits the helpers split by divmod(x, b**m) and join as
+    # hi*b^m + lo; the oracle takes one digit at a time.
+    digits = digits_oracle(n, base)
+    assert digits_int(n, base) == (digits[::-1] if n else [])
+    assert digit_sum_int(n, base) == sum(digits)
+    assert from_digits(digits, base) == n
+    assert render_digits(n, base) == ("" if base <= 10 else ",").join(map(str, digits))
+
+
+def test_long_digit_list_reports_its_first_bad_digit():
+    with pytest.raises(ValueError, match="digit 12 out of range for base 10"):
+        from_digits([1] * 100 + [12, 11] + [1] * 100, 10)

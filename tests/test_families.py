@@ -291,8 +291,9 @@ FORGED = [
     (ALL_ONES, 2, {"p": 1, "k": 2}, 3, (2,), "multiplier_set_complete", PAPER, True,
      CONFLICT_WITH_PAPER,
      "brute force found 1 multipliers; unpredicted: [1]; predicted but absent: [2]"),
+    # 2^20 + 1 = X + X^R for X = 2^20 = 2^19 * s_2(N): one unpredicted multiplier.
     (ALL_ONES, 2, {"p": 1, "k": 2}, 2**20 + 1, (), "multiplier_set_complete", PAPER, True,
-     SKIPPED, "value 1048577 above exhaustive cap 1048576"),
+     CONFLICT_WITH_PAPER, "brute force found 1 multipliers; unpredicted: [524288]"),
     (SQUARE, 3, {"k": 2}, 65, (), "digit_sum_match", PAPER, True,
      CONFLICT_WITH_PAPER, "s_b(root) = 4, s_b(N) = 5, formula 4"),
     (SQUARE, 3, {"k": 2}, 65, (), "digit_sum_divides_root", PAPER, True,
@@ -314,6 +315,8 @@ FORGED = [
      SKIPPED, "value above word-size cap"),
     (REPUNIT12, 10, {"k": 0}, 12, (2,), "no_such_claim", CONSTRUCTION, True,
      IMPLEMENTATION_BUG, "unknown claim"),
+    (ALL_ONES, 2, {"p": 1, "k": 2}, 3, (1, 2), "multiplier_set_complete", PAPER, True,
+     CONFLICT_WITH_PAPER, "brute force found 1 multipliers; predicted but absent: [2]"),
 ]
 
 

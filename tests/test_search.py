@@ -1,4 +1,5 @@
 import pytest
+from brute_force import is_expressible_brute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,17 @@ class TestScanRange:
         hits = list(scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=MRH)))
         assert len(hits) == 22  # literal definitions; printed count is 23, see tables
         assert [n for n, _ in hits][:4] == [1, 10, 40, 81]
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 16])
+    def test_mrh_scan_carries_the_arh_lists_of_a_sweep(self, base):
+        # An MRH scan solves each hit's ARH list instead of sweeping.
+        arh_scan = {
+            n: res.arh for n, res in scan_range(SearchConfig(base=base, lo=1, hi=10**5, kind=ARH))
+        }
+        records = list(scan_range(SearchConfig(base=base, lo=1, hi=10**5, kind=MRH)))
+        assert any(res.arh for _, res in records)
+        for n, res in records:
+            assert res.arh == arh_scan.get(n, ()), n
 
     def test_arh_below_10000(self):
         hits = list(scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=ARH)))
@@ -229,6 +241,11 @@ class TestCountingExperiment:
 
     def test_expressible_example(self):
         assert is_expressible_as_sum_of_reversal(99, 10)  # 18 + 81
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=-3, max_value=10**5), st.integers(min_value=2, max_value=16))
+    def test_expressible_matches_brute_force(self, n, base):
+        assert is_expressible_as_sum_of_reversal(n, base) == is_expressible_brute(n, base)
 
 
 class TestPalindromicSquareSearch:
