@@ -111,7 +111,7 @@ def arh_witnesses(value: int, base: int) -> list[Witness]:
     """All additive multipliers of N = value, ascending, at any size (solve_arh)."""
     products = solve_arh(value, base)[1]  # refuses a bad value or base first
     s = digit_sum_int(value, base)
-    return [_witness(x, s, base) for x in products]
+    return [Witness(m=x // s, x=x, xr=value - x) for x in products]
 
 
 def reversal_pair_sums(value: int, base: int) -> list[tuple[int, list[int]]]:
@@ -180,19 +180,20 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     a_j = x_{k-1-j} of each pair fixes the low one, x_j = p_j - a_j, so
     X = x0 + sum_j a_j*(b^(k-1-j) - b^j).  Here x0 holds the sums p_j at
     the low positions and the middle digit p_mid/2, and a_j ranges over
-    [max(p_j-b+1, 0), min(p_j, b-1)], with a_0 >= 1.  A backward DP over
-    the pairs, mod s = s_b(value), gives for each pair the bitmask of
-    residues from which some choice of the remaining high digits makes
-    s | X, and the number of such choices.  A depth-first walk then
-    tries each high digit in ascending order and enters only reachable
-    residues, so every branch it enters ends in a qualifying X.  It
+    [max(p_j-b+1, 0), min(p_j, b-1)], with a_0 >= 1 (_pair_digits).  A
+    backward DP over the pairs, mod s = s_b(value), gives for each pair
+    the bitmask of residues from which some choice of the remaining high
+    digits makes s | X (_reachable_masks), and a second one the number
+    of such choices (_completions).  A depth-first walk then tries each
+    high digit in ascending order and enters only reachable residues, so
+    every branch it enters ends in a qualifying X (_ascending).  It
     yields exactly the qualifying X of that p, ascending, because X's
     high half decides its order and fixes its low half.  The X for
     k = D(value)-1 all lie below those for k = D(value).
 
     The count comes from the DP alone, so a caller can refuse an
-    oversized output before listing anything.  The DP takes up to
-    k/2 * b rotations of a length-s vector for each p (a pair whose
+    oversized output before listing anything.  Each DP takes up to
+    k/2 * b steps on length-s residue sets for each p (a pair whose
     weight b^(k-1-j) - b^j is 0 mod s only scales the count); the walk
     takes k/2 steps on k-digit ints for each X it yields.
     """
@@ -200,37 +201,76 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     if not pair_sums:
         return 0, iter(())
     s = digit_sum_int(value, base)
-    full = (1 << s) - 1
     count = 0
     streams = []
     for k, p in pair_sums:
-        half = k // 2
-        x0 = p[half] // 2 if k % 2 else 0  # the middle digit, then the low sums
-        for j in reversed(range(half)):
-            x0 = x0 * base + p[j]
-        highs = [range(max(p[j] - base + 1, 1 if j == 0 else 0), min(p[j], base - 1) + 1)
-                 for j in range(half)]
-        mask, ways = 1, [1] + [0] * (s - 1)  # after the last pair: residue 0 only
-        masks = [mask]
-        scale = 1  # true number of completions is scale * ways[r]
-        for j in reversed(range(half)):
-            w = (pow(base, k - 1 - j, s) - pow(base, j, s)) % s
-            if w == 0:  # no choice moves the residue: the pair only multiplies the count
-                scale *= len(highs[j])
-                masks.append(mask)
-                continue
-            next_mask, next_ways = 0, [0] * s
+        x0, highs = _pair_digits(k, p, base)
+        ways = _completions(k, base, highs, s, x0 % s)
+        if ways:
+            count += ways
+            streams.append(_ascending(x0, k, base, highs, _reachable_masks(k, base, highs, s), s))
+    return count, itertools.chain.from_iterable(streams)
+
+
+def pair_sum_products(value: int, base: int, k: int, p: list[int]) -> list[int]:
+    """Ascending X with k digits and pair sums p (so X + X^R = value) and s_b(value) | X.
+
+    The step solve_arh takes for each of its vectors, without the
+    count: range scans meet each vector once, generating it from p
+    rather than from value's digits, and need only the list.
+    """
+    s = digit_sum_int(value, base)
+    x0, highs = _pair_digits(k, p, base)
+    masks = _reachable_masks(k, base, highs, s)
+    if not masks[0] >> (x0 % s) & 1:
+        return []
+    return list(_ascending(x0, k, base, highs, masks, s))
+
+
+def _pair_digits(k: int, p: list[int], base: int) -> tuple[int, list[range]]:
+    """x0 (the low sums and the middle digit) and the range of each pair's high digit."""
+    half = k // 2
+    x0 = p[half] // 2 if k % 2 else 0
+    for j in reversed(range(half)):
+        x0 = x0 * base + p[j]
+    highs = [range(max(p[j] - base + 1, 1 if j == 0 else 0), min(p[j], base - 1) + 1)
+             for j in range(half)]
+    return x0, highs
+
+
+def _reachable_masks(k: int, base: int, highs: list[range], s: int) -> list[int]:
+    """masks[t]: bitmask of the residues mod s from which pairs t.. can reach 0."""
+    full = (1 << s) - 1
+    mask = 1  # after the last pair: residue 0 only
+    masks = [mask]
+    for j in reversed(range(len(highs))):
+        w = (pow(base, k - 1 - j, s) - pow(base, j, s)) % s
+        if w:  # a weight of 0 mod s leaves every residue where it is
+            next_mask = 0
             for a in highs[j]:
                 shift = a * w % s
                 next_mask |= ((mask >> shift) | (mask << (s - shift))) & full
-                next_ways = list(map(add, next_ways, ways[shift:] + ways[:shift]))
-            mask, ways = next_mask, next_ways
-            masks.append(mask)
-        masks.reverse()
-        count += scale * ways[x0 % s]
-        if ways[x0 % s]:
-            streams.append(_ascending(x0, k, base, highs, masks, s))
-    return count, itertools.chain.from_iterable(streams)
+            mask = next_mask
+        masks.append(mask)
+    masks.reverse()
+    return masks
+
+
+def _completions(k: int, base: int, highs: list[range], s: int, r0: int) -> int:
+    """Number of high-digit choices that take residue r0 to 0 mod s."""
+    ways = [1] + [0] * (s - 1)
+    scale = 1  # true number of completions is scale * ways[r]
+    for j in reversed(range(len(highs))):
+        w = (pow(base, k - 1 - j, s) - pow(base, j, s)) % s
+        if w == 0:  # no choice moves the residue: the pair only multiplies the count
+            scale *= len(highs[j])
+            continue
+        next_ways = [0] * s
+        for a in highs[j]:
+            shift = a * w % s
+            next_ways = list(map(add, next_ways, ways[shift:] + ways[:shift]))
+        ways = next_ways
+    return scale * ways[r0]
 
 
 def _ascending(x0: int, k: int, base: int, highs: list[range], masks: list[int], s: int):
@@ -269,11 +309,7 @@ def mrh_witnesses(value: int, base: int) -> list[Witness]:
         for x, other in ((d1, d2), (d2, d1)):
             if x % s == 0 and reverse_int(x, base) == other:
                 hits.add(x)
-    return [_witness(x, s, base) for x in sorted(hits)]
-
-
-def _witness(x: int, s: int, base: int) -> Witness:
-    return Witness(m=x // s, x=x, xr=reverse_int(x, base))
+    return [Witness(m=x // s, x=x, xr=value // x) for x in sorted(hits)]
 
 
 def verify_witness(value: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:
@@ -315,6 +351,8 @@ def build_result(
     """Classification record of N = value from its ascending witness products X.
 
     The one record builder: classify and the range scans both call it.
+    Each X is a witness, so its reversal is value - X (ARH) or
+    value // X (MRH), with no digits to reverse.
     """
     s = digit_sum_int(value, base)
     sq = value * value
@@ -325,8 +363,8 @@ def build_result(
         n=value,
         base=base,
         is_niven=niven,
-        arh=tuple(_witness(x, s, base) for x in arh_products),
-        mrh=tuple(_witness(x, s, base) for x in mrh_products),
+        arh=tuple(Witness(m=x // s, x=x, xr=value - x) for x in arh_products),
+        mrh=tuple(Witness(m=x // s, x=x, xr=value // x) for x in mrh_products),
         quadratic_niven=quad,
         strongly_quadratic_niven=quad and s == sq_sum,
     )

@@ -1,13 +1,15 @@
 """Enumeration engines: range scans, complete per-multiplier sets, the
 non-expressible counting experiment, and the palindromic-square search.
 
-Range scans work forward from the candidate product X rather than
-testing every N: for each X, N = X + X^R (additive) or N = X * X^R
-(multiplicative) and X is a witness product iff s_b(N) | X.  Every
-witness of every N <= hi has X <= hi, so one sweep of the X-space is a
-complete scan of the N-range.  The multiplicative sweep only needs X
-with no trailing zeros (X = Y*b^t reverses to Y^R), which keeps it at
-O(sqrt(hi*b)) candidates.
+Range scans work forward from the witnesses rather than testing every
+N; X is a witness product of N iff s_b(N) | X.  The additive scan
+walks the digit-pair sum vectors p of N = X + X^R (pair_sum_vectors),
+about (2b-1)^(k/2) of them for k-digit X against b^k values of X, and
+lists the X of each p that s_b(N) divides with a residue DP
+(classify.pair_sum_products).  The multiplicative scan sweeps the
+products N = X * X^R: it only needs X with no trailing zeros
+(X = Y*b^t reverses to Y^R), which keeps it at O(sqrt(hi*b))
+candidates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .classify import (
     NIVEN,
     WORD_SIZE_CAP,
     build_result,
+    pair_sum_products,
     reversal_pair_sums,
     solve_arh,
 )
@@ -63,19 +66,51 @@ class SearchConfig:
                 raise ValueError("multiplier_filter makes no sense for a Niven scan")
 
 
-def arh_pairs_chunk(
-    base: int, x_lo: int, x_hi: int, n_lo: int, n_hi: int
-) -> list[tuple[int, int, int]]:
-    """(N, M, X) hits with X in [x_lo, x_hi] and N = X + X^R in [n_lo, n_hi]."""
-    out = []
-    for x in range(max(x_lo, 1), x_hi + 1):
-        n = x + reverse_int(x, base)
-        if n < n_lo or n > n_hi:
-            continue
-        s = digit_sum_int(n, base)
-        if x % s == 0:
-            out.append((n, x // s, x))
-    return out
+def pair_sum_vectors(base: int, lo: int, hi: int):
+    """(N, k, p) for every digit-pair sum vector p whose N lies in [lo, hi], k ascending.
+
+    p is the symmetric vector of a k-digit X with N = X + X^R, as
+    classify.reversal_pair_sums describes it: p_j = p_{k-1-j} in
+    [0, 2b-2], p_0 >= 1, and for odd k an even middle sum (at least 2
+    when k = 1).  Every such p comes from some X, and
+    N = sum_j p_j*(b^j + b^(k-1-j)) over the pairs plus p_mid*b^(k//2).
+    Complete for [lo, hi]: X + X^R = N <= hi means X < N, so
+    k = D(X) <= D(hi), and every k up to D(hi) is walked.  Each N has
+    at most one p for each k.
+
+    The walk fixes the outer pair first.  A pair's loop stops once the
+    partial sum passes hi, since larger values only add to it, and a
+    value is skipped when even the largest sums of the pairs left
+    cannot lift N to lo.
+    """
+    top = 2 * base - 2
+    for k in range(1, digit_count_int(hi, base) + 1):
+        half = k // 2
+        weights = [base**j + base ** (k - 1 - j) for j in range(half)]
+        values = [range(1 if j == 0 else 0, top + 1) for j in range(half)]
+        if k % 2:  # the middle sum is twice a digit
+            weights.append(base**half)
+            values.append(range(2 if k == 1 else 0, top + 1, 2))
+        rest = [0] * (len(weights) + 1)  # rest[i]: the most positions i.. can add
+        for i in reversed(range(len(weights))):
+            rest[i] = rest[i + 1] + top * weights[i]
+        p = [0] * k
+
+        def walk(i: int, partial: int):
+            w, left, last = weights[i], rest[i + 1], i + 1 == len(weights)
+            for v in values[i]:
+                n = partial + v * w
+                if n > hi:
+                    break
+                if n + left < lo:
+                    continue
+                p[i] = p[k - 1 - i] = v
+                if last:
+                    yield n, k, p[:]
+                else:
+                    yield from walk(i + 1, n)
+
+        yield from walk(0, 0)
 
 
 def mrh_y_limit(base: int, hi: int) -> int:
@@ -121,8 +156,10 @@ def _witness_maps(
     if cfg.kind == MRH:
         return None, mrh_map
     arh_map: dict[int, list[int]] = {}
-    for n, _, x in arh_pairs_chunk(cfg.base, 1, cfg.hi - 1, cfg.lo, cfg.hi):
-        arh_map.setdefault(n, []).append(x)  # X ascending
+    for n, k, p in pair_sum_vectors(cfg.base, cfg.lo, cfg.hi):
+        products = pair_sum_products(n, cfg.base, k, p)
+        if products:  # k ascending, and the X of k-1 digits lie below those of k
+            arh_map.setdefault(n, []).extend(products)
     return arh_map, mrh_map
 
 
@@ -138,11 +175,7 @@ def scan_range(cfg: SearchConfig):
     elif cfg.kind == MRH:
         candidates = sorted(mrh_map)
     else:
-        candidates = [
-            n
-            for n in range(cfg.lo, cfg.hi + 1)
-            if n % digit_sum_int(n, cfg.base) == 0
-        ]
+        candidates = _niven_candidates(cfg.base, cfg.lo, cfg.hi)
     for n in candidates:
         if cfg.zero_digit_policy == FORBID and has_zero_digit(n, cfg.base):
             continue
@@ -155,6 +188,21 @@ def scan_range(cfg: SearchConfig):
         else:
             arh = arh_map.get(n, [])
         yield n, build_result(n, cfg.base, arh, mrh_map.get(n, []))
+
+
+def _niven_candidates(base: int, lo: int, hi: int) -> list[int]:
+    """Every n in [lo, hi] with s_b(n) | n, from a table of digit sums.
+
+    T holds the digit sums of 0..B-1 for B = b^m, the first power of b
+    whose square exceeds hi, so s_b(n) = T[n // B] + T[n % B] for every
+    n <= hi.  Prepending each digit d to the numbers of T gives the
+    table one digit longer.
+    """
+    table, size = [0], 1
+    while size * size <= hi:
+        table = [d + t for d in range(base) for t in table]
+        size *= base
+    return [n for n in range(lo, hi + 1) if n % (table[n // size] + table[n % size]) == 0]
 
 
 def numbers_for_multiplier(
@@ -190,10 +238,11 @@ def paper_bound_conflicts(base: int, multiplier: int, kind: str, numbers: list[i
 
 
 def count_not_sum_of_reversal(base: int, k: int) -> int:
-    """Brute count of k-digit base-b integers not expressible as X + X^R.
+    """Count of k-digit base-b integers not expressible as X + X^R.
 
-    Sieve oracle: mark X + X^R for every positive X below b^k; no
-    X >= b^k can land in the k-digit window.
+    The window [b^(k-1), b^k) less the distinct N that the pair-sum
+    vectors place in it (pair_sum_vectors): only X of k-1 or k digits
+    can land there, and each such sum comes from a vector.
     """
     check_base(base)
     if k < 1:
@@ -202,12 +251,8 @@ def count_not_sum_of_reversal(base: int, k: int) -> int:
     window_hi = base**k  # exclusive
     if window_hi > WORD_SIZE_CAP:
         raise ValueError(f"b^k = {window_hi} exceeds word-size cap")
-    marked = bytearray(window_hi - window_lo)
-    for x in range(1, window_hi):
-        t = x + reverse_int(x, base)
-        if window_lo <= t < window_hi:
-            marked[t - window_lo] = 1
-    return (window_hi - window_lo) - sum(marked)
+    sums = {n for n, _, _ in pair_sum_vectors(base, window_lo, window_hi - 1)}
+    return (window_hi - window_lo) - len(sums)
 
 
 def formula_lower_bound(base: int, k: int) -> int:

@@ -1,8 +1,8 @@
-"""Brute-force references for the digit-pair ARH solver.
+"""Brute-force references for the digit-pair ARH solver and the range scans.
 
-Both try every candidate X below N, so they are fit for small N only:
-the tests check classify.solve_arh and reversal_pair_sums against
-them.
+Each tries every candidate X below a bound, so they are fit for small
+inputs only: the tests check classify.solve_arh, reversal_pair_sums,
+the additive range scans and count_not_sum_of_reversal against them.
 """
 
 from rhnumbers.digitvec import digit_sum_int, reverse_int
@@ -21,3 +21,32 @@ def arh_products_brute(value: int, base: int) -> list[int]:
 def is_expressible_brute(n: int, base: int) -> bool:
     """Whether n = X + X^R for some positive X (X < n suffices)."""
     return any(x + reverse_int(x, base) == n for x in range(1, n))
+
+
+def arh_map_sweep(base: int, lo: int, hi: int) -> dict[int, list[int]]:
+    """N -> ascending witness products X, for every b-ARH N in [lo, hi].
+
+    Sweeps every X below hi: a witness X of N <= hi has X < N.
+    """
+    found: dict[int, list[int]] = {}
+    for x in range(1, hi):
+        n = x + reverse_int(x, base)
+        if lo <= n <= hi and x % digit_sum_int(n, base) == 0:
+            found.setdefault(n, []).append(x)
+    return found
+
+
+def count_not_sum_sieve(base: int, k: int) -> int:
+    """Count of k-digit base-b integers not of the form X + X^R.
+
+    Marks X + X^R for every positive X below b^k; no X >= b^k can land
+    in the k-digit window.
+    """
+    window_lo = base ** (k - 1) if k > 1 else 1
+    window_hi = base**k
+    marked = bytearray(window_hi - window_lo)
+    for x in range(1, window_hi):
+        t = x + reverse_int(x, base)
+        if window_lo <= t < window_hi:
+            marked[t - window_lo] = 1
+    return (window_hi - window_lo) - sum(marked)

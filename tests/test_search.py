@@ -1,10 +1,10 @@
 import pytest
-from brute_force import is_expressible_brute
+from brute_force import arh_map_sweep, count_not_sum_sieve, is_expressible_brute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhnumbers.bounds import digit_bound
-from rhnumbers.classify import ARH, MRH, NIVEN, Witness, verify_witness
+from rhnumbers.classify import ARH, MRH, NIVEN, verify_witness
 from rhnumbers.search import (
     ALLOW,
     FORBID,
@@ -72,13 +72,35 @@ class TestScanRange:
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 16])
     def test_mrh_scan_carries_the_arh_lists_of_a_sweep(self, base):
         # An MRH scan solves each hit's ARH list instead of sweeping.
-        arh_scan = {
-            n: res.arh for n, res in scan_range(SearchConfig(base=base, lo=1, hi=10**5, kind=ARH))
-        }
+        sweep = arh_map_sweep(base, 1, 10**5)
         records = list(scan_range(SearchConfig(base=base, lo=1, hi=10**5, kind=MRH)))
         assert any(res.arh for _, res in records)
         for n, res in records:
-            assert res.arh == arh_scan.get(n, ()), n
+            assert [w.x for w in res.arh] == sweep.get(n, []), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=2 * 10**4),
+        st.integers(min_value=1, max_value=2 * 10**4),
+    )
+    def test_arh_and_niven_scans_carry_the_arh_lists_of_a_sweep(self, base, a, b):
+        lo, hi = min(a, b), max(a, b)
+        sweep = arh_map_sweep(base, lo, hi)
+        arh = {n: [w.x for w in res.arh]
+               for n, res in scan_range(SearchConfig(base=base, lo=lo, hi=hi, kind=ARH))}
+        assert arh == sweep
+        niven = list(scan_range(SearchConfig(base=base, lo=lo, hi=hi, kind=NIVEN)))
+        assert [n for n, _ in niven] == [
+            n for n in range(lo, hi + 1) if n % sum(_digits(n, base)) == 0
+        ]
+        for n, res in niven:
+            assert [w.x for w in res.arh] == sweep.get(n, []), n
+
+    def test_arh_base10_below_one_million(self):
+        hits = list(scan_range(SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)))
+        assert len(hits) == 5503
+        assert sum(len(res.arh) for _, res in hits) == 56125
 
     def test_arh_below_10000(self):
         hits = list(scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=ARH)))
@@ -121,11 +143,13 @@ class TestScanRange:
         assert all(res.is_niven for _, res in hits)
 
     def test_emitted_witnesses_reverify(self):
-        for n, res in scan_range(SearchConfig(base=7, lo=1, hi=20000, kind=ARH)):
-            for w in res.arh:
-                assert isinstance(verify_witness(n, res.base, w.m, ARH), Witness)
-            for w in res.mrh:
-                assert isinstance(verify_witness(n, res.base, w.m, MRH), Witness)
+        # Equal Witness values: the records' X^R (N - X, N // X) too.
+        for kind in (ARH, MRH):
+            for n, res in scan_range(SearchConfig(base=7, lo=1, hi=20000, kind=kind)):
+                for w in res.arh:
+                    assert verify_witness(n, res.base, w.m, ARH) == w
+                for w in res.mrh:
+                    assert verify_witness(n, res.base, w.m, MRH) == w
 
     @pytest.mark.parametrize("base", [2, 5, 10])
     def test_scanned_mrh_numbers_are_niven(self, base):
@@ -231,6 +255,11 @@ class TestCountingExperiment:
     @pytest.mark.parametrize("base,k", [(3, 3), (4, 3), (5, 2), (7, 2), (10, 2)])
     def test_inequality_holds(self, base, k):
         assert count_not_sum_of_reversal(base, k) >= formula_lower_bound(base, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(b, k) for b in range(2, 17) for k in range(1, 17) if b**k <= 10**5]))
+    def test_matches_sieve(self, window):
+        assert count_not_sum_of_reversal(*window) == count_not_sum_sieve(*window)
 
     def test_base2_formula_is_zero(self):
         assert formula_lower_bound(2, 5) == 0
