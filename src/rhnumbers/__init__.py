@@ -52,6 +52,7 @@ from .search import (
     numbers_for_multiplier,
     palindromic_square_search,
     paper_bound_conflicts,
+    scan_numbers,
     scan_range,
 )
 from .tables import CountsReport, DiscrepancyReport, reproduce_table, section1_counts
@@ -97,6 +98,7 @@ __all__ = [
     "palindromic_square_search",
     "paper_bound_conflicts",
     "reproduce_table",
+    "scan_numbers",
     "scan_range",
     "section1_counts",
     "verify_family",

@@ -3,7 +3,7 @@
 A number N is b-ARH when N = M*s_b(N) + (M*s_b(N))^R for some positive
 integer M, and b-MRH when N = M*s_b(N) * (M*s_b(N))^R.  The witness
 extractors here are complete per-N enumerations.  arh_witnesses solves
-N = X + X^R from N's digits (solve_arh) and works at any size;
+N = X + X^R from N's digits (arh_products) and works at any size;
 mrh_witnesses tries divisors up to sqrt(N) and is meant for values
 below WORD_SIZE_CAP, which classify therefore inherits.
 verify_witness takes a supplied M instead and works at any magnitude.
@@ -108,10 +108,10 @@ def is_strongly_quadratic_niven(value: int, base: int) -> bool:
 
 
 def arh_witnesses(value: int, base: int) -> list[Witness]:
-    """All additive multipliers of N = value, ascending, at any size (solve_arh)."""
-    products = solve_arh(value, base)[1]  # refuses a bad value or base first
+    """All additive multipliers of N = value, ascending, at any size (arh_products)."""
+    _require_n(value, base)
     s = digit_sum_int(value, base)
-    return [Witness(m=x // s, x=x, xr=value - x) for x in products]
+    return [Witness(m=x // s, x=x, xr=value - x) for x in arh_products(value, base, s)]
 
 
 def reversal_pair_sums(value: int, base: int) -> list[tuple[int, list[int]]]:
@@ -212,19 +212,35 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     return count, itertools.chain.from_iterable(streams)
 
 
-def pair_sum_products(value: int, base: int, k: int, p: list[int]) -> list[int]:
-    """Ascending X with k digits and pair sums p (so X + X^R = value) and s_b(value) | X.
+def arh_products(value: int, base: int, s: int) -> Iterator[int]:
+    """Ascending stream over every X with X + X^R = value and s | X, s = s_b(value).
+
+    solve_arh's stream without its count, for a caller that has s at
+    hand: pair_sum_products on each vector of reversal_pair_sums in turn.
+    """
+    return itertools.chain.from_iterable(
+        products
+        for k, p in reversal_pair_sums(value, base)
+        if (products := pair_sum_products(base, k, p, s)) is not None
+    )
+
+
+def pair_sum_products(base: int, k: int, p: list[int], s: int) -> Iterator[int] | None:
+    """Ascending X with k digits and pair sums p (so X + X^R = N) and s | X, s = s_b(N).
 
     The step solve_arh takes for each of its vectors, without the
     count: range scans meet each vector once, generating it from p
-    rather than from value's digits, and need only the list.
+    rather than from N's digits, and take s from their digit-sum table.
+    None when no such X exists.  The residue masks are exact (a residue
+    is in masks[0] iff some choice of the high digits takes it to 0), so
+    a stream that is returned is never empty, and a caller that only
+    needs to know whether N is b-ARH need not walk it.
     """
-    s = digit_sum_int(value, base)
     x0, highs = _pair_digits(k, p, base)
     masks = _reachable_masks(k, base, highs, s)
     if not masks[0] >> (x0 % s) & 1:
-        return []
-    return list(_ascending(x0, k, base, highs, masks, s))
+        return None
+    return _ascending(x0, k, base, highs, masks, s)
 
 
 def _pair_digits(k: int, p: list[int], base: int) -> tuple[int, list[range]]:
@@ -342,23 +358,22 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 def classify(value: int, base: int) -> ClassifyResult:
     """Full classification record of N = value: Niven flags plus both witness lists."""
     mrh = [w.x for w in mrh_witnesses(value, base)]  # first: it refuses values above the cap
-    return build_result(value, base, list(solve_arh(value, base)[1]), mrh)
+    s, sq_sum = digit_sum_int(value, base), digit_sum_int(value * value, base)
+    return build_result(value, base, s, sq_sum, list(arh_products(value, base, s)), mrh)
 
 
 def build_result(
-    value: int, base: int, arh_products: list[int], mrh_products: list[int]
+    value: int, base: int, s: int, sq_sum: int, arh_products: list[int], mrh_products: list[int]
 ) -> ClassifyResult:
     """Classification record of N = value from its ascending witness products X.
 
-    The one record builder: classify and the range scans both call it.
-    Each X is a witness, so its reversal is value - X (ARH) or
-    value // X (MRH), with no digits to reverse.
+    The one record builder: classify and the range scans both call it,
+    each with the digit sums s = s_b(N) and sq_sum = s_b(N^2) it took
+    its own way.  Each X is a witness, so its reversal is value - X
+    (ARH) or value // X (MRH), with no digits to reverse.
     """
-    s = digit_sum_int(value, base)
-    sq = value * value
-    sq_sum = digit_sum_int(sq, base)
     niven = value % s == 0
-    quad = niven and sq % sq_sum == 0
+    quad = niven and value * value % sq_sum == 0
     return ClassifyResult(
         n=value,
         base=base,

@@ -36,6 +36,7 @@ from .search import (
     numbers_for_multiplier,
     palindromic_square_search,
     paper_bound_conflicts,
+    scan_numbers,
     scan_range,
 )
 from .tables import reproduce_all_tables, reproduce_table, section1_counts
@@ -133,7 +134,48 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_json(obj, out) -> None:
-    print(json.dumps(obj, indent=2), file=out)
+    print(_json_text(obj), file=out)
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), for the types the CLI prints.
+
+    json.dumps takes its pure-Python encoder whenever it indents, so the
+    reports would spend more time rendering than computing.  This gives
+    the same text for dicts with str keys, lists, tuples, str, int, bool
+    and None, each container joined from its items' text; the CLI prints
+    nothing else, and anything else raises TypeError.  Ints go through
+    int.__repr__, as in json.dumps, so an int past the int-to-str digit
+    limit raises the same ValueError.
+    newline is the line break and indent of obj's own level.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _json_string(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is True or obj is False or obj is None:
+        return _JSON_CONSTANTS[obj]
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON key {key!r} is not a str")
+            items.append(_json_string(key) + ": " + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"{kind.__name__} has no JSON text here")
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+_json_string = json.encoder.encode_basestring_ascii
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -204,6 +246,9 @@ def _dispatch(args, out, err) -> int:
             zero_digit_policy=FORBID if args.no_zero_digits else ALLOW,
             multiplier_filter=args.multiplier,
         )
+        if args.format == "bfile":
+            print(bfile_text(scan_numbers(cfg)), end="", file=out)
+            return 0
         results = list(scan_range(cfg))
         if args.format == "json":
             _print_json(
@@ -214,11 +259,9 @@ def _dispatch(args, out, err) -> int:
                 },
                 out,
             )
-        elif args.format == "csv":
+        else:
             rows = _classify_rows(res for _, res in results)
             print(_csv_text(_CLASSIFY_HEADER, rows), end="", file=out)
-        else:
-            print(bfile_text(n for n, _ in results), end="", file=out)
         return 0
 
     if args.command == "multiplier":

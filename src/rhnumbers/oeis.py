@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .classify import ARH, MRH
-from .search import SearchConfig, scan_range
+from .search import SearchConfig, scan_numbers
 
 SEQ_ARH = "A305130"
 SEQ_MRH = "A305131"
@@ -40,7 +40,7 @@ def first_terms(seq: str, count: int) -> list[int]:
     hi = _SCAN_START
     while True:
         cfg = SearchConfig(base=10, lo=1, hi=hi, kind=kind)
-        terms = [n for n, _ in scan_range(cfg)]
+        terms = list(scan_numbers(cfg))
         if len(terms) >= count:
             return terms[:count]
         if hi >= _SCAN_LIMIT:

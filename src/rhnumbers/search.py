@@ -5,11 +5,18 @@ Range scans work forward from the witnesses rather than testing every
 N; X is a witness product of N iff s_b(N) | X.  The additive scan
 walks the digit-pair sum vectors p of N = X + X^R (pair_sum_vectors),
 about (2b-1)^(k/2) of them for k-digit X against b^k values of X, and
-lists the X of each p that s_b(N) divides with a residue DP
+tests each p's X for s_b(N) | X with a residue DP
 (classify.pair_sum_products).  The multiplicative scan sweeps the
 products N = X * X^R: it only needs X with no trailing zeros
 (X = Y*b^t reverses to Y^R), which keeps it at O(sqrt(hi*b))
-candidates.
+candidates.  A Niven scan tests every N.
+
+One engine (_hits) serves two views.  scan_numbers yields N alone, for
+b-files: it lists no witness, since the DP's exact masks already say
+whether a vector has one, and a Niven scan walks no vectors.
+scan_range yields a record per hit, listing the witnesses of the
+vectors it prints (for a Niven scan, only those whose N is Niven).
+Both take every digit sum from one DigitSums table.
 """
 
 from __future__ import annotations
@@ -23,10 +30,12 @@ from .classify import (
     MRH,
     NIVEN,
     WORD_SIZE_CAP,
+    Witness,
+    arh_products,
     build_result,
+    check_witness,
     pair_sum_products,
     reversal_pair_sums,
-    solve_arh,
 )
 from .digitvec import (
     check_base,
@@ -113,6 +122,54 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
         yield from walk(0, 0)
 
 
+class DigitSums:
+    """s_b(n) and s_b(n^2) from one table of digit sums, for the n of a scan up to hi.
+
+    The table T holds the digit sums of 0..B-1 for B = b^m, the first
+    power of b whose square exceeds hi, so s_b(n) = T[n // B] + T[n % B]
+    for every n <= hi, and since n^2 < B^4, one more split by B^2 gives
+    s_b(n^2) from four lookups.  T starts at one digit (B = b, kept as a
+    range, so any base >= 2 costs nothing), and prepending each digit d
+    to the numbers of T gives the table one digit longer.  T stops
+    growing at _TABLE_CAP entries, so that a narrow window far out
+    (--min 10**14) does not build a table of b*sqrt(hi) entries; past
+    B^2, s_b(n) = T[n % B] + s_b(n // B) takes one split more for each
+    further m digits, and B >= 2 makes that recursion end.  A range
+    scan builds one and takes every digit sum from it.
+    """
+
+    __slots__ = ("table", "size")
+
+    def __init__(self, base: int, hi: int):
+        table, size = range(base), base  # one digit: s_b(d) = d, at no cost for any base
+        while size * size <= hi and size * base <= _TABLE_CAP:
+            table = [d + t for d in range(base) for t in table]
+            size *= base
+        self.table, self.size = table, size
+
+    def __call__(self, n: int) -> int:
+        high, low = divmod(n, self.size)
+        return self.table[low] + (self.table[high] if high < self.size else self(high))
+
+    def of_square(self, n: int) -> int:
+        high, low = divmod(n * n, self.size * self.size)
+        return self(high) + self(low)
+
+    def niven(self, lo: int, hi: int) -> list[int]:
+        """Every n in [lo, hi] with s_b(n) | n, a block of the n that share n // B at a time."""
+        t, size = self.table, self.size
+        out = []
+        for high in range(lo // size, hi // size + 1):
+            start, s = high * size, self(high)
+            first, last = max(lo - start, 0), min(hi - start, size - 1)
+            numbers = range(start + first, start + last + 1)
+            out += [n for n, low in zip(numbers, t[first:last + 1]) if n % (s + low) == 0]
+        return out
+
+
+_TABLE_CAP = 2**20  # entries of a DigitSums table: 8 MB of list
+
+
 def mrh_y_limit(base: int, hi: int) -> int:
     """Upper bound on the zero-trailing-free part Y of any witness X."""
     # rev(Y) > Y/b for Y >= 1, so N >= Y*rev(Y) > Y^2/b.
@@ -120,7 +177,7 @@ def mrh_y_limit(base: int, hi: int) -> int:
 
 
 def mrh_pairs_chunk(
-    base: int, y_lo: int, y_hi: int, n_lo: int, n_hi: int
+    base: int, y_lo: int, y_hi: int, n_lo: int, n_hi: int, sums: DigitSums
 ) -> list[tuple[int, int, int]]:
     """(N, M, X) hits with X = Y*b^t, Y in [y_lo, y_hi] trailing-zero-free."""
     out = []
@@ -130,7 +187,7 @@ def mrh_pairs_chunk(
         p = y * reverse_int(y, base)
         if p > n_hi:
             continue
-        s = digit_sum_int(p, base)  # appending zeros to X leaves s_b(N) fixed
+        s = sums(p)  # appending zeros to X leaves s_b(N) fixed
         n, x = p, y
         while n <= n_hi:
             if n >= n_lo and x % s == 0:
@@ -140,27 +197,68 @@ def mrh_pairs_chunk(
     return out
 
 
-def _witness_maps(
-    cfg: SearchConfig,
-) -> tuple[dict[int, list[int]] | None, dict[int, list[int]]]:
-    """Complete ascending witness-product lists for every N in range.
+def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
+    """Ascending (N, s_b(N), ARH products, MRH products) for every hit of cfg.kind.
 
-    The ARH map is None for an MRH scan: it solves the ARH witnesses of
-    its few hits instead of sweeping all X <= hi for them.
+    With records set, both product lists are the complete ascending
+    witness lists of N; without, they are empty and only the work that
+    decides membership is done.  X is a witness product of N iff
+    s_b(N) | X, so an ARH scan keeps a pair-sum vector whose masks admit
+    some X (pair_sum_products) and lists its X only for a record, and a
+    Niven scan lists only the vectors whose N is Niven.  The ARH lists
+    of an MRH scan's few hits are solved from their own digits.  The
+    multiplier filter checks X = M*s_b(N) directly: with the witness
+    lists complete, that is the same as finding it in N's list.
     """
+    base, kind = cfg.base, cfg.kind
     mrh_map: dict[int, list[int]] = {}
-    for n, _, x in mrh_pairs_chunk(cfg.base, 1, mrh_y_limit(cfg.base, cfg.hi), cfg.lo, cfg.hi):
-        mrh_map.setdefault(n, []).append(x)
-    for products in mrh_map.values():
-        products.sort()  # Y ascending does not order X = Y*b^t
-    if cfg.kind == MRH:
-        return None, mrh_map
+    if records or kind == MRH:
+        for n, _, x in mrh_pairs_chunk(base, 1, mrh_y_limit(base, cfg.hi), cfg.lo, cfg.hi, sums):
+            mrh_map.setdefault(n, []).append(x)
+        for products in mrh_map.values():
+            products.sort()  # Y ascending does not order X = Y*b^t
     arh_map: dict[int, list[int]] = {}
-    for n, k, p in pair_sum_vectors(cfg.base, cfg.lo, cfg.hi):
-        products = pair_sum_products(n, cfg.base, k, p)
-        if products:  # k ascending, and the X of k-1 digits lie below those of k
-            arh_map.setdefault(n, []).extend(products)
-    return arh_map, mrh_map
+    if kind == ARH or (kind == NIVEN and records):
+        for n, k, p in pair_sum_vectors(base, cfg.lo, cfg.hi):
+            s = sums(n)
+            if kind == NIVEN and n % s:
+                continue
+            products = pair_sum_products(base, k, p, s)
+            if products is not None:
+                found = arh_map.setdefault(n, [])
+                if records:  # k ascending, and the X of k-1 digits lie below those of k
+                    found.extend(products)
+    if kind == ARH:
+        candidates = sorted(arh_map)
+    elif kind == MRH:
+        candidates = sorted(mrh_map)
+    else:
+        candidates = sums.niven(cfg.lo, cfg.hi)
+    for n in candidates:
+        if cfg.zero_digit_policy == FORBID and has_zero_digit(n, base):
+            continue
+        s = sums(n)
+        if cfg.multiplier_filter is not None and not isinstance(
+            check_witness(n, s, base, cfg.multiplier_filter, kind), Witness
+        ):
+            continue
+        if not records:
+            yield n, s, [], []
+        elif kind == MRH:
+            yield n, s, list(arh_products(n, base, s)), mrh_map[n]
+        else:
+            yield n, s, arh_map.get(n, []), mrh_map.get(n, [])
+
+
+def scan_numbers(cfg: SearchConfig):
+    """Ascending stream of every hit N of cfg.kind: scan_range without the records.
+
+    It lists no witness: an ARH scan only tests each pair-sum vector's
+    masks, a Niven scan reads the digit-sum table alone, and an MRH
+    scan sweeps its products without solving their ARH lists.
+    """
+    for n, _, _, _ in _hits(cfg, DigitSums(cfg.base, cfg.hi), records=False):
+        yield n
 
 
 def scan_range(cfg: SearchConfig):
@@ -169,40 +267,9 @@ def scan_range(cfg: SearchConfig):
     Each emitted record carries the complete witness lists of both
     kinds for that N.
     """
-    arh_map, mrh_map = _witness_maps(cfg)
-    if cfg.kind == ARH:
-        candidates = sorted(arh_map)
-    elif cfg.kind == MRH:
-        candidates = sorted(mrh_map)
-    else:
-        candidates = _niven_candidates(cfg.base, cfg.lo, cfg.hi)
-    for n in candidates:
-        if cfg.zero_digit_policy == FORBID and has_zero_digit(n, cfg.base):
-            continue
-        if cfg.multiplier_filter is not None:
-            key = arh_map if cfg.kind == ARH else mrh_map
-            if cfg.multiplier_filter * digit_sum_int(n, cfg.base) not in key.get(n, []):
-                continue
-        if arh_map is None:
-            arh = list(solve_arh(n, cfg.base)[1])
-        else:
-            arh = arh_map.get(n, [])
-        yield n, build_result(n, cfg.base, arh, mrh_map.get(n, []))
-
-
-def _niven_candidates(base: int, lo: int, hi: int) -> list[int]:
-    """Every n in [lo, hi] with s_b(n) | n, from a table of digit sums.
-
-    T holds the digit sums of 0..B-1 for B = b^m, the first power of b
-    whose square exceeds hi, so s_b(n) = T[n // B] + T[n % B] for every
-    n <= hi.  Prepending each digit d to the numbers of T gives the
-    table one digit longer.
-    """
-    table, size = [0], 1
-    while size * size <= hi:
-        table = [d + t for d in range(base) for t in table]
-        size *= base
-    return [n for n in range(lo, hi + 1) if n % (table[n // size] + table[n % size]) == 0]
+    sums = DigitSums(cfg.base, cfg.hi)
+    for n, s, arh, mrh in _hits(cfg, sums, records=True):
+        yield n, build_result(n, cfg.base, s, sums.of_square(n), arh, mrh)
 
 
 def numbers_for_multiplier(
@@ -275,7 +342,12 @@ def palindromic_square_search(limit: int, base: int = 10) -> list[tuple[int, int
     """All palindromic N <= limit with s_b(N^2) | N and N^2 zero-digit-free.
 
     Each (N, N^2, s_b(N^2)) in the result makes N^2 a zero-free b-MRH
-    number with multiplier N / s_b(N^2), since N^R = N.
+    number with multiplier N / s_b(N^2), since N^R = N.  The
+    palindromes are built from their first halves, at most about
+    2*sqrt(b*limit) of them: an L-digit palindrome is its first
+    h = ceil(L/2) digits followed by the reversal of its first L - h
+    digits.  Lengths go up and, within a length, the first halves, which
+    orders the palindromes ascending.
     """
     check_base(base)
     if limit < 1:
@@ -283,13 +355,17 @@ def palindromic_square_search(limit: int, base: int = 10) -> list[tuple[int, int
     if limit * limit > WORD_SIZE_CAP:
         raise ValueError("limit^2 exceeds word-size cap")
     out = []
-    for n in range(1, limit + 1):
-        if reverse_int(n, base) != n:
-            continue
-        sq = n * n
-        if has_zero_digit(sq, base):
-            continue
-        s = digit_sum_int(sq, base)
-        if n % s == 0:
-            out.append((n, sq, s))
+    for length in range(1, digit_count_int(limit, base) + 1):
+        h = (length + 1) // 2
+        shift, odd = base ** (length - h), length % 2
+        for half in range(base ** (h - 1), base**h):
+            n = half * shift + reverse_int(half // base if odd else half, base)
+            if n > limit:
+                break
+            sq = n * n
+            if has_zero_digit(sq, base):
+                continue
+            s = digit_sum_int(sq, base)
+            if n % s == 0:
+                out.append((n, sq, s))
     return out

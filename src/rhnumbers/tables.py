@@ -24,10 +24,12 @@ from .classify import ARH, MRH, VerifyFailure, verify_witness
 from .digitvec import digit_count_int, has_zero_digit, reverse_int
 from .search import (
     FORBID,
+    DigitSums,
     SearchConfig,
     mrh_pairs_chunk,
     mrh_y_limit,
     numbers_for_multiplier,
+    scan_numbers,
     scan_range,
 )
 
@@ -230,7 +232,7 @@ def _zero_free_mrh_by_digit_count(max_digits: int) -> dict[tuple[int, int], list
     """Complete (digit_count, multiplier) -> numbers map for zero-free base-10 MRH."""
     hi = 10**max_digits - 1
     groups: dict[tuple[int, int], list[int]] = {}
-    for n, m, _x in mrh_pairs_chunk(10, 1, mrh_y_limit(10, hi), 1, hi):
+    for n, m, _x in mrh_pairs_chunk(10, 1, mrh_y_limit(10, hi), 1, hi, DigitSums(10, hi)):
         if not has_zero_digit(n, 10):
             groups.setdefault((digit_count_int(n, 10), m), []).append(n)
     for ns in groups.values():
@@ -324,7 +326,7 @@ def section1_counts() -> CountsReport:
     The scan is literal; when a count disagrees, the composition fields
     and notes attribute the gap instead of hiding it.
     """
-    arh_hits = [n for n, _ in scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=ARH))]
+    arh_hits = list(scan_numbers(SearchConfig(base=10, lo=1, hi=9999, kind=ARH)))
     mrh_results = list(scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=MRH)))
     mrh_hits = [n for n, _ in mrh_results]
     self_only = tuple(
@@ -334,9 +336,7 @@ def section1_counts() -> CountsReport:
     )
     notes = []
     if len(mrh_hits) != MRH_EXPECTED_BELOW_10000:
-        inclusive = sum(
-            1 for _ in scan_range(SearchConfig(base=10, lo=1, hi=10000, kind=MRH))
-        )
+        inclusive = len(list(scan_numbers(SearchConfig(base=10, lo=1, hi=10000, kind=MRH))))
         notes.append(
             f"literal scan of [1, 9999] finds {len(mrh_hits)} MRH numbers; "
             f"[1, 10000] inclusive finds {inclusive} "

@@ -1,11 +1,12 @@
-"""Brute-force references for the digit-pair ARH solver and the range scans.
+"""Brute-force references for the digit-pair ARH solver, the range scans and palsquare.
 
-Each tries every candidate X below a bound, so they are fit for small
+Each tries every candidate below a bound, so they are fit for small
 inputs only: the tests check classify.solve_arh, reversal_pair_sums,
-the additive range scans and count_not_sum_of_reversal against them.
+the additive range scans, count_not_sum_of_reversal and
+palindromic_square_search against them.
 """
 
-from rhnumbers.digitvec import digit_sum_int, reverse_int
+from rhnumbers.digitvec import digit_sum_int, has_zero_digit, reverse_int
 
 
 def arh_products_brute(value: int, base: int) -> list[int]:
@@ -50,3 +51,21 @@ def count_not_sum_sieve(base: int, k: int) -> int:
         if window_lo <= t < window_hi:
             marked[t - window_lo] = 1
     return (window_hi - window_lo) - sum(marked)
+
+
+def palindromic_square_brute(limit: int, base: int) -> list[tuple[int, int, int]]:
+    """(N, N^2, s_b(N^2)) for every palindromic N <= limit with s_b(N^2) | N, N^2 zero-free.
+
+    Reverses every n <= limit to find the palindromes.
+    """
+    out = []
+    for n in range(1, limit + 1):
+        if reverse_int(n, base) != n:
+            continue
+        sq = n * n
+        if has_zero_digit(sq, base):
+            continue
+        s = digit_sum_int(sq, base)
+        if n % s == 0:
+            out.append((n, sq, s))
+    return out

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rhnumbers
 from rhnumbers import cli, search
@@ -304,3 +306,52 @@ def test_closed_stdout_ends_quietly():
         proc.stderr.close()
     assert err == b""
     assert code != 1
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()  # any code point: non-ASCII, surrogates and control characters
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _nested(depth: int, leaf):
+    for i in range(depth):
+        leaf = [leaf] if i % 2 else {"k": leaf}
+    return leaf
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_same_text_as_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{}, [], (), "", {"": []}, [{}, [], ""], _nested(60, 7), _nested(61, {}), 10**4000,
+         "\x00\x1f\u00e9\u2028\ud800\U0001f600\"\\"],
+    )
+    def test_edge_cases(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [1.5, {1: "int key"}, [float("nan")], {"k": {2, 3}}])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+
+    def test_int_past_the_digit_limit_raises_as_json_dumps_does(self):
+        big = 10**5000
+        with pytest.raises(ValueError) as dumps_error:
+            json.dumps({"value": big}, indent=2)
+        with pytest.raises(ValueError) as text_error:
+            cli._json_text({"value": big})
+        assert str(text_error.value) == str(dumps_error.value)

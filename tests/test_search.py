@@ -1,13 +1,21 @@
 import pytest
-from brute_force import arh_map_sweep, count_not_sum_sieve, is_expressible_brute
+from brute_force import (
+    arh_map_sweep,
+    count_not_sum_sieve,
+    is_expressible_brute,
+    palindromic_square_brute,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhnumbers import search
 from rhnumbers.bounds import digit_bound
-from rhnumbers.classify import ARH, MRH, NIVEN, verify_witness
+from rhnumbers.classify import ARH, MRH, NIVEN, classify, verify_witness
+from rhnumbers.digitvec import digit_sum_int
 from rhnumbers.search import (
     ALLOW,
     FORBID,
+    DigitSums,
     SearchConfig,
     count_not_sum_of_reversal,
     formula_lower_bound,
@@ -15,6 +23,7 @@ from rhnumbers.search import (
     numbers_for_multiplier,
     palindromic_square_search,
     paper_bound_conflicts,
+    scan_numbers,
     scan_range,
 )
 
@@ -182,6 +191,95 @@ class TestScanRange:
                 assert n not in scanned
 
 
+class TestScanNumbers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([ARH, MRH, NIVEN]),
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=3000),
+        st.sampled_from([ALLOW, FORBID]),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    def test_numbers_are_the_records_numbers(self, kind, base, a, b, policy, m):
+        # scan_numbers decides membership without listing witnesses
+        # (masks only, no pair-sum vectors for Niven); scan_range lists
+        # them, for a Niven scan only on the vectors whose N is Niven.
+        m = None if kind == NIVEN else m
+        cfg = SearchConfig(base=base, lo=min(a, b), hi=max(a, b), kind=kind,
+                           zero_digit_policy=policy, multiplier_filter=m)
+        records = list(scan_range(cfg))
+        assert list(scan_numbers(cfg)) == [n for n, _ in records]
+        for n, res in records:
+            assert res == classify(n, base), (n, base)
+
+    def test_arh_numbers_below_one_million(self):
+        cfg = SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)
+        assert len(list(scan_numbers(cfg))) == 5503
+
+
+class TestDigitSums:
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 16])
+    @pytest.mark.parametrize("hi", [1, 2, 99, 100, 3000, 10**6, 3 * 10**7])
+    def test_sums_at_the_table_edges(self, base, hi):
+        sums = DigitSums(base, hi)
+        size = sums.size
+        assert len(sums.table) == size and size * size > hi >= (size // base) ** 2
+        # B^2 - 1 is the largest n the table splits, and its square
+        # B^4 - 2B^2 + 1 the largest square: both halves sit at the top.
+        edges = {0, 1, hi - 1, hi, size - 1, size, size * size - 2, size * size - 1}
+        for n in edges:
+            assert sums(n) == digit_sum_int(n, base), n
+            assert sums.of_square(n) == digit_sum_int(n * n, base), n
+
+    @pytest.mark.parametrize("base", [2, 10, 16])
+    def test_a_capped_table_splits_again(self, base):
+        # Far past the cap, B^2 <= hi: the high part splits again.
+        hi = 10**30
+        sums = DigitSums(base, hi)
+        assert len(sums.table) <= search._TABLE_CAP < len(sums.table) * base
+        for n in (hi, hi - 1, sums.size**2, sums.size**2 - 1, sums.size**5 + 3, 10**15 + 7):
+            assert sums(n) == digit_sum_int(n, base), n
+            assert sums.of_square(n) == digit_sum_int(n * n, base), n
+        lo = 10**15
+        assert sums.niven(lo, lo + 500) == [
+            n for n in range(lo, lo + 501) if n % digit_sum_int(n, base) == 0
+        ]
+
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    @pytest.mark.parametrize("base", [2, 7, 10])
+    @pytest.mark.parametrize("cap", ["base", 1])
+    def test_scans_agree_at_any_cap(self, monkeypatch, kind, base, cap):
+        # A cap of b entries splits every digit off on its own, and so
+        # does a cap below b: the table always holds the one-digit sums.
+        cfg = SearchConfig(base=base, lo=37, hi=5000, kind=kind)
+        records = list(scan_range(cfg))
+        monkeypatch.setattr(search, "_TABLE_CAP", base if cap == "base" else cap)
+        assert DigitSums(base, 5000).size == base
+        assert list(scan_range(cfg)) == records
+        assert list(scan_numbers(cfg)) == [n for n, _ in records]
+
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    def test_a_base_past_the_cap(self, kind):
+        base = 2 * search._TABLE_CAP + 1
+        sums = DigitSums(base, 30)
+        assert sums.size == base
+        for n in (1, base - 1, base, base**2 - 1, base**2 + base, base**3 + 5):
+            assert sums(n) == digit_sum_int(n, base), n
+            assert sums.of_square(n) == digit_sum_int(n * n, base), n
+        cfg = SearchConfig(base=base, lo=1, hi=30, kind=kind)
+        full = [classify(n, base) for n in range(1, 31)]
+        member = {ARH: lambda res: res.arh, MRH: lambda res: res.mrh, NIVEN: lambda res: res.is_niven}
+        hits = [(res.n, res) for res in full if member[kind](res)]
+        assert list(scan_range(cfg)) == hits
+        assert list(scan_numbers(cfg)) == [n for n, _ in hits]
+        if kind != MRH:  # across the first power of b; an MRH scan sweeps sqrt(hi*b) Y
+            lo, hi = base - 6, base + 6
+            wanted = [n for n in range(lo, hi + 1)
+                      if {ARH: classify(n, base).arh, NIVEN: n % digit_sum_int(n, base) == 0}[kind]]
+            assert list(scan_numbers(SearchConfig(base=base, lo=lo, hi=hi, kind=kind))) == wanted
+
+
 class TestNumbersForMultiplier:
     def test_arh_7_zero_free(self):
         assert numbers_for_multiplier(10, 7, ARH, FORBID) == [747]
@@ -302,3 +400,8 @@ class TestPalindromicSquareSearch:
             assert n % s == 0
             assert "0" not in str(sq)
             assert n // s in [w.m for w in mrh_witnesses(sq, 10)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=2, max_value=16), st.integers(min_value=1, max_value=5000))
+    def test_matches_the_reversal_loop(self, base, limit):
+        assert palindromic_square_search(limit, base) == palindromic_square_brute(limit, base)
