@@ -9,11 +9,16 @@ build their members this way.  Digits are text in two places only: the
 `classify --digits` input (parse_digits) and the family JSON
 (render_digits), juxtaposed for b <= 10 and comma-separated above.
 Rendering takes digits by divmod, never by str(int), so digit text has
-no int-to-str digit limit.
+no int-to-str digit limit.  It takes them c at a time, as the base-b^c
+digits of the value, and looks each chunk's text up in a table of the
+b^c chunk texts (_chunk_texts, at most _CHUNK_TABLE_CAP entries, cached
+per base, so at most 255 tables; a base above the cap builds none and
+renders digit by digit).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import log2
 from typing import Iterable
 
@@ -23,6 +28,17 @@ from typing import Iterable
 # only what its few big products and divisions cost.  Below it the loop
 # is the faster, so the engines' word-size ints never leave it.
 _SPLIT_DIGITS = 64
+# Bit length above which reverse_int reverses by digits_int and
+# _join_digits instead of its per-digit loop.  The loop divides all of x
+# once per digit; the split wins from about 1,000 to 1,500 bits in bases
+# 2 to 2^16, and at 2,048 bits it was the faster in every base measured
+# (2-core VM, CPython 3.11), provided x has more than _SPLIT_DIGITS
+# digits, below which digits_int takes one digit at a time as well.
+_REVERSE_SPLIT_BITS = 2048
+# Most entries in one base's table of chunk texts: 2^8 keeps each table
+# a few kilobytes, while 4096-entry tables added 3.4 MB of peak RSS to
+# the classify-verify benchmark workload, which renders in fifteen bases.
+_CHUNK_TABLE_CAP = 1 << 8
 
 
 def check_base(base: int) -> int:
@@ -65,8 +81,34 @@ def render_digits(value: int, base: int) -> str:
     check_base(base)
     if value < 0:
         raise ValueError(f"negative value {value} has no digits")
-    digits = digits_int(value, base) or [0]
-    return ("" if base <= 10 else ",").join([str(d) for d in reversed(digits)])
+    sep = "" if base <= 10 else ","
+    if base > _CHUNK_TABLE_CAP:
+        return sep.join([str(d) for d in reversed(digits_int(value, base) or [0])])
+    size, texts, heads = _chunk_texts(base)
+    chunks = digits_int(value, size) or [0]  # least significant first
+    top = chunks.pop()
+    return sep.join([heads[top], *[texts[c] for c in reversed(chunks)]])
+
+
+@lru_cache(maxsize=None)
+def _chunk_texts(base: int) -> tuple[int, list[str], list[str]]:
+    """(B, texts, heads) for a base within _CHUNK_TABLE_CAP.
+
+    B = b^c is the largest power of b within the cap (c >= 1).  For
+    n < B, texts[n] is the text of n's c base-b digits with leading
+    zeros, as a chunk inside a value reads, and heads[n] that of its
+    digits without them, as a value's leading chunk reads.  Appending
+    each digit d to the table's texts gives the table one digit longer,
+    as DigitSums grows its digit sums.
+    """
+    sep = "" if base <= 10 else ","
+    digits = [str(d) for d in range(base)]
+    texts, heads, size = digits, digits, base
+    while size * base <= _CHUNK_TABLE_CAP:
+        texts = [t + sep + d for t in texts for d in digits]
+        heads = digits + [h + sep + d for h in heads[1:] for d in digits]
+        size *= base
+    return size, texts, heads
 
 
 # -- plain-int digit helpers (search engine workhorses) ---------------
@@ -74,6 +116,8 @@ def render_digits(value: int, base: int) -> str:
 
 def reverse_int(x: int, base: int) -> int:
     """Value of x's base-b digits reversed; trailing zeros of x vanish."""
+    if x.bit_length() > _REVERSE_SPLIT_BITS and x >= base**_SPLIT_DIGITS:
+        return _join_digits(digits_int(x, base), base)  # least significant first: reversed
     r = 0
     while x:
         x, d = divmod(x, base)

@@ -2,12 +2,18 @@
 
 Each generator builds its family member as an int from the digit
 pattern the paper defines it by, predicts (as ints) the multiplier set
-the corresponding theorem describes, and attaches named claims.
-verify_family recomputes every claim from those ints with exact
-arithmetic; a failing claim is data, not a crash: construction
-guarantees that fail are IMPLEMENTATION-BUG, printed-source assertions
-that recompute false are CONFLICT-WITH-PAPER, and claims with no
-expected value are INFO.  Digit text is rendered only for output.
+the corresponding theorem describes, and attaches named claims.  The
+all-ones and alternating sets are built by pair steps: each free digit
+and its complement sit at mirrored positions, so a choice adds one
+step b^hi - b^lo times the digit to a start value (_pair_steps), and
+no member is built from its digits.  verify_family recomputes every
+claim from those ints with exact arithmetic; a failing claim is data,
+not a crash: construction guarantees that fail are IMPLEMENTATION-BUG,
+printed-source assertions that recompute false are
+CONFLICT-WITH-PAPER, and claims with no expected value are INFO.  One
+listing of the digit-pair solver's multipliers for N serves both
+claims about an additive multiplier set.  Digit text is rendered only
+for output.
 """
 
 from __future__ import annotations
@@ -159,6 +165,17 @@ def gen_repunit12(k: int) -> FamilyInstance:
     )
 
 
+def _materializable(radix: int, half: int) -> bool:
+    """radix^half <= MAX_MULTIPLIER_SET, without building radix^half for a large half.
+
+    At b = 34, p = 6, half is 7.7*10^8, and 33^half (3.9*10^9 bits)
+    would take hours to build only to be refused.
+    """
+    if radix > 1 and half >= MAX_MULTIPLIER_SET.bit_length():
+        return False
+    return radix**half <= MAX_MULTIPLIER_SET
+
+
 def _all_ones_params(base: int, p: int) -> int:
     _require(base % 2 == 0, "b even", f"base must be even, got {base}")
     _require(p >= 1, "p >= 1", f"p must be >= 1, got {p}")
@@ -172,16 +189,15 @@ def gen_all_ones(base: int, p: int) -> FamilyInstance:
     _require(k >= 2 * p, "k >= 2p", f"k = b^p = {k} must be >= 2p = {2 * p}")
     half = (k - 2 * p) // 2
     _require(
-        1 << half <= MAX_MULTIPLIER_SET,
+        _materializable(2, half),
         "multiplier set materializable",
         f"2^{half} multipliers exceed the materialization limit",
     )
     number = from_digits([1] * k, base)
-    prefix = [1] * p
-    multipliers = []
-    for bits in itertools.product((0, 1), repeat=half):
-        inner = list(bits) + [1 - b for b in reversed(bits)]
-        multipliers.append(from_digits(prefix + inner, base))
+    # M = [(1)^p c_0 .. c_{h-1} (1-c_{h-1}) .. (1-c_0)]_b: bit c_i sits at
+    # b^(2h-1-i) and its complement at b^i.
+    start = from_digits([1] * p + [0] * half + [1] * half, base)
+    steps = [(range(2), base ** (2 * half - 1 - i) - base**i) for i in range(half)]
     claims = [
         Claim("multipliers_verify", CONSTRUCTION, True),
         Claim("multiplier_cardinality", PAPER, True),
@@ -194,7 +210,7 @@ def gen_all_ones(base: int, p: int) -> FamilyInstance:
         base=base,
         params={"p": p, "k": k},
         number=number,
-        predicted_multipliers=tuple(multipliers),
+        predicted_multipliers=_pair_steps(start, steps),
         claims=tuple(claims),
     )
 
@@ -207,25 +223,26 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
     blocks = k - 2 * p
     half = blocks // 2
     _require(
-        (base - 1) ** half <= MAX_MULTIPLIER_SET,
+        _materializable(base - 1, half),
         "multiplier set materializable",
         f"(b-1)^{half} multipliers exceed the materialization limit",
     )
     number = from_digits([1] * p + [1, 0] * blocks + [0] + [1] * p, base)
-    prefix = [1] * p
-    multipliers = []
-    for free in itertools.product(range(1, base), repeat=half):
-        alphas = list(free) + [base - a for a in reversed(free)]
-        inner = []
-        for a in alphas:
-            inner += [0, a]
-        multipliers.append(from_digits(prefix + inner + [0], base))
+    # M = [(1)^p 0 a_0 .. 0 a_{h-1} 0 (b-a_{h-1}) .. 0 (b-a_0) 0]_b: free
+    # digit a_i sits at b^(2(blocks-i)-1) and its complement at b^(2i+1).
+    # Start from every a_i = 1 and step a_i - 1.  Base 2 leaves no choice
+    # (a_i = 1), and there half is bounded by no multiplier count.
+    start = from_digits([1] * p + [0, 1] * half + [0, base - 1] * half + [0], base)
+    steps = [
+        (range(base - 1), base ** (2 * (blocks - i) - 1) - base ** (2 * i + 1))
+        for i in range(half if base > 2 else 0)
+    ]
     return FamilyInstance(
         family=ALTERNATING,
         base=base,
         params={"p": p, "k": k},
         number=number,
-        predicted_multipliers=tuple(multipliers),
+        predicted_multipliers=_pair_steps(start, steps),
         claims=(
             Claim("multipliers_verify", CONSTRUCTION, True),
             Claim("multiplier_cardinality", PAPER, True),
@@ -233,6 +250,21 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
             Claim("multiplier_set_complete", PAPER, True),
         ),
     )
+
+
+def _pair_steps(start: int, steps: list[tuple[range, int]]) -> tuple[int, ...]:
+    """Every start + sum_i c_i*step_i with c_i in values_i, for steps = [(values_i, step_i)].
+
+    A free digit c_i and its complement sit at mirrored positions, so
+    choosing it adds c_i * (b^hi_i - b^lo_i) to the multiplier, as in
+    classify.solve_arh.  The list grows by one free digit at a time, the
+    first varying slowest: the order of itertools.product over the digits.
+    """
+    multipliers = [start]
+    for values, step in steps:
+        offsets = [c * step for c in values]
+        multipliers = [m + d for m in multipliers for d in offsets]
+    return tuple(multipliers)
 
 
 # The printed example asserts the root is NOT Niven for this one instance.
@@ -326,14 +358,21 @@ def _skip(claim: Claim, reason: str) -> ClaimResult:
 def verify_family(inst: FamilyInstance) -> FamilyReport:
     """Recompute every claim of the instance with exact arithmetic.
 
-    N's digit sum and, for the square family, the root and its digit
-    sum are computed once, before the claims; each claim then only sets
-    its outcome and detail, which one _judge records.  Constructive
-    witnesses are used at any size.  Set-completeness solves
-    N = X + X^R from N's digits (classify.solve_arh, complete at any
-    size): the solver's count, compared with the predicted set, decides
-    whether the predicted multipliers need checking one by one, and the
-    listing stops after four unpredicted multipliers.  The exhaustive
+    N's digit sum, for the square family the root and its digit sum,
+    and for the additive multiplier sets the solver's listing are
+    computed once, before the claims; each claim then only sets its
+    outcome and detail, which one _judge records.  Constructive
+    witnesses are used at any size.
+
+    Both claims about an additive multiplier set read one listing:
+    classify.solve_arh solves N = X + X^R from N's digits, and its X
+    are exactly those with X + X^R = N and s_b(N) | X, complete at any
+    size.  So a predicted M satisfies X + X^R = N for X = M*s_b(N)
+    (multipliers_verify) iff M is listed, and the listing, against the
+    predicted set, decides multiplier_set_complete.  The listing reads
+    at most four multipliers more than the predicted set holds: a
+    longer one holds at least five unpredicted multipliers, and then
+    the predicted ones are checked one by one instead.  The exhaustive
     not-MRH search runs at or below the word-size cap and is SKIPPED
     above.
     """
@@ -344,6 +383,18 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
     if inst.family == SQUARE:
         root = from_digits([base - 1] * 2 ** (inst.params["k"] - 1), base)
         root_sum = digit_sum_int(root, base)
+    if any(c.name in ("multipliers_verify", "multiplier_set_complete") for c in inst.claims):
+        predicted = set(multipliers)
+        count, products = solve_arh(value, base)
+        listed = [x // s for x in itertools.islice(products, len(predicted) + 4)]
+        if len(listed) == count:
+            solved = set(listed)
+            failing = [m for m in multipliers if m not in solved]
+        else:
+            failing = [
+                m for m in multipliers
+                if isinstance(check_witness(value, s, base, m, ARH), VerifyFailure)
+            ]
     results = []
     for claim in inst.claims:
         name = claim.name
@@ -361,14 +412,11 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
             ok = value % s != 0
             detail = f"s_b(N) = {s} {'does not divide' if ok else '|'} N"
         elif name == "multipliers_verify":
-            bad = [
-                m for m in multipliers
-                if isinstance(check_witness(value, s, base, m, ARH), VerifyFailure)
-            ]
-            ok = not bad
+            ok = not failing
             detail = (
-                f"{len(multipliers) - len(bad)}/{len(multipliers)} multipliers satisfy X + X^R = N"
-                + (f"; failing: {bad[:4]}" if bad else "")
+                f"{len(multipliers) - len(failing)}/{len(multipliers)}"
+                " multipliers satisfy X + X^R = N"
+                + (f"; failing: {failing[:4]}" if failing else "")
             )
         elif name == "multiplier_cardinality":
             half = (inst.params["k"] - 2 * inst.params["p"]) // 2
@@ -376,15 +424,8 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
             ok = len(multipliers) == expected_count
             detail = f"predicted {len(multipliers)}, formula {expected_count}"
         elif name == "multiplier_set_complete":
-            count, products = solve_arh(value, base)
-            predicted = set(multipliers)
-            extra = list(itertools.islice((x // s for x in products if x // s not in predicted), 4))
-            missing = []
-            if extra or count != len(predicted):  # else the listing met every predicted M
-                missing = sorted(
-                    m for m in predicted
-                    if isinstance(check_witness(value, s, base, m, ARH), VerifyFailure)
-                )[:4]
+            extra = [m for m in listed if m not in predicted][:4]
+            missing = sorted(set(failing))[:4]
             ok = not extra and not missing
             detail = f"brute force found {count} multipliers"
             if extra:

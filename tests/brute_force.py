@@ -3,10 +3,14 @@
 Each tries every candidate below a bound, so they are fit for small
 inputs only: the tests check classify.solve_arh, reversal_pair_sums,
 the additive range scans, count_not_sum_of_reversal and
-palindromic_square_search against them.
+palindromic_square_search against them.  The family multiplier sets
+are checked against their digit patterns, spelled out one member at a
+time.
 """
 
-from rhnumbers.digitvec import digit_sum_int, has_zero_digit, reverse_int
+import itertools
+
+from rhnumbers.digitvec import digit_sum_int, from_digits, has_zero_digit, reverse_int
 
 
 def arh_products_brute(value: int, base: int) -> list[int]:
@@ -68,4 +72,35 @@ def palindromic_square_brute(limit: int, base: int) -> list[tuple[int, int, int]
         s = digit_sum_int(sq, base)
         if n % s == 0:
             out.append((n, sq, s))
+    return out
+
+
+def all_ones_multipliers_brute(base: int, p: int) -> list[int]:
+    """[(1)^p c_0..c_{h-1} (1-c_{h-1})..(1-c_0)]_b for every bit string c, in product order.
+
+    k = b^p and h = (k-2p)/2: the all-ones family's multipliers, each
+    built from its digits.
+    """
+    half = (base**p - 2 * p) // 2
+    out = []
+    for bits in itertools.product((0, 1), repeat=half):
+        inner = list(bits) + [1 - b for b in reversed(bits)]
+        out.append(from_digits([1] * p + inner, base))
+    return out
+
+
+def alternating_multipliers_brute(base: int, p: int) -> list[int]:
+    """[(1)^p 0 a_0 .. 0 a_{h-1} 0 (b-a_{h-1}) .. 0 (b-a_0) 0]_b for every a in [1, b-1]^h.
+
+    In product order, with h = (k-2p)/2 for k = b^p: the alternating
+    family's multipliers, each built from its digits.
+    """
+    half = (base**p - 2 * p) // 2
+    out = []
+    for free in itertools.product(range(1, base), repeat=half):
+        alphas = list(free) + [base - a for a in reversed(free)]
+        inner = []
+        for a in alphas:
+            inner += [0, a]
+        out.append(from_digits([1] * p + inner + [0], base))
     return out

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rhnumbers import digitvec
 from rhnumbers.digitvec import (
     digit_count_int,
     digit_sum_int,
@@ -220,3 +223,49 @@ def test_long_values_match_the_per_digit_loop(n, base):
 def test_long_digit_list_reports_its_first_bad_digit():
     with pytest.raises(ValueError, match="digit 12 out of range for base 10"):
         from_digits([1] * 100 + [12, 11] + [1] * 100, 10)
+
+
+def per_digit_text(n, base):
+    """Digit text taken one divmod per digit: the reference for the chunked render_digits."""
+    return ("" if base <= 10 else ",").join(map(str, digits_oracle(n, base)))
+
+
+# Bases 2-300 cross the chunk table's cap (2^8): above it no table is built.
+@given(st.integers(min_value=0, max_value=10**80), st.integers(min_value=2, max_value=300))
+def test_chunked_rendering_matches_the_per_digit_text(n, base):
+    assert render_digits(n, base) == per_digit_text(n, base)
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10, 11, 16, 17, 34, 255, 256, 257])
+def test_chunk_boundaries(base):
+    size = digitvec._chunk_texts(base)[0] if base <= digitvec._CHUNK_TABLE_CAP else base
+    for n in (size - 1, size, size + 1, size**2 - 1, size**2, size**3 - 1, size**3):
+        assert render_digits(n, base) == per_digit_text(n, base), (n, base)
+
+
+@pytest.mark.parametrize("base", [2, 10, 16, 17, 300])
+def test_5000_digit_rendering(base):
+    n = from_digits([(7 * i + 3) % base for i in range(5000)], base)
+    assert render_digits(n, base) == per_digit_text(n, base)
+
+
+def test_huge_base_builds_no_table():
+    before = digitvec._chunk_texts.cache_info().currsize
+    n = from_digits([1] * 5000, 10)
+    start = time.perf_counter()
+    text = render_digits(n, 2**21 + 1)
+    assert time.perf_counter() - start < 0.1
+    assert digitvec._chunk_texts.cache_info().currsize == before
+    assert parse_digits(text, 2**21 + 1) == n
+
+
+# Values up to 5000 digits, times b^z: the trailing zeros vanish.
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=40),
+    st.data(),
+)
+def test_reversal_matches_the_digit_list(base, width, zeros, data):
+    n = data.draw(st.integers(min_value=1, max_value=base**width - 1)) * base**zeros
+    assert reverse_int(n, base) == value_oracle(digits_oracle(n, base)[::-1], base)

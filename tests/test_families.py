@@ -1,4 +1,5 @@
 import pytest
+from brute_force import all_ones_multipliers_brute, alternating_multipliers_brute
 
 from rhnumbers.classify import ARH, Witness, arh_witnesses, is_niven, verify_witness
 from rhnumbers.digitvec import digit_count_int, digit_sum_int, parse_digits, render_digits
@@ -8,6 +9,7 @@ from rhnumbers.families import (
     CONFLICT_WITH_PAPER,
     CONSTRUCTION,
     IMPLEMENTATION_BUG,
+    MAX_MULTIPLIER_SET,
     MAX_SQUARE_ROOT_DIGITS,
     NIVEN_NOT_MRH,
     PAPER,
@@ -153,6 +155,49 @@ class TestAlternating:
         values = inst.predicted_multipliers
         assert list(values) == sorted(values)
         assert not is_niven(inst.number, inst.base)
+
+
+def _pair_step_cases():
+    """Every (b, p) with b <= 34 whose multiplier set is materializable.
+
+    Base 2 admits any p for the alternating family (one multiplier), so
+    p stops at 6; a radix above 1 with half > 16 is over the limit.
+    """
+    for generate, brute, radix in (
+        (gen_all_ones, all_ones_multipliers_brute, lambda b: 2),
+        (gen_alternating, alternating_multipliers_brute, lambda b: b - 1),
+    ):
+        for base in range(2, 35, 2):
+            for p in range(1, 7):
+                half = (base**p - 2 * p) // 2
+                if base**p <= 2 * p or (radix(base) > 1 and half > 16):
+                    continue
+                if radix(base) ** half <= MAX_MULTIPLIER_SET:
+                    yield generate, brute, base, p
+
+
+PAIR_STEP_CASES = list(_pair_step_cases())
+
+
+@pytest.mark.parametrize(
+    "generate,brute,base,p",
+    PAIR_STEP_CASES,
+    ids=[f"{g.__name__}-{b}-{p}" for g, _, b, p in PAIR_STEP_CASES],
+)
+def test_pair_step_multipliers_equal_the_digit_patterns(generate, brute, base, p):
+    # The generators add one pair step per free digit; the references
+    # build each member from its digits, in itertools.product order.
+    assert list(generate(base, p).predicted_multipliers) == brute(base, p)
+
+
+def test_refusal_does_not_build_the_multiplier_count():
+    # (b-1)^half at b = 34, p = 6 has about 3.9*10^9 bits.
+    with pytest.raises(FamilyParameterError) as exc:
+        gen_alternating(34, 6)
+    assert exc.value.condition == "multiplier set materializable"
+    with pytest.raises(FamilyParameterError) as exc:
+        gen_all_ones(34, 6)
+    assert exc.value.condition == "multiplier set materializable"
 
 
 class TestSquareFamily:
@@ -340,6 +385,42 @@ class TestVerdictTaxonomy:
         (result,) = verify_family(inst).results
         assert (result.name, result.verdict, result.detail) == (name, verdict, detail)
         assert result.passed is (None if verdict == SKIPPED else False)
+
+    # One forged predicted set per listing length: [101030, 102030, 102020]_4
+    # drops 103010 from the alternating set of 5185 and adds 102030, and
+    # the all-ones one of 65535 holds two of its sixteen multipliers plus
+    # 7, so the solver lists more than four unpredicted ones.
+    @pytest.mark.parametrize(
+        "family,base,params,n,multipliers,verify_detail,complete_detail",
+        [
+            (ALTERNATING, 4, {"p": 1, "k": 4}, 5185, (1100, 1164, 1160),
+             "2/3 multipliers satisfy X + X^R = N; failing: [1164]",
+             "brute force found 3 multipliers; unpredicted: [1220]; "
+             "predicted but absent: [1164]"),
+            (ALL_ONES, 2, {"p": 4, "k": 16}, 65535, (3925, 7, 3883),
+             "2/3 multipliers satisfy X + X^R = N; failing: [7]",
+             "brute force found 16 multipliers; unpredicted: [3855, 3863, 3891, 3917]; "
+             "predicted but absent: [7]"),
+        ],
+        ids=["alternating", "all-ones"],
+    )
+    def test_one_listing_reports_both_set_claims(
+        self, family, base, params, n, multipliers, verify_detail, complete_detail
+    ):
+        inst = FamilyInstance(
+            family=family,
+            base=base,
+            params=params,
+            number=n,
+            predicted_multipliers=multipliers,
+            claims=(
+                Claim("multipliers_verify", CONSTRUCTION, True),
+                Claim("multiplier_set_complete", PAPER, True),
+            ),
+        )
+        verify, complete = verify_family(inst).results
+        assert (verify.verdict, verify.detail) == (IMPLEMENTATION_BUG, verify_detail)
+        assert (complete.verdict, complete.detail) == (CONFLICT_WITH_PAPER, complete_detail)
 
     def test_construction_failure_is_bug(self):
         # Forge an instance with a wrong multiplier to see the verdict side.
