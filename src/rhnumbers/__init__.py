@@ -19,7 +19,6 @@ from .classify import (
     ARH,
     MRH,
     NIVEN,
-    WORD_SIZE_CAP,
     ClassifyResult,
     VerifyFailure,
     Witness,
@@ -46,6 +45,7 @@ from .oeis import emit_bfile, first_terms
 from .search import (
     ALLOW,
     FORBID,
+    WORD_SIZE_CAP,
     SearchConfig,
     count_not_sum_of_reversal,
     formula_lower_bound,

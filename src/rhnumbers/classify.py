@@ -2,27 +2,26 @@
 
 A number N is b-ARH when N = M*s_b(N) + (M*s_b(N))^R for some positive
 integer M, and b-MRH when N = M*s_b(N) * (M*s_b(N))^R.  The witness
-extractors here are complete per-N enumerations.  arh_witnesses solves
-N = X + X^R from N's digits (arh_products) and works at any size;
-mrh_witnesses tries divisors up to sqrt(N) and is meant for values
-below WORD_SIZE_CAP, which classify therefore inherits.
-verify_witness takes a supplied M instead and works at any magnitude.
-Every public function takes N as (value, base), a Python int and its
-numeration base, and refuses values below 1 and bases below 2.
+extractors here are complete per-N enumerations at any size, and each
+kind has one digit-pair engine.  arh_witnesses solves N = X + X^R from
+N's digits (arh_products).  mrh_witnesses lists N = X * X^R with
+mrh_products, which fixes X's digit pairs from both ends against N's
+high digits and its residues mod b^(i+1); the range scans call the
+same engine on their windows.  verify_witness takes a supplied M
+instead and works at any magnitude.  Every public function takes N as
+(value, base), a Python int and its numeration base, and refuses
+values below 1 and bases below 2.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import isqrt
 from operator import add
 from typing import Iterator
 
-from .digitvec import check_base, digit_sum_int, digits_int, reverse_int
-
-# Enumeration contract bound for mrh_witnesses and the range scans.
-WORD_SIZE_CAP = 2**63 - 1
+from .digitvec import check_base, digit_count_int, digit_sum_int, digits_int, reverse_int
 
 ARH = "arh"
 MRH = "mrh"
@@ -75,16 +74,14 @@ class ClassifyResult:
         }
 
 
-def _require_n(value: int, base: int, cap: int | None = None) -> None:
-    """Refuse b < 2 and N < 1 (or N > cap) before any digit helper sees them.
+def _require_n(value: int, base: int) -> None:
+    """Refuse b < 2 and N < 1 before any digit helper sees them.
 
     The digit helpers never return on a negative N (divmod(-1, b) is
     (-1, b-1)) or in base 1, and N = 0 (digit sum 0, X = 0) would pass
     the defining equation for every M.
     """
     check_base(base)
-    if cap is not None and not 1 <= value <= cap:
-        raise ValueError(f"value {value} outside [1, {cap}]")
     if value < 1:
         raise ValueError(f"value must be positive, got {value}")
 
@@ -310,22 +307,92 @@ def _ascending(x0: int, k: int, base: int, highs: list[range], masks: list[int],
 
 
 def mrh_witnesses(value: int, base: int) -> list[Witness]:
-    """All multiplicative multipliers of N = value, ascending.
+    """All multiplicative multipliers of N = value, ascending, at any size.
 
-    Trial division: for each divisor pair (d1, d2) of N, both orders
-    are tested; X = d1 qualifies when rev(d1) == d2 and s | d1.
+    The X of mrh_products on the one-value window [N, N] that s_b(N)
+    divides.
     """
-    _require_n(value, base, WORD_SIZE_CAP)
+    _require_n(value, base)
     s = digit_sum_int(value, base)
-    hits = set()
-    for d1 in range(1, isqrt(value) + 1):
-        if value % d1:
+    products = mrh_products(base, value, value)
+    return [Witness(m=x // s, x=x, xr=value // x) for _, x in products if x % s == 0]
+
+
+def mrh_products(base: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Every (N, X) with N = X * X^R in [lo, hi], ascending.
+
+    Write X = Y*b^t with Y free of trailing zeros.  Then X^R = Y^R,
+    which has the same k digits as Y, so N = Y*Y^R*b^t, and Y*Y^R, of
+    2k-1 or 2k digits, lies in [ceil(lo/b^t), floor(hi/b^t)].  A window
+    that holds no multiple of b^t holds none of b^(t+1), which ends the
+    walk over t.  So for lo = hi = N it visits only the t with b^t | N,
+    and only the k that the digit count of N/b^t allows.
+    _reversal_factors lists the Y of each (t, k).  This is the
+    multiplicative twin of reversal_pair_sums and the range scans'
+    pair_sum_vectors: one digit pair of Y at a time, from both ends.
+    """
+    found = []
+    scale, lo = 1, max(lo, 1)  # every product is at least 1, and low >= 1 ends the walk
+    while (low := -(-lo // scale)) <= (high := hi // scale):
+        k_low, k_high = ((digit_count_int(v, base) + 1) // 2 for v in (low, high))
+        for k in range(k_low, k_high + 1):
+            found += [(y * r * scale, y * scale) for y, r in _reversal_factors(base, k, low, high)]
+        scale *= base
+    found.sort()
+    return found
+
+
+def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[int, int]]:
+    """(Y, Y^R) for every k-digit Y with no trailing zero and low <= Y*Y^R <= high.
+
+    A depth-first walk fixes the digit pairs (y_i, y_{k-1-i}) of Y from
+    both ends.  Y^R holds the same digits swapped: the high digit
+    c = y_{k-1-i} sits at w_hi = b^(k-1-i) in Y and at w_lo = b^i in
+    Y^R, the low digit a = y_i the other way round.  After pair i, the
+    partial values y and r (free middle digits at 0) bound Y*Y^R from
+    below, and y + span and r + span (free digits at b-1) from above.
+    Both bounds grow with a and with c, so for each a the c whose
+    interval meets the window form one run: bisection finds its start
+    and the first c past high ends it, as the first a past high ends the
+    pair (the high prune).  The free digits sit at b^(i+1) and above in
+    both factors, so y*r mod b^(i+1) is already Y*Y^R's residue, and it
+    must be one that the window holds (the low prune).  That removes all
+    but (high-low+1)/b^(i+1) of the residues for a window narrower than
+    b^(i+1), and all but one for low = high; a wider window holds every
+    residue.  Without the low prune, one N = Y*Y^R is a walk over all Y
+    near sqrt(N).  The middle digit of an odd k is one more step, in
+    which a sits at b^(k//2) in both factors and c is 0.  Once every
+    digit is fixed the bounds meet, so each Y that the walk completes
+    lies in the window.
+    """
+    width = high - low
+    stack = [(0, 0, 0)]
+    while stack:
+        i, y, r = stack.pop()
+        if 2 * i >= k:
+            yield y, r
             continue
-        d2 = value // d1
-        for x, other in ((d1, d2), (d2, d1)):
-            if x % s == 0 and reverse_int(x, base) == other:
-                hits.add(x)
-    return [Witness(m=x // s, x=x, xr=value // x) for x in sorted(hits)]
+        w_hi, w_lo = base ** (k - 1 - i), base**i
+        modulus = w_lo * base
+        span = max(w_hi - modulus, 0)
+        first = 1 if i == 0 else 0  # Y's leading and trailing digits are nonzero
+        c_first, end = (0, 1) if w_hi == w_lo else (first, base)
+        for a in range(first, base):
+            ya, ra = y + a * w_lo, r + a * w_hi
+            if (ya + c_first * w_hi) * (ra + c_first * w_lo) > high:
+                break
+            uy, ur = ya + span, ra + span
+            c = c_first
+            if (uy + c * w_hi) * (ur + c * w_lo) < low:
+                c = bisect_left(range(end), low, c, key=lambda c: (uy + c * w_hi) * (ur + c * w_lo))
+            for c in range(c, end):
+                yc, rc = ya + c * w_hi, ra + c * w_lo
+                p = yc * rc
+                if p > high:
+                    break
+                if width < modulus and (p - low) % modulus > width:
+                    continue
+                stack.append((i + 1, yc, rc))
 
 
 def verify_witness(value: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:
@@ -357,7 +424,7 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 
 def classify(value: int, base: int) -> ClassifyResult:
     """Full classification record of N = value: Niven flags plus both witness lists."""
-    mrh = [w.x for w in mrh_witnesses(value, base)]  # first: it refuses values above the cap
+    mrh = [w.x for w in mrh_witnesses(value, base)]
     s, sq_sum = digit_sum_int(value, base), digit_sum_int(value * value, base)
     return build_result(value, base, s, sq_sum, list(arh_products(value, base, s)), mrh)
 

@@ -12,8 +12,11 @@ not a crash: construction guarantees that fail are IMPLEMENTATION-BUG,
 printed-source assertions that recompute false are
 CONFLICT-WITH-PAPER, and claims with no expected value are INFO.  One
 listing of the digit-pair solver's multipliers for N serves both
-claims about an additive multiplier set.  Digit text is rendered only
-for output.
+claims about an additive multiplier set, and the not-MRH claim reads
+the multiplicative digit-pair engine's witnesses, complete at any size,
+so no claim is ever skipped.  The repunit12, square and niven-not-mrh
+members share one size limit, MAX_MEMBER_DIGITS base-b digits.  Digit
+text is rendered only for output.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from .classify import (
     ARH,
     MRH,
-    WORD_SIZE_CAP,
     VerifyFailure,
     check_witness,
     mrh_witnesses,
@@ -45,15 +47,13 @@ PASS = "PASS"
 IMPLEMENTATION_BUG = "IMPLEMENTATION-BUG"
 CONFLICT_WITH_PAPER = "CONFLICT-WITH-PAPER"
 INFO = "INFO"
-SKIPPED = "SKIPPED"
 
 # Materializing 2^((k-2p)/2) multipliers must stay sane.
 MAX_MULTIPLIER_SET = 1 << 16
-# Root of the square family has 2^(k-1) digits and N twice as many; this
-# keeps k <= 13.  Building them from digits, and taking their digit sums
-# and digit text, split them in halves, so each costs about what the
-# squaring does rather than time quadratic in the digit count.
-MAX_SQUARE_ROOT_DIGITS = 1 << 12
+# Most base-b digits of a repunit12 (2*3^k: k <= 7), square (2^k: k <= 13)
+# or niven-not-mrh member N.  Building N from digits, and its digit sums and
+# text, split it in halves, so each costs about one product of that size.
+MAX_MEMBER_DIGITS = 1 << 13
 
 
 class FamilyParameterError(ValueError):
@@ -100,7 +100,7 @@ class FamilyInstance:
 @dataclass(frozen=True)
 class ClaimResult:
     name: str
-    passed: bool | None  # None: informational or skipped
+    passed: bool | None  # None: informational
     verdict: str
     detail: str
 
@@ -140,12 +140,19 @@ def _require(ok: bool, condition: str, message: str) -> None:
         raise FamilyParameterError(condition, message)
 
 
+def _require_member_digits(fits: bool, member: str) -> None:
+    """The size limit of a member N, checked from its parameters before N is built."""
+    _require(fits, "member materializable", f"{member} would have over {MAX_MEMBER_DIGITS} digits")
+
+
 # -- generators --------------------------------------------------------
 
 
 def gen_repunit12(k: int) -> FamilyInstance:
     """Base-10 numbers (12) repeated 3^k times; ARH and Niven for every k."""
     _require(k >= 0, "k >= 0", f"k must be a nonnegative integer, got {k}")
+    fits = _materializable(3, k, MAX_MEMBER_DIGITS // 2)  # N has 2*3^k digits
+    _require_member_digits(fits, f"(12) repeated 3^{k} times")
     number = from_digits((1, 2) * 3**k, 10)
     s = 3 ** (k + 1)
     quot, rem = divmod(number, 2 * s)
@@ -165,15 +172,16 @@ def gen_repunit12(k: int) -> FamilyInstance:
     )
 
 
-def _materializable(radix: int, half: int) -> bool:
-    """radix^half <= MAX_MULTIPLIER_SET, without building radix^half for a large half.
+def _materializable(radix: int, power: int, limit: int) -> bool:
+    """radix^power <= limit, without building radix^power for a large power.
 
-    At b = 34, p = 6, half is 7.7*10^8, and 33^half (3.9*10^9 bits)
-    would take hours to build only to be refused.
+    At b = 34, p = 6, the multiplier set's power is 7.7*10^8, and
+    33^power (3.9*10^9 bits) would take hours to build only to be
+    refused.
     """
-    if radix > 1 and half >= MAX_MULTIPLIER_SET.bit_length():
+    if radix > 1 and power >= limit.bit_length():
         return False
-    return radix**half <= MAX_MULTIPLIER_SET
+    return radix**power <= limit
 
 
 def _all_ones_params(base: int, p: int) -> int:
@@ -189,7 +197,7 @@ def gen_all_ones(base: int, p: int) -> FamilyInstance:
     _require(k >= 2 * p, "k >= 2p", f"k = b^p = {k} must be >= 2p = {2 * p}")
     half = (k - 2 * p) // 2
     _require(
-        _materializable(2, half),
+        _materializable(2, half, MAX_MULTIPLIER_SET),
         "multiplier set materializable",
         f"2^{half} multipliers exceed the materialization limit",
     )
@@ -223,7 +231,7 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
     blocks = k - 2 * p
     half = blocks // 2
     _require(
-        _materializable(base - 1, half),
+        _materializable(base - 1, half, MAX_MULTIPLIER_SET),
         "multiplier set materializable",
         f"(b-1)^{half} multipliers exceed the materialization limit",
     )
@@ -278,7 +286,7 @@ def gen_square_family(base: int, k: int) -> FamilyInstance:
     _require(k >= 2, "k >= 2", f"k must be >= 2, got {k}")
     half_len = 2 ** (k - 1)
     _require(
-        half_len <= MAX_SQUARE_ROOT_DIGITS,
+        2 * half_len <= MAX_MEMBER_DIGITS,
         "root materializable",
         f"root would have {half_len} digits, over the materialization limit",
     )
@@ -319,12 +327,10 @@ def gen_niven_not_mrh(base: int, n: int) -> FamilyInstance:
         "(b-1) does not divide n",
         f"n = {n} is divisible by b-1 = {base - 1}",
     )
+    # (b-1)*n*R_n = n*(b^n - 1) has at least n digits: a large n is refused before b^n is built.
+    fits = n < MAX_MEMBER_DIGITS and n * (base**n - 1) < base**MAX_MEMBER_DIGITS
+    _require_member_digits(fits, "(b-1)*n*R_n")
     number = (base - 1) * n * from_digits([1] * n, base)
-    _require(
-        number <= WORD_SIZE_CAP,
-        "value within word size",
-        "(b-1)*n*R_n exceeds the word-size cap needed for the exhaustive not-MRH check",
-    )
     return FamilyInstance(
         family=NIVEN_NOT_MRH,
         base=base,
@@ -351,10 +357,6 @@ def _judge(claim: Claim, actual: bool, detail: str) -> ClaimResult:
     return ClaimResult(claim.name, False, verdict, detail)
 
 
-def _skip(claim: Claim, reason: str) -> ClaimResult:
-    return ClaimResult(claim.name, None, SKIPPED, reason)
-
-
 def verify_family(inst: FamilyInstance) -> FamilyReport:
     """Recompute every claim of the instance with exact arithmetic.
 
@@ -372,9 +374,9 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
     predicted set, decides multiplier_set_complete.  The listing reads
     at most four multipliers more than the predicted set holds: a
     longer one holds at least five unpredicted multipliers, and then
-    the predicted ones are checked one by one instead.  The exhaustive
-    not-MRH search runs at or below the word-size cap and is SKIPPED
-    above.
+    the predicted ones are checked one by one instead.  The not-MRH
+    claim reads classify.mrh_witnesses, complete at any size, so no
+    claim is ever skipped.
     """
     base = inst.base
     value = inst.number
@@ -458,9 +460,6 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
             ok = s == expected_sum
             detail = f"s_b(N) = {s}, (b-1)*n = {expected_sum}"
         elif name == "not_mrh":
-            if value > WORD_SIZE_CAP:
-                results.append(_skip(claim, "value above word-size cap"))
-                continue
             found = [w.m for w in mrh_witnesses(value, base)]
             ok = not found
             detail = (

@@ -6,10 +6,12 @@ N; X is a witness product of N iff s_b(N) | X.  The additive scan
 walks the digit-pair sum vectors p of N = X + X^R (pair_sum_vectors),
 about (2b-1)^(k/2) of them for k-digit X against b^k values of X, and
 tests each p's X for s_b(N) | X with a residue DP
-(classify.pair_sum_products).  The multiplicative scan sweeps the
-products N = X * X^R: it only needs X with no trailing zeros
-(X = Y*b^t reverses to Y^R), which keeps it at O(sqrt(hi*b))
-candidates.  A Niven scan tests every N.
+(classify.pair_sum_products).  The multiplicative lists come from
+classify.mrh_products on the scan's window, which fixes the digit pairs
+of X's trailing-zero-free part from both ends and prunes them against
+the window's ends and, for a window narrower than b^(i+1), its
+residues mod b^(i+1); a narrow window far out visits few of them.  A
+Niven scan tests every N.
 
 One engine (_hits) serves two views.  scan_numbers yields N alone, for
 b-files: it lists no witness, since the DP's exact masks already say
@@ -22,18 +24,17 @@ Both take every digit sum from one DigitSums table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .bounds import digit_bound, digit_sum_cap
 from .classify import (
     ARH,
     MRH,
     NIVEN,
-    WORD_SIZE_CAP,
     Witness,
     arh_products,
     build_result,
     check_witness,
+    mrh_products,
     pair_sum_products,
     reversal_pair_sums,
 )
@@ -47,6 +48,10 @@ from .digitvec import (
 
 ALLOW = "allow"
 FORBID = "forbid"
+
+# Bounds exactly SearchConfig.hi, b^k in count_not_sum_of_reversal and
+# limit^2 in palindromic_square_search; every other entry works at any size.
+WORD_SIZE_CAP = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -170,33 +175,6 @@ class DigitSums:
 _TABLE_CAP = 2**20  # entries of a DigitSums table: 8 MB of list
 
 
-def mrh_y_limit(base: int, hi: int) -> int:
-    """Upper bound on the zero-trailing-free part Y of any witness X."""
-    # rev(Y) > Y/b for Y >= 1, so N >= Y*rev(Y) > Y^2/b.
-    return isqrt(hi * base)
-
-
-def mrh_pairs_chunk(
-    base: int, y_lo: int, y_hi: int, n_lo: int, n_hi: int, sums: DigitSums
-) -> list[tuple[int, int, int]]:
-    """(N, M, X) hits with X = Y*b^t, Y in [y_lo, y_hi] trailing-zero-free."""
-    out = []
-    for y in range(max(y_lo, 1), y_hi + 1):
-        if y % base == 0:
-            continue
-        p = y * reverse_int(y, base)
-        if p > n_hi:
-            continue
-        s = sums(p)  # appending zeros to X leaves s_b(N) fixed
-        n, x = p, y
-        while n <= n_hi:
-            if n >= n_lo and x % s == 0:
-                out.append((n, x // s, x))
-            n *= base
-            x *= base
-    return out
-
-
 def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
     """Ascending (N, s_b(N), ARH products, MRH products) for every hit of cfg.kind.
 
@@ -205,18 +183,19 @@ def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
     decides membership is done.  X is a witness product of N iff
     s_b(N) | X, so an ARH scan keeps a pair-sum vector whose masks admit
     some X (pair_sum_products) and lists its X only for a record, and a
-    Niven scan lists only the vectors whose N is Niven.  The ARH lists
-    of an MRH scan's few hits are solved from their own digits.  The
-    multiplier filter checks X = M*s_b(N) directly: with the witness
-    lists complete, that is the same as finding it in N's list.
+    Niven scan lists only the vectors whose N is Niven.  The MRH lists
+    keep the X that s_b(N) divides of the ascending (N, X) that
+    mrh_products lists for [lo, hi].  The ARH lists of an MRH scan's few
+    hits are solved from their own digits.  The multiplier filter checks
+    X = M*s_b(N) directly: with the witness lists complete, that is the
+    same as finding it in N's list.
     """
     base, kind = cfg.base, cfg.kind
     mrh_map: dict[int, list[int]] = {}
     if records or kind == MRH:
-        for n, _, x in mrh_pairs_chunk(base, 1, mrh_y_limit(base, cfg.hi), cfg.lo, cfg.hi, sums):
-            mrh_map.setdefault(n, []).append(x)
-        for products in mrh_map.values():
-            products.sort()  # Y ascending does not order X = Y*b^t
+        for n, x in mrh_products(base, cfg.lo, cfg.hi):
+            if x % sums(n) == 0:
+                mrh_map.setdefault(n, []).append(x)
     arh_map: dict[int, list[int]] = {}
     if kind == ARH or (kind == NIVEN and records):
         for n, k, p in pair_sum_vectors(base, cfg.lo, cfg.hi):
@@ -255,7 +234,7 @@ def scan_numbers(cfg: SearchConfig):
 
     It lists no witness: an ARH scan only tests each pair-sum vector's
     masks, a Niven scan reads the digit-sum table alone, and an MRH
-    scan sweeps its products without solving their ARH lists.
+    scan lists its products without solving their ARH lists.
     """
     for n, _, _, _ in _hits(cfg, DigitSums(cfg.base, cfg.hi), records=False):
         yield n

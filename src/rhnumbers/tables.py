@@ -24,10 +24,7 @@ from .classify import ARH, MRH, VerifyFailure, verify_witness
 from .digitvec import digit_count_int, has_zero_digit, reverse_int
 from .search import (
     FORBID,
-    DigitSums,
     SearchConfig,
-    mrh_pairs_chunk,
-    mrh_y_limit,
     numbers_for_multiplier,
     scan_numbers,
     scan_range,
@@ -230,13 +227,11 @@ def _adjudicate(
 
 def _zero_free_mrh_by_digit_count(max_digits: int) -> dict[tuple[int, int], list[int]]:
     """Complete (digit_count, multiplier) -> numbers map for zero-free base-10 MRH."""
-    hi = 10**max_digits - 1
+    cfg = SearchConfig(base=10, lo=1, hi=10**max_digits - 1, kind=MRH, zero_digit_policy=FORBID)
     groups: dict[tuple[int, int], list[int]] = {}
-    for n, m, _x in mrh_pairs_chunk(10, 1, mrh_y_limit(10, hi), 1, hi, DigitSums(10, hi)):
-        if not has_zero_digit(n, 10):
-            groups.setdefault((digit_count_int(n, 10), m), []).append(n)
-    for ns in groups.values():
-        ns.sort()
+    for n, res in scan_range(cfg):  # ascending, so each list is sorted
+        for w in res.mrh:
+            groups.setdefault((digit_count_int(n, 10), w.m), []).append(n)
     return groups
 
 

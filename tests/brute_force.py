@@ -1,14 +1,15 @@
-"""Brute-force references for the digit-pair ARH solver, the range scans and palsquare.
+"""Brute-force references for the digit-pair solvers, the range scans and palsquare.
 
 Each tries every candidate below a bound, so they are fit for small
 inputs only: the tests check classify.solve_arh, reversal_pair_sums,
-the additive range scans, count_not_sum_of_reversal and
+classify.mrh_products, the range scans, count_not_sum_of_reversal and
 palindromic_square_search against them.  The family multiplier sets
 are checked against their digit patterns, spelled out one member at a
 time.
 """
 
 import itertools
+from math import isqrt
 
 from rhnumbers.digitvec import digit_sum_int, from_digits, has_zero_digit, reverse_int
 
@@ -39,6 +40,42 @@ def arh_map_sweep(base: int, lo: int, hi: int) -> dict[int, list[int]]:
         if lo <= n <= hi and x % digit_sum_int(n, base) == 0:
             found.setdefault(n, []).append(x)
     return found
+
+
+def mrh_products_brute(value: int, base: int) -> list[int]:
+    """Every X with X * X^R = value, ascending, by trial division up to sqrt(value).
+
+    Each divisor pair (d1, d2) of N is tested in both orders: X = d1
+    qualifies when rev(d1) == d2.
+    """
+    hits = set()
+    for d1 in range(1, isqrt(value) + 1):
+        if value % d1:
+            continue
+        d2 = value // d1
+        for x, other in ((d1, d2), (d2, d1)):
+            if reverse_int(x, base) == other:
+                hits.add(x)
+    return sorted(hits)
+
+
+def mrh_map_sweep(base: int, lo: int, hi: int) -> dict[int, list[int]]:
+    """N -> ascending witness products X, for every b-MRH N in [lo, hi].
+
+    Sweeps every Y <= sqrt(hi*b) with no trailing zero and each
+    X = Y*b^t, since X^R = Y^R: Y^R > Y/b, so N >= Y*Y^R > Y^2/b.
+    """
+    found: dict[int, list[int]] = {}
+    for y in range(1, isqrt(hi * base) + 1):
+        if y % base == 0:
+            continue
+        n, x = y * reverse_int(y, base), y
+        s = digit_sum_int(n, base)  # appending zeros to X leaves s_b(N) fixed
+        while n <= hi:
+            if n >= lo and x % s == 0:
+                found.setdefault(n, []).append(x)
+            n, x = n * base, x * base
+    return {n: sorted(xs) for n, xs in found.items()}
 
 
 def count_not_sum_sieve(base: int, k: int) -> int:

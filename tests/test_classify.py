@@ -1,8 +1,8 @@
 import json
 
 import pytest
-from brute_force import arh_products_brute, is_expressible_brute
-from hypothesis import given, settings
+from brute_force import arh_products_brute, is_expressible_brute, mrh_products_brute
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rhnumbers.classify import (
@@ -15,11 +15,13 @@ from rhnumbers.classify import (
     is_niven,
     is_quadratic_niven,
     is_strongly_quadratic_niven,
+    mrh_products,
     mrh_witnesses,
     reversal_pair_sums,
     solve_arh,
     verify_witness,
 )
+from rhnumbers.digitvec import reverse_int
 
 
 class TestIsNiven:
@@ -103,6 +105,43 @@ class TestMrhWitnesses:
     def test_trivial_power_of_base(self):
         # 100 = 100 * 1 with s = 1; the classifier admits M = N.
         assert [w.m for w in mrh_witnesses(100, 10)] == [100]
+
+    def test_above_word_size(self):
+        # Trial division took 20.6 s on 17 nines (2-core VM) and refused
+        # every value above 2^63 - 1.
+        assert mrh_witnesses(10**17 - 1, 10) == []
+        assert [w.x for w in mrh_witnesses(1729 * 10**40, 10)] == [19 * 10**40]
+
+
+class TestMrhProducts:
+    def test_a_window_from_zero_or_below(self):
+        # Every product is at least 1: a window reaching below 1 ends its walk.
+        assert mrh_products(10, 0, 10) == [(1, 1), (4, 2), (9, 3), (10, 10)]
+        assert mrh_products(10, -5, 0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=2, max_value=16))
+    def test_one_value_matches_trial_division(self, value, base):
+        expected = [(value, x) for x in mrh_products_brute(value, base)]
+        assert mrh_products(base, value, value) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=10**15),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_constructed_products_up_to_1e30(self, base, y, t):
+        # N = Y * Y^R * b^t is beyond trial division, so it is checked by
+        # construction: X = Y * b^t is listed, and every listed X is exact.
+        while y % base == 0:
+            y //= base
+        n = y * reverse_int(y, base) * base**t
+        assume(n <= 10**30)
+        listed = mrh_products(base, n, n)
+        assert (n, y * base**t) in listed
+        assert all(m == n and x * reverse_int(x, base) == n for m, x in listed)
+        assert listed == sorted(set(listed))
 
 
 class TestVerifyWitness:

@@ -9,12 +9,11 @@ from rhnumbers.families import (
     CONFLICT_WITH_PAPER,
     CONSTRUCTION,
     IMPLEMENTATION_BUG,
+    MAX_MEMBER_DIGITS,
     MAX_MULTIPLIER_SET,
-    MAX_SQUARE_ROOT_DIGITS,
     NIVEN_NOT_MRH,
     PAPER,
     REPUNIT12,
-    SKIPPED,
     SQUARE,
     Claim,
     FamilyInstance,
@@ -58,6 +57,14 @@ class TestRepunit12:
     def test_negative_k_rejected(self):
         with pytest.raises(FamilyParameterError):
             gen_repunit12(-1)
+
+    def test_member_digit_limit(self):
+        # N has 2 * 3^k digits: k = 7 gives 4,374, and k = 8 would give 13,122.
+        assert digit_count_int(gen_repunit12(7).number, 10) == 2 * 3**7
+        for k in (8, 10**9):  # refused before 3^k is built
+            with pytest.raises(FamilyParameterError) as exc:
+                gen_repunit12(k)
+            assert exc.value.condition == "member materializable"
 
 
 # The sixteen multipliers printed for the b=2, p=4 example, verbatim.
@@ -243,7 +250,7 @@ class TestSquareFamily:
     def test_at_root_digit_cap(self, base):
         # k = 13 gives a 2^12-digit root, the largest the generator allows.
         inst = gen_square_family(base, 13)
-        assert digit_count_int(inst.number, base) == 2 * MAX_SQUARE_ROOT_DIGITS
+        assert digit_count_int(inst.number, base) == MAX_MEMBER_DIGITS
         report = verify_family(inst)
         assert [r.passed for r in report.results] == [True] * 5
         with pytest.raises(FamilyParameterError) as exc:
@@ -275,6 +282,20 @@ class TestNivenNotMrh:
         inst = gen_niven_not_mrh(3, 1)
         assert inst.number == 2
         assert verify_family(inst).passed
+
+    def test_b10_n19_above_word_size(self):
+        inst = gen_niven_not_mrh(10, 19)
+        assert inst.number > 2**63
+        report = verify_family(inst)
+        assert [r.verdict for r in report.results] == ["PASS"] * 3
+
+    def test_member_digit_limit(self):
+        # n*(10^n - 1) has n + 4 digits for 1000 <= n < 10^4.
+        assert digit_count_int(gen_niven_not_mrh(10, 8188).number, 10) == MAX_MEMBER_DIGITS
+        for n in (8189, 10**12):  # refused before 10^n is built
+            with pytest.raises(FamilyParameterError) as exc:
+                gen_niven_not_mrh(10, n)
+            assert exc.value.condition == "member materializable"
 
     @pytest.mark.parametrize("base", range(2, 13))
     def test_digit_sum_lemma(self, base):
@@ -356,8 +377,9 @@ FORGED = [
      CONFLICT_WITH_PAPER, "s_b(N) = 3, (b-1)*n = 63"),
     (NIVEN_NOT_MRH, 10, {"n": 1}, 1729, (), "not_mrh", PAPER, True,
      CONFLICT_WITH_PAPER, "multiplicative multipliers exist: [1]"),
-    (NIVEN_NOT_MRH, 10, {"n": 1}, 2**63, (), "not_mrh", PAPER, True,
-     SKIPPED, "value above word-size cap"),
+    # Above 2^63: X = 19 * 10^16 and X^R = 91.
+    (NIVEN_NOT_MRH, 10, {"n": 1}, 1729 * 10**16, (), "not_mrh", PAPER, True,
+     CONFLICT_WITH_PAPER, "multiplicative multipliers exist: [10000000000000000]"),
     (REPUNIT12, 10, {"k": 0}, 12, (2,), "no_such_claim", CONSTRUCTION, True,
      IMPLEMENTATION_BUG, "unknown claim"),
     (ALL_ONES, 2, {"p": 1, "k": 2}, 3, (1, 2), "multiplier_set_complete", PAPER, True,
@@ -384,7 +406,7 @@ class TestVerdictTaxonomy:
         )
         (result,) = verify_family(inst).results
         assert (result.name, result.verdict, result.detail) == (name, verdict, detail)
-        assert result.passed is (None if verdict == SKIPPED else False)
+        assert result.passed is False
 
     # One forged predicted set per listing length: [101030, 102030, 102020]_4
     # drops 103010 from the alternating set of 5185 and adds 102030, and

@@ -3,6 +3,7 @@ from brute_force import (
     arh_map_sweep,
     count_not_sum_sieve,
     is_expressible_brute,
+    mrh_map_sweep,
     palindromic_square_brute,
 )
 from hypothesis import given, settings
@@ -105,6 +106,30 @@ class TestScanRange:
         ]
         for n, res in niven:
             assert [w.x for w in res.arh] == sweep.get(n, []), n
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=2 * 10**5),
+        st.integers(min_value=1, max_value=2 * 10**5),
+        st.sampled_from([ARH, MRH, NIVEN]),
+    )
+    def test_mrh_lists_match_the_y_sweep(self, base, a, b, kind):
+        lo, hi = min(a, b), max(a, b)
+        sweep = mrh_map_sweep(base, lo, hi)
+        records = list(scan_range(SearchConfig(base=base, lo=lo, hi=hi, kind=kind)))
+        if kind == MRH:
+            assert [n for n, _ in records] == sorted(sweep)
+        for n, res in records:
+            assert [w.x for w in res.mrh] == sweep.get(n, []), n
+
+    def test_a_far_narrow_window(self):
+        # A Y sweep visits every Y <= sqrt(hi*b) for any window: 45 s for
+        # a window this wide at 10^14 (2-core VM).  1420407 * 7040241 = N / 10.
+        lo = 10**14 + 75_975_000
+        records = list(scan_range(SearchConfig(base=10, lo=lo, hi=lo + 10**4, kind=NIVEN)))
+        mrh = {n: [w.x for w in res.mrh] for n, res in records if res.mrh}
+        assert mrh == {100000075980870: [14204070, 70402410]}
 
     def test_arh_base10_below_one_million(self):
         hits = list(scan_range(SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)))
@@ -273,11 +298,9 @@ class TestDigitSums:
         hits = [(res.n, res) for res in full if member[kind](res)]
         assert list(scan_range(cfg)) == hits
         assert list(scan_numbers(cfg)) == [n for n, _ in hits]
-        if kind != MRH:  # across the first power of b; an MRH scan sweeps sqrt(hi*b) Y
-            lo, hi = base - 6, base + 6
-            wanted = [n for n in range(lo, hi + 1)
-                      if {ARH: classify(n, base).arh, NIVEN: n % digit_sum_int(n, base) == 0}[kind]]
-            assert list(scan_numbers(SearchConfig(base=base, lo=lo, hi=hi, kind=kind))) == wanted
+        lo, hi = base - 6, base + 6  # across the first power of b
+        wanted = [n for n in range(lo, hi + 1) if member[kind](classify(n, base))]
+        assert list(scan_numbers(SearchConfig(base=base, lo=lo, hi=hi, kind=kind))) == wanted
 
 
 class TestNumbersForMultiplier:
