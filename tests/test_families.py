@@ -387,11 +387,17 @@ FORGED = [
 ]
 
 
+def _forged_id(i, row):
+    """Claim, verdict and row index; a number past 2^63 names its size instead."""
+    tag = "over-2^63" if row[3] >= 2**63 else row[8]
+    return f"{row[5]}-{tag}-{i}"
+
+
 class TestVerdictTaxonomy:
     @pytest.mark.parametrize(
         "family,base,params,n,multipliers,name,source,expected,verdict,detail",
         FORGED,
-        ids=[f"{row[5]}-{row[8]}-{i}" for i, row in enumerate(FORGED)],
+        ids=[_forged_id(i, row) for i, row in enumerate(FORGED)],
     )
     def test_forged_branch_verdict_and_detail(
         self, family, base, params, n, multipliers, name, source, expected, verdict, detail
