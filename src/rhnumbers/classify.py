@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import gcd
 from operator import add
 from typing import Iterator
 
@@ -290,16 +291,22 @@ def _ascending(x0: int, k: int, base: int, highs: list[range], masks: list[int],
     """Depth-first walk over the high digits; masks[t] are the residues pair t can finish from.
 
     Pair t's step b^(k-1-t) - b^t is formed when the walk enters the
-    pair, so memory stays linear in k.
+    pair, so memory stays linear in k.  The last pair finishes X from
+    residue 0 alone, so its X are yielded as they are found.
     """
     half = len(highs)
+    if not half:
+        yield x0
+        return
     stack = [(0, x0, x0 % s)]
     while stack:
         t, x, r = stack.pop()
-        if t == half:
-            yield x
-            continue
         step, reachable = base ** (k - 1 - t) - base**t, masks[t + 1]
+        if t + 1 == half:  # masks[half] holds residue 0 only
+            for a in highs[t]:
+                if (r + a * step) % s == 0:
+                    yield x + a * step
+            continue
         for a in reversed(highs[t]):  # popped smallest first
             r2 = (r + a * step) % s
             if reachable >> r2 & 1:
@@ -351,19 +358,33 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
     Y^R, the low digit a = y_i the other way round.  After pair i, the
     partial values y and r (free middle digits at 0) bound Y*Y^R from
     below, and y + span and r + span (free digits at b-1) from above.
-    Both bounds grow with a and with c, so for each a the c whose
-    interval meets the window form one run: bisection finds its start
-    and the first c past high ends it, as the first a past high ends the
-    pair (the high prune).  The free digits sit at b^(i+1) and above in
-    both factors, so y*r mod b^(i+1) is already Y*Y^R's residue, and it
-    must be one that the window holds (the low prune).  That removes all
-    but (high-low+1)/b^(i+1) of the residues for a window narrower than
-    b^(i+1), and all but one for low = high; a wider window holds every
-    residue.  Without the low prune, one N = Y*Y^R is a walk over all Y
-    near sqrt(N).  The middle digit of an odd k is one more step, in
-    which a sits at b^(k//2) in both factors and c is 0.  Once every
-    digit is fixed the bounds meet, so each Y that the walk completes
-    lies in the window.
+    Both bounds grow with a and with c.  So the a whose upper bound
+    (at the largest c) reaches low start at one bisection, the first a
+    past high ends the pair (the high prune), and for each a the c
+    whose interval meets the window form one run.  The run starts at
+    the least c whose upper bound reaches low; that start only falls as
+    a grows, so one pointer walks it down over the whole pair, and the
+    first c past high ends the run.  The free digits sit at b^(i+1)
+    and above in both factors, so y*r mod b^(i+1) is already Y*Y^R's
+    residue, and it must be one that the window holds (the low prune).
+    That removes all but (high-low+1)/b^(i+1) of the residues for a
+    window narrower than b^(i+1), and all but one for low = high; a
+    wider window holds every residue.  Where the window is narrower
+    than b^i and free digits remain, c sits at a multiple of b^(i+1) in
+    Y and at b^i in Y^R, so with c at 0 in y and r,
+    Y*Y^R = y*r + b^i*c*y_0 mod b^(i+1), y_0 being Y's nonzero last
+    digit: the one residue left fixes c*y_0 mod b, and the run steps
+    through that class of c alone.  Without the low prune, one
+    N = Y*Y^R is a walk over all Y near sqrt(N).  The middle digit of
+    an odd k is one more step, in which a sits at b^(k//2) in both
+    factors and c is 0.  Once every digit is fixed the bounds meet, so
+    each Y that the walk completes lies in the window.
+
+    Y^R is itself a k-digit Y with no trailing zero, and Y^R*Y is the
+    same product, so the outer pair is walked with a <= c only, and a
+    completed Y whose outer digits differ also gives Y^R.  An outer pair
+    with a = c is the outer pair of both, and the walk below it meets
+    both.  For a two-digit Y near b^3 this stops a at sqrt(b), not b.
     """
     width = high - low
     stack = [(0, 0, 0)]
@@ -371,22 +392,42 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
         i, y, r = stack.pop()
         if 2 * i >= k:
             yield y, r
+            if y % base != r % base:  # outer digits a < c: Y^R was not walked
+                yield r, y
             continue
         w_hi, w_lo = base ** (k - 1 - i), base**i
         modulus = w_lo * base
         span = max(w_hi - modulus, 0)
         first = 1 if i == 0 else 0  # Y's leading and trailing digits are nonzero
         c_first, end = (0, 1) if w_hi == w_lo else (first, base)
-        for a in range(first, base):
+        mirrored = i == 0 and w_hi != w_lo
+
+        def bound(a: int, c: int, free: int) -> int:  # Y*Y^R with the free digits at free
+            return (y + free + a * w_lo + c * w_hi) * (r + free + a * w_hi + c * w_lo)
+
+        start = bisect_left(range(base), low, first, key=lambda a: bound(a, end - 1, span))
+        stop = bisect_left(  # the first a whose least product passes high
+            range(base), high + 1, start, key=lambda a: bound(a, a if mirrored else c_first, 0)
+        )
+        c = None  # the run's start for the last a
+        for a in range(start, stop):
+            c_min = a if mirrored else c_first
+            if c is None:
+                c = bisect_left(range(end), low, c_min, key=lambda c: bound(a, c, span))
             ya, ra = y + a * w_lo, r + a * w_hi
-            if (ya + c_first * w_hi) * (ra + c_first * w_lo) > high:
-                break
-            uy, ur = ya + span, ra + span
-            c = c_first
-            if (uy + c * w_hi) * (ur + c * w_lo) < low:
-                c = bisect_left(range(end), low, c, key=lambda c: (uy + c * w_hi) * (ur + c * w_lo))
-            for c in range(c, end):
-                yc, rc = ya + c * w_hi, ra + c * w_lo
+            uy, ur = ya + span, ra + span  # bound(a, c, span) is (uy + c*w_hi) * (ur + c*w_lo)
+            while c > c_min and (uy + (c - 1) * w_hi) * (ur + (c - 1) * w_lo) >= low:
+                c -= 1
+            h, step = max(c, c_min), 1
+            if span and width < w_lo:  # one residue passes: h*y_0 = j mod b
+                y0, j = ya % base, -((ya * ra - low) % modulus // w_lo) % base
+                g = gcd(y0, base)
+                if j % g:
+                    continue
+                step = base // g
+                h += (j // g * pow(y0 // g, -1, step) - h) % step
+            for h in range(h, end, step):
+                yc, rc = ya + h * w_hi, ra + h * w_lo
                 p = yc * rc
                 if p > high:
                     break
@@ -424,9 +465,19 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 
 def classify(value: int, base: int) -> ClassifyResult:
     """Full classification record of N = value: Niven flags plus both witness lists."""
+    return build_result(value, base, *classify_products(value, base)[1:])
+
+
+def classify_products(value: int, base: int) -> tuple[int, int, int, list[int], list[int]]:
+    """(N, s_b(N), s_b(N^2), ARH products, MRH products) of N = value.
+
+    classify's record in the compact form that the range scans also
+    give (search.scan_products): each list holds the ascending witness
+    products X of its kind.
+    """
     mrh = [w.x for w in mrh_witnesses(value, base)]
     s, sq_sum = digit_sum_int(value, base), digit_sum_int(value * value, base)
-    return build_result(value, base, s, sq_sum, list(arh_products(value, base, s)), mrh)
+    return value, s, sq_sum, list(arh_products(value, base, s)), mrh
 
 
 def build_result(
@@ -439,8 +490,7 @@ def build_result(
     its own way.  Each X is a witness, so its reversal is value - X
     (ARH) or value // X (MRH), with no digits to reverse.
     """
-    niven = value % s == 0
-    quad = niven and value * value % sq_sum == 0
+    niven, quad, strong = niven_flags(value, s, sq_sum)
     return ClassifyResult(
         n=value,
         base=base,
@@ -448,5 +498,16 @@ def build_result(
         arh=tuple(Witness(m=x // s, x=x, xr=value - x) for x in arh_products),
         mrh=tuple(Witness(m=x // s, x=x, xr=value // x) for x in mrh_products),
         quadratic_niven=quad,
-        strongly_quadratic_niven=quad and s == sq_sum,
+        strongly_quadratic_niven=strong,
     )
+
+
+def niven_flags(value: int, s: int, sq_sum: int) -> tuple[bool, bool, bool]:
+    """(Niven, quadratic Niven, strongly quadratic Niven) of N = value.
+
+    From s = s_b(N) and sq_sum = s_b(N^2): the flags of every record,
+    whether built as a ClassifyResult or rendered from the products.
+    """
+    niven = value % s == 0
+    quad = niven and value * value % sq_sum == 0
+    return niven, quad, quad and s == sq_sum

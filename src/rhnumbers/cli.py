@@ -17,7 +17,7 @@ import signal
 import sys
 
 from .bounds import digit_bound
-from .classify import ARH, MRH, NIVEN, classify
+from .classify import ARH, MRH, NIVEN, classify_products, niven_flags
 from .digitvec import parse_digits
 from .families import (
     FamilyParameterError,
@@ -28,7 +28,7 @@ from .families import (
     gen_square_family,
     verify_family,
 )
-from .oeis import bfile_deviation_note, bfile_text, first_terms
+from .oeis import bfile_deviation_note, bfile_lines, bfile_text, first_terms
 from .search import (
     ALLOW,
     FORBID,
@@ -37,7 +37,7 @@ from .search import (
     palindromic_square_search,
     paper_bound_conflicts,
     scan_numbers,
-    scan_range,
+    scan_products,
 )
 from .tables import reproduce_all_tables, reproduce_table, section1_counts
 
@@ -186,30 +186,77 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _classify_rows(results) -> list[list]:
-    return [
-        [
-            res.n,
-            res.base,
-            res.is_niven,
-            ";".join(str(w.m) for w in res.arh),
-            ";".join(str(w.m) for w in res.mrh),
-            res.quadratic_niven,
-            res.strongly_quadratic_niven,
+def _record_json(base: int, record, newline: str = "\n") -> str:
+    """_json_text of the ClassifyResult that build_result makes from record, without building it.
+
+    record is (N, s_b(N), s_b(N^2), ARH products, MRH products), as
+    classify_products and scan_products give it, and newline is the
+    record's own line break and indent.  Each witness is
+    (m, x, xr) = (X // s, X, N - X) for ARH and (X // s, X, N // X) for
+    MRH.  N is rendered first, as _json_text renders it, so an N past
+    the int-to-str digit limit raises the same ValueError.
+    """
+    n, s, sq_sum, arh, mrh = record
+    niven, quad, strong = niven_flags(n, s, sq_sum)
+    key, item, field = newline + "  ", newline + "    ", newline + "      "
+    parts = [f'{{{key}"n": {n},{key}"base": {base},{key}"niven": {_JSON_CONSTANTS[niven]}']
+    for name, xs, xrs in (("arh", arh, map(n.__sub__, arh)), ("mrh", mrh, map(n.__floordiv__, mrh))):
+        witnesses = [
+            f'{{{field}"m": {x // s},{field}"x": {x},{field}"xr": {xr}{item}}}'
+            for x, xr in zip(xs, xrs)
         ]
-        for res in results
-    ]
+        listing = "[" + item + ("," + item).join(witnesses) + key + "]" if witnesses else "[]"
+        parts.append(f'{key}"{name}": {listing}')
+    parts.append(
+        f'{key}"quadratic_niven": {_JSON_CONSTANTS[quad]},'
+        f'{key}"strongly_quadratic_niven": {_JSON_CONSTANTS[strong]}{newline}}}'
+    )
+    return ",".join(parts)
 
 
-_CLASSIFY_HEADER = [
-    "n",
-    "base",
-    "niven",
-    "arh_multipliers",
-    "mrh_multipliers",
-    "quadratic_niven",
-    "strongly_quadratic_niven",
-]
+def _record_csv(base: int, record) -> str:
+    """The csv.writer row of the same record under _CLASSIFY_HEADER.
+
+    No field holds a comma, quote or line break, so none is quoted.  The
+    multiplier lists are joined before N is rendered, as the row of
+    ClassifyResult fields was, so an int past the digit limit raises
+    the same ValueError.
+    """
+    n, s, sq_sum, arh, mrh = record
+    niven, quad, strong = niven_flags(n, s, sq_sum)
+    arh_m, mrh_m = (";".join([str(x // s) for x in xs]) for xs in (arh, mrh))
+    return f"{n},{base},{niven},{arh_m},{mrh_m},{quad},{strong}\n"
+
+
+_CLASSIFY_HEADER = (
+    "n,base,niven,arh_multipliers,mrh_multipliers,quadratic_niven,strongly_quadratic_niven\n"
+)
+
+
+def _write_search(cfg: SearchConfig, fmt: str, out) -> None:
+    """search's b-file, CSV or JSON text, written as the scan goes.
+
+    b-file lines and CSV rows are written as their hits come.  JSON
+    prints "count" before "results", so it holds the scan's compact
+    tuples (never its records or their text) until the count is known.
+    """
+    if fmt == "bfile":
+        out.writelines(bfile_lines(scan_numbers(cfg)))
+        return
+    if fmt == "csv":
+        out.write(_CLASSIFY_HEADER)
+        out.writelines(_record_csv(cfg.base, record) for record in scan_products(cfg))
+        return
+    records = list(scan_products(cfg))
+    config = _json_text(dataclasses.asdict(cfg), "\n  ")
+    out.write(f'{{\n  "config": {config},\n  "count": {len(records)},\n  "results": ')
+    if not records:
+        out.write("[]\n}\n")
+        return
+    texts = (_record_json(cfg.base, record, "\n    ") for record in records)
+    out.write("[\n    " + next(texts))
+    out.writelines(",\n    " + text for text in texts)
+    out.write("\n  ]\n}\n")
 
 
 def run_cli(argv: list[str], out=None, err=None) -> int:
@@ -230,11 +277,11 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 def _dispatch(args, out, err) -> int:
     if args.command == "classify":
         n = parse_digits(args.n, args.base) if args.digits else int(args.n)
-        result = classify(n, args.base)
+        record = classify_products(n, args.base)
         if args.format == "csv":
-            print(_csv_text(_CLASSIFY_HEADER, _classify_rows([result])), end="", file=out)
+            out.write(_CLASSIFY_HEADER + _record_csv(args.base, record))
         else:
-            _print_json(result.to_json_dict(), out)
+            print(_record_json(args.base, record), file=out)
         return 0
 
     if args.command == "search":
@@ -246,22 +293,7 @@ def _dispatch(args, out, err) -> int:
             zero_digit_policy=FORBID if args.no_zero_digits else ALLOW,
             multiplier_filter=args.multiplier,
         )
-        if args.format == "bfile":
-            print(bfile_text(scan_numbers(cfg)), end="", file=out)
-            return 0
-        results = list(scan_range(cfg))
-        if args.format == "json":
-            _print_json(
-                {
-                    "config": dataclasses.asdict(cfg),
-                    "count": len(results),
-                    "results": [res.to_json_dict() for _, res in results],
-                },
-                out,
-            )
-        else:
-            rows = _classify_rows(res for _, res in results)
-            print(_csv_text(_CLASSIFY_HEADER, rows), end="", file=out)
+        _write_search(cfg, args.format, out)
         return 0
 
     if args.command == "multiplier":

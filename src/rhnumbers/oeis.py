@@ -8,7 +8,8 @@ text, the deviation is reported alongside, never silently edited in.
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from typing import Iterable, Iterator
 
 from .classify import ARH, MRH
 from .search import SearchConfig, scan_numbers
@@ -20,7 +21,7 @@ SEQ_MRH = "A305131"
 # to flag deviations of A305131's leading terms.
 SECTION1_MRH_TEXT_SET = (1, 81, 1458, 1729)
 
-_SCAN_START = 10_000
+# first_terms scans [1, 10^4] and then one decade at a time up to here.
 _SCAN_LIMIT = 10**9
 
 
@@ -33,26 +34,37 @@ def _kind_for(seq: str) -> str:
 
 
 def first_terms(seq: str, count: int) -> list[int]:
-    """First `count` terms, ascending; scans widening ranges until enough."""
+    """First `count` terms, ascending, from one stream over [1, 10^4] and each decade after it.
+
+    Each decade is its own scan, with a digit-sum table for its own
+    end, and the stream stops once it has `count` terms.
+    """
     kind = _kind_for(seq)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    hi = _SCAN_START
-    while True:
-        cfg = SearchConfig(base=10, lo=1, hi=hi, kind=kind)
-        terms = list(scan_numbers(cfg))
-        if len(terms) >= count:
-            return terms[:count]
-        if hi >= _SCAN_LIMIT:
-            raise ValueError(
-                f"{seq} has only {len(terms)} terms up to {hi}; count {count} is out of reach"
-            )
-        hi *= 10
+    ends = [10**4]
+    while ends[-1] < _SCAN_LIMIT:
+        ends.append(ends[-1] * 10)
+    stream = itertools.chain.from_iterable(
+        scan_numbers(SearchConfig(base=10, lo=lo + 1, hi=hi, kind=kind))
+        for lo, hi in zip([0] + ends, ends)
+    )
+    terms = list(itertools.islice(stream, count))
+    if len(terms) < count:
+        raise ValueError(
+            f"{seq} has only {len(terms)} terms up to {_SCAN_LIMIT}; count {count} is out of reach"
+        )
+    return terms
+
+
+def bfile_lines(terms: Iterable[int]) -> Iterator[str]:
+    """OEIS b-file lines: 'index value', 1-based, newline-terminated."""
+    return (f"{i} {v}\n" for i, v in enumerate(terms, start=1))
 
 
 def bfile_text(terms: Iterable[int]) -> str:
-    """OEIS b-file text: 'index value' per line, 1-based, newline-terminated."""
-    return "".join(f"{i} {v}\n" for i, v in enumerate(terms, start=1))
+    """OEIS b-file text: the lines of bfile_lines, joined."""
+    return "".join(bfile_lines(terms))
 
 
 def emit_bfile(seq: str, count: int) -> str:

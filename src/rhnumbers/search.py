@@ -13,12 +13,17 @@ the window's ends and, for a window narrower than b^(i+1), its
 residues mod b^(i+1); a narrow window far out visits few of them.  A
 Niven scan tests every N.
 
-One engine (_hits) serves two views.  scan_numbers yields N alone, for
-b-files: it lists no witness, since the DP's exact masks already say
-whether a vector has one, and a Niven scan walks no vectors.
-scan_range yields a record per hit, listing the witnesses of the
-vectors it prints (for a Niven scan, only those whose N is Niven).
-Both take every digit sum from one DigitSums table.
+One engine (_hits) walks [lo, hi] in windows of _WINDOW values, so a
+scan holds one window's hits at a time, and serves three views.
+scan_numbers yields N alone, for b-files and oeis: it lists no
+witness, since the DP's exact masks already say whether a vector has
+one, and a Niven scan walks no vectors.  scan_products yields a compact
+tuple per hit, (N, s_b(N), s_b(N^2), ARH products, MRH products),
+listing the witnesses of the vectors it prints (for a Niven scan, only
+those whose N is Niven); the CLI's json and csv views render each
+record's text from it.  scan_range, the library's record view, builds
+a ClassifyResult from each tuple.  Every window takes its digit sums
+from one DigitSums table.
 """
 
 from __future__ import annotations
@@ -173,32 +178,45 @@ class DigitSums:
 
 
 _TABLE_CAP = 2**20  # entries of a DigitSums table: 8 MB of list
+_WINDOW = 10**7  # values of [lo, hi] that one window of a range scan covers
 
 
 def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
     """Ascending (N, s_b(N), ARH products, MRH products) for every hit of cfg.kind.
 
-    With records set, both product lists are the complete ascending
-    witness lists of N; without, they are empty and only the work that
-    decides membership is done.  X is a witness product of N iff
-    s_b(N) | X, so an ARH scan keeps a pair-sum vector whose masks admit
-    some X (pair_sum_products) and lists its X only for a record, and a
-    Niven scan lists only the vectors whose N is Niven.  The MRH lists
-    keep the X that s_b(N) divides of the ascending (N, X) that
-    mrh_products lists for [lo, hi].  The ARH lists of an MRH scan's few
-    hits are solved from their own digits.  The multiplier filter checks
-    X = M*s_b(N) directly: with the witness lists complete, that is the
-    same as finding it in N's list.
+    The range is walked in windows of _WINDOW values, each finished
+    (its hits sorted and yielded) before the next begins, so a scan
+    holds one window's hits at a time; every window takes its digit
+    sums from the one table.  With records set, both product lists are
+    the complete ascending witness lists of N; without, they are empty
+    and only the work that decides membership is done.
+    """
+    for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
+        yield from _window_hits(cfg, sums, records, lo, min(lo + _WINDOW - 1, cfg.hi))
+
+
+def _window_hits(cfg: SearchConfig, sums: DigitSums, records: bool, lo: int, hi: int):
+    """_hits on the window [lo, hi] of cfg's range.
+
+    X is a witness product of N iff s_b(N) | X, so an ARH scan keeps a
+    pair-sum vector whose masks admit some X (pair_sum_products) and
+    lists its X only for a record, and a Niven scan lists only the
+    vectors whose N is Niven.  The MRH lists keep the X that s_b(N)
+    divides of the ascending (N, X) that mrh_products lists for the
+    window.  The ARH lists of an MRH scan's few hits are solved from
+    their own digits.  The multiplier filter checks X = M*s_b(N)
+    directly: with the witness lists complete, that is the same as
+    finding it in N's list.
     """
     base, kind = cfg.base, cfg.kind
     mrh_map: dict[int, list[int]] = {}
     if records or kind == MRH:
-        for n, x in mrh_products(base, cfg.lo, cfg.hi):
+        for n, x in mrh_products(base, lo, hi):
             if x % sums(n) == 0:
                 mrh_map.setdefault(n, []).append(x)
     arh_map: dict[int, list[int]] = {}
     if kind == ARH or (kind == NIVEN and records):
-        for n, k, p in pair_sum_vectors(base, cfg.lo, cfg.hi):
+        for n, k, p in pair_sum_vectors(base, lo, hi):
             s = sums(n)
             if kind == NIVEN and n % s:
                 continue
@@ -212,7 +230,7 @@ def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
     elif kind == MRH:
         candidates = sorted(mrh_map)
     else:
-        candidates = sums.niven(cfg.lo, cfg.hi)
+        candidates = sums.niven(lo, hi)
     for n in candidates:
         if cfg.zero_digit_policy == FORBID and has_zero_digit(n, base):
             continue
@@ -240,15 +258,26 @@ def scan_numbers(cfg: SearchConfig):
         yield n
 
 
+def scan_products(cfg: SearchConfig):
+    """Ascending (N, s_b(N), s_b(N^2), ARH products, MRH products) for every hit of cfg.kind.
+
+    The compact form of scan_range's records: each product list is the
+    complete ascending list of N's witnesses X of that kind, and
+    classify.build_result makes the record from the tuple.
+    """
+    sums = DigitSums(cfg.base, cfg.hi)
+    for n, s, arh, mrh in _hits(cfg, sums, records=True):
+        yield n, s, sums.of_square(n), arh, mrh
+
+
 def scan_range(cfg: SearchConfig):
     """Ordered stream of (N, ClassifyResult) for every hit of cfg.kind.
 
     Each emitted record carries the complete witness lists of both
     kinds for that N.
     """
-    sums = DigitSums(cfg.base, cfg.hi)
-    for n, s, arh, mrh in _hits(cfg, sums, records=True):
-        yield n, build_result(n, cfg.base, s, sums.of_square(n), arh, mrh)
+    for n, s, sq_sum, arh, mrh in scan_products(cfg):
+        yield n, build_result(n, cfg.base, s, sq_sum, arh, mrh)
 
 
 def numbers_for_multiplier(

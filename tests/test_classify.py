@@ -144,6 +144,43 @@ class TestMrhProducts:
         assert listed == sorted(set(listed))
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([2**20, 10**5]),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=0, max_value=1),
+        st.randoms(use_true_random=False),
+    )
+    def test_constructed_products_in_large_bases(self, base, k, t, rng):
+        # Bisecting the high digit of every low digit took 11-22 s on a
+        # random 3-digit Y in base 2^20 (2-core VM).  Y and Y^R are both
+        # listed, though the outer pair is walked with a <= c only.
+        y = rng.randrange(base ** (k - 1), base**k)
+        while y % base == 0:
+            y //= base
+        yr = reverse_int(y, base)
+        n = y * yr * base**t
+        listed = mrh_products(base, n, n)
+        assert (n, y * base**t) in listed and (n, yr * base**t) in listed
+        assert all(m == n and x * reverse_int(x, base) == n for m, x in listed)
+        assert listed == sorted(set(listed))
+
+    @pytest.mark.parametrize(
+        "base,y",
+        [(2**20, 2**40 + 3), (2**20, 3 * 2**40 + 2**20 + 5), (10**5, 999 * 10**10 + 12345 * 10**5 + 7)],
+    )
+    def test_three_digit_roots_in_large_bases(self, base, y):
+        n = y * reverse_int(y, base)
+        listed = mrh_products(base, n, n)
+        assert (n, y) in listed and (n, reverse_int(y, base)) in listed
+        assert all(m == n and x * reverse_int(x, base) == n for m, x in listed)
+
+    def test_a_near_power_of_a_large_base(self):
+        # 2^60 + 12285: four digits in base 2^20.  Its digit pairs took
+        # 6.4 s to rule out (2-core VM).
+        assert mrh_products(2**20, 2**60 + 12285, 2**60 + 12285) == []
+
+
 class TestVerifyWitness:
     def test_121212(self):
         got = verify_witness(121212, 10, 6734, ARH)

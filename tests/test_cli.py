@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,8 +14,11 @@ from hypothesis import strategies as st
 import rhnumbers
 from rhnumbers import cli, search
 from rhnumbers.bounds import BoundSpec
+from rhnumbers.classify import ARH, MRH, NIVEN, classify
 from rhnumbers.cli import run_cli
+from rhnumbers.digitvec import parse_digits
 from rhnumbers.families import FamilyInstance
+from rhnumbers.search import ALLOW, FORBID, SearchConfig, scan_range
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +80,106 @@ class TestSearch:
     def test_usage_error_on_bad_kind(self):
         code, _, _ = run(["search", "--max", "100", "--kind", "weird"])
         assert code == 2
+
+
+def _reference_csv(records) -> str:
+    """The classify/search CSV as csv.writer wrote it from ClassifyResult fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "base", "niven", "arh_multipliers", "mrh_multipliers",
+                     "quadratic_niven", "strongly_quadratic_niven"])
+    for res in records:
+        writer.writerow([res.n, res.base, res.is_niven, ";".join(str(w.m) for w in res.arh),
+                         ";".join(str(w.m) for w in res.mrh), res.quadratic_niven,
+                         res.strongly_quadratic_niven])
+    return buf.getvalue()
+
+
+def _reference_search(cfg: SearchConfig) -> dict[str, str]:
+    """search's stdout in each format, rendered from scan_range's records and their dicts."""
+    records = [res for _, res in scan_range(cfg)]
+    document = {
+        "config": dataclasses.asdict(cfg),
+        "count": len(records),
+        "results": [res.to_json_dict() for res in records],
+    }
+    return {
+        "json": json.dumps(document, indent=2) + "\n",
+        "csv": _reference_csv(records),
+        "bfile": "".join(f"{i} {res.n}\n" for i, res in enumerate(records, start=1)),
+    }
+
+
+def _search_argv(cfg: SearchConfig, fmt: str) -> list[str]:
+    argv = ["search", "--kind", cfg.kind, "--base", str(cfg.base), "--min", str(cfg.lo),
+            "--max", str(cfg.hi), "--format", fmt]
+    if cfg.zero_digit_policy == FORBID:
+        argv.append("--no-zero-digits")
+    if cfg.multiplier_filter is not None:
+        argv += ["--multiplier", str(cfg.multiplier_filter)]
+    return argv
+
+
+class TestRecordText:
+    """search and classify print the text the records' dicts and csv.writer gave."""
+
+    @pytest.mark.parametrize("window", [None, 1, "base", 7, 1000])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([ARH, MRH, NIVEN]),
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=3000),
+        st.sampled_from([ALLOW, FORBID]),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    def test_search_in_every_format(self, window, kind, base, a, b, policy, m):
+        # The reference scans in one window; the CLI walks windows of
+        # 1, b, 7 or 1000 values when _WINDOW is patched down.
+        cfg = SearchConfig(base=base, lo=min(a, b), hi=max(a, b), kind=kind,
+                           zero_digit_policy=policy,
+                           multiplier_filter=None if kind == NIVEN else m)
+        wanted = _reference_search(cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            if window is not None:
+                patch.setattr(search, "_WINDOW", base if window == "base" else window)
+            for fmt, text in wanted.items():
+                assert run(_search_argv(cfg, fmt)) == (0, text, ""), fmt
+
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    def test_empty_and_wide_scans(self, kind):
+        for lo, hi in ((1, 1), (1, 9), (10**5, 10**5 + 300), (1, 2 * 10**4)):
+            cfg = SearchConfig(base=10, lo=lo, hi=hi, kind=kind)
+            for fmt, text in _reference_search(cfg).items():
+                assert run(_search_argv(cfg, fmt)) == (0, text, ""), (lo, hi, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(min_value=1, max_value=10**6),
+                  st.integers(min_value=1, max_value=10**15)),
+        st.integers(min_value=2, max_value=16),
+    )
+    def test_classify_in_both_formats(self, n, base):
+        res = classify(n, base)
+        argv = ["classify", "--base", str(base), str(n)]
+        assert run(argv) == (0, json.dumps(res.to_json_dict(), indent=2) + "\n", "")
+        assert run(argv + ["--format", "csv"]) == (0, _reference_csv([res]), "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("zeros", [4305, 4310])
+    def test_classify_past_the_int_digit_limit(self, fmt, zeros):
+        # N = 10^(zeros+1) + 1 has the ARH witness X = 10^(zeros+1), whose
+        # multiplier X/2 has zeros+1 digits: past 4300 digits every int
+        # here refuses str(), and the error is the one the records gave.
+        digits = "1" + "0" * zeros + "1"
+        res = classify(parse_digits(digits, 10), 10)
+        with pytest.raises(ValueError) as reference:
+            if fmt == "json":
+                json.dumps(res.to_json_dict(), indent=2)
+            else:
+                _reference_csv([res])
+        code, out, err = run(["classify", "--digits", digits, "--format", fmt])
+        assert (code, out, err) == (2, "", f"error: {reference.value}\n")
 
 
 class TestMultiplier:

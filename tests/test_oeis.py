@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from rhnumbers import oeis
 from rhnumbers.oeis import (
     SEQ_ARH,
     SEQ_MRH,
@@ -7,6 +10,8 @@ from rhnumbers.oeis import (
     emit_bfile,
     first_terms,
 )
+from rhnumbers.classify import ARH
+from rhnumbers.search import SearchConfig, scan_numbers
 
 
 class TestFirstTerms:
@@ -29,6 +34,39 @@ class TestFirstTerms:
     def test_zero_count(self):
         with pytest.raises(ValueError):
             first_terms(SEQ_ARH, 0)
+
+    def test_one_stream_of_decades(self, monkeypatch):
+        # [1, 10^4], then one decade at a time, and no scan past the
+        # decade that holds the last term asked for.
+        scanned = []
+
+        def recording(cfg):
+            scanned.append((cfg.lo, cfg.hi))
+            return scan_numbers(cfg)
+
+        monkeypatch.setattr(oeis, "scan_numbers", recording)
+        assert first_terms(SEQ_MRH, 4) == [1, 10, 40, 81]
+        assert scanned == [(1, 10**4)]
+        scanned.clear()
+        terms = first_terms(SEQ_ARH, 1000)  # 264 terms lie below 10^4, 1581 below 10^5
+        assert scanned == [(1, 10**4), (10**4 + 1, 10**5)]
+        assert terms == list(scan_numbers(SearchConfig(base=10, lo=1, hi=10**5, kind=ARH)))[:1000]
+
+    def test_count_out_of_reach(self, monkeypatch):
+        monkeypatch.setattr(oeis, "_SCAN_LIMIT", 10**5)
+        with pytest.raises(ValueError) as error:
+            first_terms(SEQ_MRH, 54)
+        assert str(error.value) == "A305131 has only 53 terms up to 100000; count 54 is out of reach"
+        assert len(first_terms(SEQ_MRH, 53)) == 53
+
+    def test_first_hundred_thousand_arh_terms_are_pinned(self):
+        # The b-file of the first 10^5 terms of A305130 (the last one is
+        # 85,789,748): any change of scan engine must print these bytes.
+        text = emit_bfile(SEQ_ARH, 10**5)
+        assert text.endswith("\n100000 85789748\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "59300fcead2337caa7f85a71c6763b3e80ea7ee762968bdd97de6231953afeca"
+        )
 
 
 class TestBfileFormat:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from brute_force import (
     arh_map_sweep,
@@ -301,6 +303,40 @@ class TestDigitSums:
         lo, hi = base - 6, base + 6  # across the first power of b
         wanted = [n for n in range(lo, hi + 1) if member[kind](classify(n, base))]
         assert list(scan_numbers(SearchConfig(base=base, lo=lo, hi=hi, kind=kind))) == wanted
+
+
+class TestWindows:
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    @pytest.mark.parametrize("base", [2, 7, 10])
+    @pytest.mark.parametrize("window", [1, "base", 7, 1000])
+    def test_scans_agree_at_any_window(self, monkeypatch, kind, base, window):
+        # Windows of one value, of b values and of sizes that cut across
+        # every power of b give the hits of one window over the range.
+        cfg = SearchConfig(base=base, lo=37, hi=5000, kind=kind)
+        records = list(scan_range(cfg))
+        monkeypatch.setattr(search, "_WINDOW", base if window == "base" else window)
+        assert list(scan_range(cfg)) == records
+        assert list(scan_numbers(cfg)) == [n for n, _ in records]
+
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    def test_memory_tracks_one_window(self, monkeypatch, kind):
+        # Draining the scan over 20 windows peaks well below one pass
+        # over the same range, which holds every hit until it ends.
+        cfg = SearchConfig(base=10, lo=1, hi=2 * 10**5, kind=kind)
+
+        def drained_peak(window):
+            monkeypatch.setattr(search, "_WINDOW", window)
+            tracemalloc.start()
+            try:
+                hits = sum(1 for _ in scan_numbers(cfg))
+                return hits, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_hits, one_peak = drained_peak(cfg.hi)
+        hits, peak = drained_peak(cfg.hi // 20)
+        assert hits == one_hits > 0
+        assert peak < one_peak / 2, (peak, one_peak)
 
 
 class TestNumbersForMultiplier:
