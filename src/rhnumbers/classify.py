@@ -8,7 +8,10 @@ N's digits (arh_products).  mrh_witnesses lists N = X * X^R with
 mrh_products, which fixes X's digit pairs from both ends against N's
 high digits and its residues mod b^(i+1); the range scans call the
 same engine on their windows.  verify_witness takes a supplied M
-instead and works at any magnitude.  Every public function takes N as
+instead and works at any magnitude.  classify gives N's whole record,
+a ClassifyResult: s_b(N), s_b(N^2) and the witness products of both
+kinds, from which its Niven flags and witnesses are read; the range
+scans build the same record.  Every public function takes N as
 (value, base), a Python int and its numeration base, and refuses
 values below 1 and bases below 2.
 """
@@ -20,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .digitvec import check_base, digit_count_int, digit_sum_int, digits_int, reverse_int
 
@@ -53,25 +56,67 @@ class VerifyFailure:
     expected: int
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
+    """Classification record of N = n in base b: its digit sums and its witness products.
+
+    s = s_b(N) and sq_sum = s_b(N^2); arh_products and mrh_products are
+    the ascending witness products X of each kind (X + X^R = N, or
+    X * X^R = N, with s | X), () when there are none.  The flags and
+    the Witness lists are read from these fields: each X is a witness,
+    so its reversal is N - X (ARH) or N // X (MRH), with no digits to
+    reverse.  classify and the range scans are the only producers.
+    """
+
     n: int
     base: int
-    is_niven: bool
-    arh: tuple[Witness, ...]
-    mrh: tuple[Witness, ...]
-    quadratic_niven: bool
-    strongly_quadratic_niven: bool
+    s: int
+    sq_sum: int
+    arh_products: tuple[int, ...]
+    mrh_products: tuple[int, ...]
+
+    def flags(self) -> tuple[bool, bool, bool]:
+        """(Niven, quadratic Niven, strongly quadratic Niven).
+
+        s | N; then also sq_sum | N^2; then also s == sq_sum.  The one
+        rule for every flag of a record, read or rendered.
+        """
+        n, s, sq_sum = self.n, self.s, self.sq_sum
+        niven = n % s == 0
+        quad = niven and n * n % sq_sum == 0
+        return niven, quad, quad and s == sq_sum
+
+    @property
+    def is_niven(self) -> bool:
+        return self.flags()[0]
+
+    @property
+    def quadratic_niven(self) -> bool:
+        return self.flags()[1]
+
+    @property
+    def strongly_quadratic_niven(self) -> bool:
+        return self.flags()[2]
+
+    @property
+    def arh(self) -> tuple[Witness, ...]:
+        n, s = self.n, self.s
+        return tuple(Witness(x // s, x, n - x) for x in self.arh_products)
+
+    @property
+    def mrh(self) -> tuple[Witness, ...]:
+        n, s = self.n, self.s
+        return tuple(Witness(x // s, x, n // x) for x in self.mrh_products)
 
     def to_json_dict(self) -> dict:
+        niven, quad, strong = self.flags()
         return {
             "n": self.n,
             "base": self.base,
-            "niven": self.is_niven,
+            "niven": niven,
             "arh": [w.to_json_dict() for w in self.arh],
             "mrh": [w.to_json_dict() for w in self.mrh],
-            "quadratic_niven": self.quadratic_niven,
-            "strongly_quadratic_niven": self.strongly_quadratic_niven,
+            "quadratic_niven": quad,
+            "strongly_quadratic_niven": strong,
         }
 
 
@@ -464,50 +509,8 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 
 
 def classify(value: int, base: int) -> ClassifyResult:
-    """Full classification record of N = value: Niven flags plus both witness lists."""
-    return build_result(value, base, *classify_products(value, base)[1:])
-
-
-def classify_products(value: int, base: int) -> tuple[int, int, int, list[int], list[int]]:
-    """(N, s_b(N), s_b(N^2), ARH products, MRH products) of N = value.
-
-    classify's record in the compact form that the range scans also
-    give (search.scan_products): each list holds the ascending witness
-    products X of its kind.
-    """
-    mrh = [w.x for w in mrh_witnesses(value, base)]
+    """Full classification record of N = value: both digit sums and both witness lists."""
+    _require_n(value, base)
     s, sq_sum = digit_sum_int(value, base), digit_sum_int(value * value, base)
-    return value, s, sq_sum, list(arh_products(value, base, s)), mrh
-
-
-def build_result(
-    value: int, base: int, s: int, sq_sum: int, arh_products: list[int], mrh_products: list[int]
-) -> ClassifyResult:
-    """Classification record of N = value from its ascending witness products X.
-
-    The one record builder: classify and the range scans both call it,
-    each with the digit sums s = s_b(N) and sq_sum = s_b(N^2) it took
-    its own way.  Each X is a witness, so its reversal is value - X
-    (ARH) or value // X (MRH), with no digits to reverse.
-    """
-    niven, quad, strong = niven_flags(value, s, sq_sum)
-    return ClassifyResult(
-        n=value,
-        base=base,
-        is_niven=niven,
-        arh=tuple(Witness(m=x // s, x=x, xr=value - x) for x in arh_products),
-        mrh=tuple(Witness(m=x // s, x=x, xr=value // x) for x in mrh_products),
-        quadratic_niven=quad,
-        strongly_quadratic_niven=strong,
-    )
-
-
-def niven_flags(value: int, s: int, sq_sum: int) -> tuple[bool, bool, bool]:
-    """(Niven, quadratic Niven, strongly quadratic Niven) of N = value.
-
-    From s = s_b(N) and sq_sum = s_b(N^2): the flags of every record,
-    whether built as a ClassifyResult or rendered from the products.
-    """
-    niven = value % s == 0
-    quad = niven and value * value % sq_sum == 0
-    return niven, quad, quad and s == sq_sum
+    mrh = tuple(x for _, x in mrh_products(base, value, value) if x % s == 0)
+    return ClassifyResult(value, base, s, sq_sum, tuple(arh_products(value, base, s)), mrh)

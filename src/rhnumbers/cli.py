@@ -9,15 +9,13 @@ verification failure or CONFLICT-WITH-PAPER present, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import signal
 import sys
 
 from .bounds import digit_bound
-from .classify import ARH, MRH, NIVEN, classify_products, niven_flags
+from .classify import ARH, MRH, NIVEN, classify
 from .digitvec import parse_digits
 from .families import (
     FamilyParameterError,
@@ -37,7 +35,7 @@ from .search import (
     palindromic_square_search,
     paper_bound_conflicts,
     scan_numbers,
-    scan_products,
+    scan_range,
 )
 from .tables import reproduce_all_tables, reproduce_table, section1_counts
 
@@ -178,26 +176,17 @@ _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _record_json(record, newline: str = "\n") -> str:
+    """_json_text of record.to_json_dict(), written from the ClassifyResult's fields.
 
-
-def _record_json(base: int, record, newline: str = "\n") -> str:
-    """_json_text of the ClassifyResult that build_result makes from record, without building it.
-
-    record is (N, s_b(N), s_b(N^2), ARH products, MRH products), as
-    classify_products and scan_products give it, and newline is the
-    record's own line break and indent.  Each witness is
+    newline is the record's own line break and indent.  Each witness is
     (m, x, xr) = (X // s, X, N - X) for ARH and (X // s, X, N // X) for
-    MRH.  N is rendered first, as _json_text renders it, so an N past
-    the int-to-str digit limit raises the same ValueError.
+    MRH, as the record's arh and mrh give it.  N is rendered first, as
+    _json_text renders it, so an N past the int-to-str digit limit
+    raises the same ValueError.
     """
-    n, s, sq_sum, arh, mrh = record
-    niven, quad, strong = niven_flags(n, s, sq_sum)
+    n, base, s, _, arh, mrh = record
+    niven, quad, strong = record.flags()
     key, item, field = newline + "  ", newline + "    ", newline + "      "
     parts = [f'{{{key}"n": {n},{key}"base": {base},{key}"niven": {_JSON_CONSTANTS[niven]}']
     for name, xs, xrs in (("arh", arh, map(n.__sub__, arh)), ("mrh", mrh, map(n.__floordiv__, mrh))):
@@ -214,16 +203,16 @@ def _record_json(base: int, record, newline: str = "\n") -> str:
     return ",".join(parts)
 
 
-def _record_csv(base: int, record) -> str:
-    """The csv.writer row of the same record under _CLASSIFY_HEADER.
+def _record_csv(record) -> str:
+    """The csv.writer row of the record's fields under _CLASSIFY_HEADER.
 
     No field holds a comma, quote or line break, so none is quoted.  The
-    multiplier lists are joined before N is rendered, as the row of
-    ClassifyResult fields was, so an int past the digit limit raises
-    the same ValueError.
+    multiplier lists are joined before N is rendered, as they are when a
+    csv.writer row is built from the record's properties, so an int past
+    the digit limit raises the same ValueError.
     """
-    n, s, sq_sum, arh, mrh = record
-    niven, quad, strong = niven_flags(n, s, sq_sum)
+    n, base, s, _, arh, mrh = record
+    niven, quad, strong = record.flags()
     arh_m, mrh_m = (";".join([str(x // s) for x in xs]) for xs in (arh, mrh))
     return f"{n},{base},{niven},{arh_m},{mrh_m},{quad},{strong}\n"
 
@@ -237,23 +226,23 @@ def _write_search(cfg: SearchConfig, fmt: str, out) -> None:
     """search's b-file, CSV or JSON text, written as the scan goes.
 
     b-file lines and CSV rows are written as their hits come.  JSON
-    prints "count" before "results", so it holds the scan's compact
-    tuples (never its records or their text) until the count is known.
+    prints "count" before "results", so it holds the scan's records
+    (never their text) until the count is known.
     """
     if fmt == "bfile":
         out.writelines(bfile_lines(scan_numbers(cfg)))
         return
     if fmt == "csv":
         out.write(_CLASSIFY_HEADER)
-        out.writelines(_record_csv(cfg.base, record) for record in scan_products(cfg))
+        out.writelines(_record_csv(record) for _, record in scan_range(cfg))
         return
-    records = list(scan_products(cfg))
+    records = [record for _, record in scan_range(cfg)]
     config = _json_text(dataclasses.asdict(cfg), "\n  ")
     out.write(f'{{\n  "config": {config},\n  "count": {len(records)},\n  "results": ')
     if not records:
         out.write("[]\n}\n")
         return
-    texts = (_record_json(cfg.base, record, "\n    ") for record in records)
+    texts = (_record_json(record, "\n    ") for record in records)
     out.write("[\n    " + next(texts))
     out.writelines(",\n    " + text for text in texts)
     out.write("\n  ]\n}\n")
@@ -277,11 +266,11 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 def _dispatch(args, out, err) -> int:
     if args.command == "classify":
         n = parse_digits(args.n, args.base) if args.digits else int(args.n)
-        record = classify_products(n, args.base)
+        record = classify(n, args.base)
         if args.format == "csv":
-            out.write(_CLASSIFY_HEADER + _record_csv(args.base, record))
+            out.write(_CLASSIFY_HEADER + _record_csv(record))
         else:
-            print(_record_json(args.base, record), file=out)
+            print(_record_json(record), file=out)
         return 0
 
     if args.command == "search":
@@ -312,7 +301,7 @@ def _dispatch(args, out, err) -> int:
                 out,
             )
         elif args.format == "csv":
-            print(_csv_text(["n"], [[n] for n in numbers]), end="", file=out)
+            out.write("n\n" + "".join(f"{n}\n" for n in numbers))
         else:
             print(bfile_text(numbers), end="", file=out)
         conflicts = paper_bound_conflicts(args.base, args.multiplier, args.kind, numbers)
@@ -364,7 +353,8 @@ def _dispatch(args, out, err) -> int:
     if args.command == "palsquare":
         hits = palindromic_square_search(args.limit, base=args.base)
         if args.format == "csv":
-            print(_csv_text(["n", "square", "square_digit_sum"], [list(h) for h in hits]), end="", file=out)
+            rows = "".join(f"{n},{sq},{s}\n" for n, sq, s in hits)
+            out.write("n,square,square_digit_sum\n" + rows)
         else:
             _print_json(
                 [{"n": n, "square": sq, "square_digit_sum": s} for n, sq, s in hits], out

@@ -14,16 +14,15 @@ residues mod b^(i+1); a narrow window far out visits few of them.  A
 Niven scan tests every N.
 
 One engine (_hits) walks [lo, hi] in windows of _WINDOW values, so a
-scan holds one window's hits at a time, and serves three views.
+scan holds one window's hits at a time, and serves two views.
 scan_numbers yields N alone, for b-files and oeis: it lists no
 witness, since the DP's exact masks already say whether a vector has
-one, and a Niven scan walks no vectors.  scan_products yields a compact
-tuple per hit, (N, s_b(N), s_b(N^2), ARH products, MRH products),
-listing the witnesses of the vectors it prints (for a Niven scan, only
-those whose N is Niven); the CLI's json and csv views render each
-record's text from it.  scan_range, the library's record view, builds
-a ClassifyResult from each tuple.  Every window takes its digit sums
-from one DigitSums table.
+one, and a Niven scan walks no vectors.  scan_range yields N and its
+ClassifyResult, the record that classify gives (both digit sums and
+both ascending witness product lists), listing the witnesses of the
+vectors it yields (for a Niven scan, only those whose N is Niven);
+the CLI's json and csv views render each record's text from it.
+Every window takes its digit sums from one DigitSums table.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from .classify import (
     ARH,
     MRH,
     NIVEN,
+    ClassifyResult,
     Witness,
     arh_products,
-    build_result,
     check_witness,
     mrh_products,
     pair_sum_products,
@@ -182,14 +181,14 @@ _WINDOW = 10**7  # values of [lo, hi] that one window of a range scan covers
 
 
 def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
-    """Ascending (N, s_b(N), ARH products, MRH products) for every hit of cfg.kind.
+    """Every hit of cfg.kind, ascending: (N, its ClassifyResult) with records set, else N.
 
     The range is walked in windows of _WINDOW values, each finished
     (its hits sorted and yielded) before the next begins, so a scan
     holds one window's hits at a time; every window takes its digit
-    sums from the one table.  With records set, both product lists are
-    the complete ascending witness lists of N; without, they are empty
-    and only the work that decides membership is done.
+    sums from the one table.  A record carries the complete ascending
+    witness lists of N; without records only the work that decides
+    membership is done.
     """
     for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
         yield from _window_hits(cfg, sums, records, lo, min(lo + _WINDOW - 1, cfg.hi))
@@ -240,11 +239,14 @@ def _window_hits(cfg: SearchConfig, sums: DigitSums, records: bool, lo: int, hi:
         ):
             continue
         if not records:
-            yield n, s, [], []
-        elif kind == MRH:
-            yield n, s, list(arh_products(n, base, s)), mrh_map[n]
-        else:
-            yield n, s, arh_map.get(n, []), mrh_map.get(n, [])
+            yield n
+            continue
+        arh = arh_products(n, base, s) if kind == MRH else arh_map.get(n, ())
+        # The record's fields in order, without the Python-level __new__ call
+        # (twice the cost of the tuple itself, once per hit).
+        yield n, tuple.__new__(
+            ClassifyResult, (n, base, s, sums.of_square(n), tuple(arh), tuple(mrh_map.get(n, ())))
+        )
 
 
 def scan_numbers(cfg: SearchConfig):
@@ -254,30 +256,16 @@ def scan_numbers(cfg: SearchConfig):
     masks, a Niven scan reads the digit-sum table alone, and an MRH
     scan lists its products without solving their ARH lists.
     """
-    for n, _, _, _ in _hits(cfg, DigitSums(cfg.base, cfg.hi), records=False):
-        yield n
-
-
-def scan_products(cfg: SearchConfig):
-    """Ascending (N, s_b(N), s_b(N^2), ARH products, MRH products) for every hit of cfg.kind.
-
-    The compact form of scan_range's records: each product list is the
-    complete ascending list of N's witnesses X of that kind, and
-    classify.build_result makes the record from the tuple.
-    """
-    sums = DigitSums(cfg.base, cfg.hi)
-    for n, s, arh, mrh in _hits(cfg, sums, records=True):
-        yield n, s, sums.of_square(n), arh, mrh
+    yield from _hits(cfg, DigitSums(cfg.base, cfg.hi), records=False)
 
 
 def scan_range(cfg: SearchConfig):
     """Ordered stream of (N, ClassifyResult) for every hit of cfg.kind.
 
-    Each emitted record carries the complete witness lists of both
-    kinds for that N.
+    Each record carries N's digit sums and the complete ascending
+    witness products of both kinds for that N.
     """
-    for n, s, sq_sum, arh, mrh in scan_products(cfg):
-        yield n, build_result(n, cfg.base, s, sq_sum, arh, mrh)
+    yield from _hits(cfg, DigitSums(cfg.base, cfg.hi), records=True)
 
 
 def numbers_for_multiplier(

@@ -230,8 +230,8 @@ def _zero_free_mrh_by_digit_count(max_digits: int) -> dict[tuple[int, int], list
     cfg = SearchConfig(base=10, lo=1, hi=10**max_digits - 1, kind=MRH, zero_digit_policy=FORBID)
     groups: dict[tuple[int, int], list[int]] = {}
     for n, res in scan_range(cfg):  # ascending, so each list is sorted
-        for w in res.mrh:
-            groups.setdefault((digit_count_int(n, 10), w.m), []).append(n)
+        for x in res.mrh_products:
+            groups.setdefault((digit_count_int(n, 10), x // res.s), []).append(n)
     return groups
 
 
@@ -324,11 +324,7 @@ def section1_counts() -> CountsReport:
     arh_hits = list(scan_numbers(SearchConfig(base=10, lo=1, hi=9999, kind=ARH)))
     mrh_results = list(scan_range(SearchConfig(base=10, lo=1, hi=9999, kind=MRH)))
     mrh_hits = [n for n, _ in mrh_results]
-    self_only = tuple(
-        n
-        for n, res in mrh_results
-        if all(w.x == n for w in res.mrh)
-    )
+    self_only = tuple(n for n, res in mrh_results if all(x == n for x in res.mrh_products))
     notes = []
     if len(mrh_hits) != MRH_EXPECTED_BELOW_10000:
         inclusive = len(list(scan_numbers(SearchConfig(base=10, lo=1, hi=10000, kind=MRH))))

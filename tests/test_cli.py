@@ -182,7 +182,39 @@ class TestRecordText:
         assert (code, out, err) == (2, "", f"error: {reference.value}\n")
 
 
+def test_record_views_go_through_scan_range_and_classify(monkeypatch):
+    # The CLI renders the library's records: search json/csv read
+    # scan_range and classify json/csv call classify, once per command.
+    calls = {}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "scan_range", counting("scan_range", cli.scan_range))
+    monkeypatch.setattr(cli, "classify", counting("classify", cli.classify))
+    for fmt in ("json", "csv"):
+        assert run(["search", "--kind", "arh", "--max", "1000", "--format", fmt])[0] == 0
+        assert run(["classify", "1729", "--format", fmt])[0] == 0
+    assert calls == {"scan_range": 2, "classify": 2}
+
+
 class TestMultiplier:
+    @pytest.mark.parametrize(
+        "kind,m,csv_text,bfile_text",
+        [
+            (ARH, 1, "n\n18\n99\n", "1 18\n2 99\n"),
+            (MRH, 4, "n\n1944\n7744\n86508\n", "1 1944\n2 7744\n3 86508\n"),
+            (MRH, 3, "n\n", ""),
+        ],
+    )
+    def test_csv_and_bfile(self, kind, m, csv_text, bfile_text):
+        argv = ["multiplier", "--kind", kind, "--multiplier", str(m), "--format"]
+        assert run(argv + ["csv"]) == (0, csv_text, "")
+        assert run(argv + ["bfile"]) == (0, bfile_text, "")
+
     def test_table1_row5(self):
         code, out, _ = run(
             ["multiplier", "--multiplier", "5", "--kind", "arh", "--no-zero-digits"]

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 from rhnumbers import search
 from rhnumbers.bounds import digit_bound
-from rhnumbers.classify import ARH, MRH, NIVEN, classify, verify_witness
+from rhnumbers.classify import (
+    ARH,
+    MRH,
+    NIVEN,
+    ClassifyResult,
+    classify,
+    is_niven,
+    is_quadratic_niven,
+    is_strongly_quadratic_niven,
+    verify_witness,
+)
 from rhnumbers.digitvec import digit_sum_int
 from rhnumbers.search import (
     ALLOW,
@@ -243,6 +253,36 @@ class TestScanNumbers:
     def test_arh_numbers_below_one_million(self):
         cfg = SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)
         assert len(list(scan_numbers(cfg))) == 5503
+
+
+class TestRecords:
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    @pytest.mark.parametrize("base", [2, 7, 10])
+    def test_scan_records_are_classify_records(self, base, kind):
+        records = list(scan_range(SearchConfig(base=base, lo=1, hi=3000, kind=kind)))
+        assert records
+        for n, res in records:
+            assert type(res) is ClassifyResult
+            assert res._asdict() == classify(n, base)._asdict(), n
+            assert (res.s, res.sq_sum) == (digit_sum_int(n, base), digit_sum_int(n * n, base))
+            assert (res.is_niven, res.quadratic_niven, res.strongly_quadratic_niven) == (
+                is_niven(n, base), is_quadratic_niven(n, base), is_strongly_quadratic_niven(n, base)
+            )
+
+    def test_records_are_hashable_and_immutable(self):
+        [(_, scanned)] = scan_range(SearchConfig(base=10, lo=1729, hi=1729, kind=MRH))
+        res = classify(1729, 10)
+        assert hash(scanned) == hash(res) and len({scanned, res}) == 1
+        for field in ("n", "s", "sq_sum", "mrh_products", "is_niven", "mrh"):
+            with pytest.raises(AttributeError):
+                setattr(scanned, field, 0)
+        assert scanned.mrh_products == (19,)
+
+    def test_empty_product_lists_are_empty_tuples(self):
+        records = [res for _, res in scan_range(SearchConfig(base=10, lo=1, hi=2000, kind=NIVEN))]
+        empty = [xs for res in records for xs in (res.arh_products, res.mrh_products) if not xs]
+        assert len(empty) > len(records)
+        assert all(type(xs) is tuple and xs == () for xs in empty)
 
 
 class TestDigitSums:
