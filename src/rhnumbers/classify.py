@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -56,6 +56,17 @@ class VerifyFailure:
     expected: int
 
 
+def niven_flags(n: int, s: int, sq_sum: int) -> tuple[bool, bool, bool]:
+    """(Niven, quadratic Niven, strongly quadratic Niven) of N = n, s = s_b(N), sq_sum = s_b(N^2).
+
+    s | N; then also sq_sum | N^2; then also s == sq_sum.  The one rule
+    for every flag of a record, read or rendered.
+    """
+    niven = n % s == 0
+    quad = niven and n * n % sq_sum == 0
+    return niven, quad, quad and s == sq_sum
+
+
 class ClassifyResult(NamedTuple):
     """Classification record of N = n in base b: its digit sums and its witness products.
 
@@ -75,15 +86,8 @@ class ClassifyResult(NamedTuple):
     mrh_products: tuple[int, ...]
 
     def flags(self) -> tuple[bool, bool, bool]:
-        """(Niven, quadratic Niven, strongly quadratic Niven).
-
-        s | N; then also sq_sum | N^2; then also s == sq_sum.  The one
-        rule for every flag of a record, read or rendered.
-        """
-        n, s, sq_sum = self.n, self.s, self.sq_sum
-        niven = n % s == 0
-        quad = niven and n * n % sq_sum == 0
-        return niven, quad, quad and s == sq_sum
+        """(Niven, quadratic Niven, strongly quadratic Niven): niven_flags of the record."""
+        return niven_flags(self.n, self.s, self.sq_sum)
 
     @property
     def is_niven(self) -> bool:
@@ -223,10 +227,10 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     a_j = x_{k-1-j} of each pair fixes the low one, x_j = p_j - a_j, so
     X = x0 + sum_j a_j*(b^(k-1-j) - b^j).  Here x0 holds the sums p_j at
     the low positions and the middle digit p_mid/2, and a_j ranges over
-    [max(p_j-b+1, 0), min(p_j, b-1)], with a_0 >= 1 (_pair_digits).  A
+    [max(p_j-b+1, 0), min(p_j, b-1)], with a_0 >= 1 (_high_digits).  A
     backward DP over the pairs, mod s = s_b(value), gives for each pair
     the bitmask of residues from which some choice of the remaining high
-    digits makes s | X (_reachable_masks), and a second one the number
+    digits makes s | X (pair_sum_products), and a second one the number
     of such choices (_completions).  A depth-first walk then tries each
     high digit in ascending order and enters only reachable residues, so
     every branch it enters ends in a qualifying X (_ascending).  It
@@ -241,17 +245,15 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     takes k/2 steps on k-digit ints for each X it yields.
     """
     pair_sums = reversal_pair_sums(value, base)
-    if not pair_sums:
-        return 0, iter(())
     s = digit_sum_int(value, base)
+    tables = PairTables(base)
     count = 0
     streams = []
     for k, p in pair_sums:
-        x0, highs = _pair_digits(k, p, base)
-        ways = _completions(k, base, highs, s, x0 % s)
-        if ways:
-            count += ways
-            streams.append(_ascending(x0, k, base, highs, _reachable_masks(k, base, highs, s), s))
+        products = pair_sum_products(tables, k, p, s)
+        if products is not None:
+            count += _completions(tables, k, p, s)
+            streams.append(products)
     return count, itertools.chain.from_iterable(streams)
 
 
@@ -261,99 +263,174 @@ def arh_products(value: int, base: int, s: int) -> Iterator[int]:
     solve_arh's stream without its count, for a caller that has s at
     hand: pair_sum_products on each vector of reversal_pair_sums in turn.
     """
+    tables = PairTables(base)
     return itertools.chain.from_iterable(
         products
         for k, p in reversal_pair_sums(value, base)
-        if (products := pair_sum_products(base, k, p, s)) is not None
+        if (products := pair_sum_products(tables, k, p, s)) is not None
     )
 
 
-def pair_sum_products(base: int, k: int, p: list[int], s: int) -> Iterator[int] | None:
-    """Ascending X with k digits and pair sums p (so X + X^R = N) and s | X, s = s_b(N).
+class PairTables:
+    """What the residue DP of pair_sum_products shares across vectors, in one base.
+
+    A k-digit X with pair sums p is x0 + sum_t a_t*step_t, with a_t the
+    high digit of pair t and step_t = b^(k-1-t) - b^t (steps(k)).  For
+    each (k, s), row(k, s) holds the weights step_t mod s and, filled
+    the first time a vector needs it, inner[v]: the bitmask of the
+    residues from which the innermost pair alone, with pair sum v,
+    reaches 0 mod s.  A scan meets many vectors of each (k, s), so
+    these cost it once per (k, s), not once per vector.  Every entry
+    is exact for any s >= 1; a scan or call makes its own object and
+    drops it at the end.
+    """
+
+    __slots__ = ("base", "_rows", "_steps")
+
+    def __init__(self, base: int):
+        self.base = base
+        self._rows: dict[tuple[int, int], tuple[list[int], list[int | None]]] = {}
+        self._steps: dict[int, list[int]] = {}
+
+    def steps(self, k: int) -> list[int]:
+        steps = self._steps.get(k)
+        if steps is None:
+            base = self.base
+            steps = self._steps[k] = [base ** (k - 1 - t) - base**t for t in range(k // 2)]
+        return steps
+
+    def row(self, k: int, s: int) -> tuple[list[int], list[int | None]]:
+        """(weights mod s, inner masks by pair sum) of (k, s), made on first use."""
+        row = self._rows.get((k, s))
+        if row is None:
+            weights = [step % s for step in self.steps(k)]
+            row = self._rows[k, s] = (weights, [None] * (2 * self.base - 1))
+        return row
+
+
+def pair_sum_products(
+    tables: PairTables, k: int, p: list[int], s: int, listing: bool = True
+) -> Iterator[int] | bool | None:
+    """Ascending X with k digits and pair sums p (so X + X^R = N) and s | X.
 
     The step solve_arh takes for each of its vectors, without the
     count: range scans meet each vector once, generating it from p
-    rather than from N's digits, and take s from their digit-sum table.
-    None when no such X exists.  The residue masks are exact (a residue
-    is in masks[0] iff some choice of the high digits takes it to 0), so
-    a stream that is returned is never empty, and a caller that only
-    needs to know whether N is b-ARH need not walk it.
+    rather than from N's digits, take s = s_b(N) from their digit-sum
+    table and share one PairTables across the scan.  None when no such
+    X exists.  mask holds the residues mod s from which pairs t.. can
+    reach 0: residue 0 after the last pair, tables.row's inner mask
+    after the innermost, and before each middle pair the union of the
+    rotations of the mask after it by a*w, w its weight mod s, for each
+    high digit a.  A weight of 0 leaves the mask as it is, and a full
+    mask stays full.  The outer pair then tests only the residues
+    (x0 + a*w) mod s that its own digits reach, up to the first one in
+    the mask.  The masks are exact (a residue is in a mask iff some
+    choice of the later high digits takes it to 0), so a stream that is
+    returned is never empty, and with listing false the answer is True,
+    no stream being built for a caller that only asks whether N is
+    b-ARH.
     """
-    x0, highs = _pair_digits(k, p, base)
-    masks = _reachable_masks(k, base, highs, s)
-    if not masks[0] >> (x0 % s) & 1:
-        return None
-    return _ascending(x0, k, base, highs, masks, s)
-
-
-def _pair_digits(k: int, p: list[int], base: int) -> tuple[int, list[range]]:
-    """x0 (the low sums and the middle digit) and the range of each pair's high digit."""
-    half = k // 2
+    base, half = tables.base, k // 2
     x0 = p[half] // 2 if k % 2 else 0
-    for j in reversed(range(half)):
+    for j in range(half - 1, -1, -1):
         x0 = x0 * base + p[j]
-    highs = [range(max(p[j] - base + 1, 1 if j == 0 else 0), min(p[j], base - 1) + 1)
-             for j in range(half)]
-    return x0, highs
-
-
-def _reachable_masks(k: int, base: int, highs: list[range], s: int) -> list[int]:
-    """masks[t]: bitmask of the residues mod s from which pairs t.. can reach 0."""
-    full = (1 << s) - 1
-    mask = 1  # after the last pair: residue 0 only
-    masks = [mask]
-    for j in reversed(range(len(highs))):
-        w = (pow(base, k - 1 - j, s) - pow(base, j, s)) % s
-        if w:  # a weight of 0 mod s leaves every residue where it is
-            next_mask = 0
-            for a in highs[j]:
-                shift = a * w % s
-                next_mask |= ((mask >> shift) | (mask << (s - shift))) & full
-            mask = next_mask
-        masks.append(mask)
+    if not half:
+        if x0 % s:
+            return None
+        return iter((x0,)) if listing else True
+    weights, inner = tables.row(k, s)
+    mask, full = 1, (1 << s) - 1
+    masks = [mask] if listing else None  # reversed below: masks[t] for the pairs after t
+    if half > 1:
+        v = p[half - 1]
+        mask = inner[v]
+        if mask is None:
+            w = weights[half - 1]
+            mask = 0
+            for a in range(v - base + 1 if v >= base else 0, (v if v < base else base - 1) + 1):
+                mask |= 1 << (-a * w % s)
+            inner[v] = mask
+        if listing:
+            masks.append(mask)
+        for j in range(half - 2, 0, -1):
+            w = weights[j]
+            if w and mask != full:
+                v = p[j]
+                a = v - base + 1 if v >= base else 0
+                shift, doubled, rotations = a * w % s, mask | mask << s, 0
+                for _ in range(a, (v if v < base else base - 1) + 1):
+                    rotations |= doubled >> shift
+                    shift += w
+                    if shift >= s:
+                        shift -= s
+                mask = rotations & full
+            if listing:
+                masks.append(mask)
+    v, w = p[0], weights[0]
+    a = v - base + 1 if v >= base else 1
+    r = (x0 + a * w) % s
+    for _ in range(a, (v if v < base else base - 1) + 1):
+        if mask >> r & 1:
+            break
+        r += w
+        if r >= s:
+            r -= s
+    else:
+        return None
+    if not listing:
+        return True
     masks.reverse()
-    return masks
+    return _ascending(tables, x0, k, p, s, masks)
 
 
-def _completions(k: int, base: int, highs: list[range], s: int, r0: int) -> int:
-    """Number of high-digit choices that take residue r0 to 0 mod s."""
+def _high_digits(base: int, p: list[int], j: int) -> range:
+    """The high digits a_j that pair j's sum p_j allows (a_0 >= 1: X has k digits)."""
+    return range(max(p[j] - base + 1, 0 if j else 1), min(p[j], base - 1) + 1)
+
+
+def _completions(tables: PairTables, k: int, p: list[int], s: int) -> int:
+    """Number of high-digit choices for pair sums p that make s | X."""
+    base, half = tables.base, k // 2
+    x0 = p[half] // 2 if k % 2 else 0
+    for j in range(half - 1, -1, -1):
+        x0 = x0 * base + p[j]
+    weights = tables.row(k, s)[0]
     ways = [1] + [0] * (s - 1)
     scale = 1  # true number of completions is scale * ways[r]
-    for j in reversed(range(len(highs))):
-        w = (pow(base, k - 1 - j, s) - pow(base, j, s)) % s
+    for j in reversed(range(half)):
+        highs, w = _high_digits(base, p, j), weights[j]
         if w == 0:  # no choice moves the residue: the pair only multiplies the count
-            scale *= len(highs[j])
+            scale *= len(highs)
             continue
         next_ways = [0] * s
-        for a in highs[j]:
+        for a in highs:
             shift = a * w % s
             next_ways = list(map(add, next_ways, ways[shift:] + ways[:shift]))
         ways = next_ways
-    return scale * ways[r0]
+    return scale * ways[x0 % s]
 
 
-def _ascending(x0: int, k: int, base: int, highs: list[range], masks: list[int], s: int):
-    """Depth-first walk over the high digits; masks[t] are the residues pair t can finish from.
+def _ascending(tables: PairTables, x0: int, k: int, p: list[int], s: int, masks: list[int]):
+    """Depth-first walk over the high digits; masks[t]: the residues the pairs after t finish from.
 
-    Pair t's step b^(k-1-t) - b^t is formed when the walk enters the
-    pair, so memory stays linear in k.  The last pair finishes X from
-    residue 0 alone, so its X are yielded as they are found.
+    Pair t moves X by its step and the residue by its weight mod s,
+    both read from tables.  The last pair finishes X from residue 0
+    alone, so its X are yielded as they are found.
     """
-    half = len(highs)
-    if not half:
-        yield x0
-        return
+    base, half = tables.base, k // 2
+    steps, weights = tables.steps(k), tables.row(k, s)[0]
+    highs = [_high_digits(base, p, j) for j in range(half)]
     stack = [(0, x0, x0 % s)]
     while stack:
         t, x, r = stack.pop()
-        step, reachable = base ** (k - 1 - t) - base**t, masks[t + 1]
-        if t + 1 == half:  # masks[half] holds residue 0 only
+        step, w, reachable = steps[t], weights[t], masks[t]
+        if t + 1 == half:  # masks[t] holds residue 0 only
             for a in highs[t]:
-                if (r + a * step) % s == 0:
+                if (r + a * w) % s == 0:
                     yield x + a * step
             continue
         for a in reversed(highs[t]):  # popped smallest first
-            r2 = (r + a * step) % s
+            r2 = (r + a * w) % s
             if reachable >> r2 & 1:
                 stack.append((t + 1, x + a * step, r2))
 
@@ -446,6 +523,15 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
         first = 1 if i == 0 else 0  # Y's leading and trailing digits are nonzero
         c_first, end = (0, 1) if w_hi == w_lo else (first, base)
         mirrored = i == 0 and w_hi != w_lo
+        if i and w_hi == modulus and width < w_lo:  # the innermost pair of an even k >= 4
+            stack += [(i + 1, yc, rc) for yc, rc in _innermost_pairs(base, k, y, r, low, high)]
+            continue
+        if mirrored and not width:  # the outer pair, for one N
+            for a, c in _outer_pairs(base, k, low):
+                yc, rc = a + c * w_hi, a * w_hi + c
+                if yc * rc <= high and (yc + span) * (rc + span) >= low:
+                    stack.append((1, yc, rc))
+            continue
 
         def bound(a: int, c: int, free: int) -> int:  # Y*Y^R with the free digits at free
             return (y + free + a * w_lo + c * w_hi) * (r + free + a * w_hi + c * w_lo)
@@ -479,6 +565,76 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
                 if width < modulus and (p - low) % modulus > width:
                     continue
                 stack.append((i + 1, yc, rc))
+
+
+def _outer_pairs(base: int, k: int, n: int):
+    """Outer digits (a, c), a <= c, of each k-digit Y, k >= 2, that Y*Y^R = n allows.
+
+    Y = c*b^(k-1) + ... + a and Y^R = a*b^(k-1) + ... + c, so
+    a*c*b^(2k-2) <= n < (a+1)*(c+1)*b^(2k-2): with M = n // b^(2k-2),
+    m = a*c lies in (M - a - c - 1, M], within (M - 2b + 1, M].  And
+    Y*Y^R = a*c mod b, so m = n mod b, which leaves at most two values
+    of m.  The pairs are their divisor pairs with a <= c < b, found by
+    trial division up to sqrt(m): one remainder for each a, where the
+    walk took a bisection and a residue class.
+    """
+    top = n // base ** (2 * k - 2)
+    m_lo = max(top - 2 * base + 2, 1)
+    for m in range(m_lo + (n - m_lo) % base, top + 1, base):
+        for a in range(max(-(-m // (base - 1)), 1), isqrt(m) + 1):
+            if m % a == 0:
+                yield a, m // a
+
+
+def _innermost_pairs(base: int, k: int, y: int, r: int, low: int, high: int):
+    """(Y, Y^R) for each innermost pair (a, c) of an even k >= 4 with low <= Y*Y^R <= high.
+
+    _reversal_factors' walk at pair i = k/2 - 1 >= 1, for a window
+    narrower than beta = b^i: y and r hold every other digit, and
+    Y = y + beta*u, Y^R = r + beta*v with u = a + b*c and v = b*a + c.
+    Then Y*Y^R = y*r + beta*(a*A + c*C) + beta^2*u*v, A = r + b*y and
+    C = b*r + y, so Y*Y^R = y*r mod beta, and at most one value T of
+    the window is that residue.  Write A = l*b^k + A' and C = f*b^k + C',
+    l and f being Y's leading and last digit (the leading digits of y
+    and r).  Then D = (T - y*r)/beta = b^k*L + a*A' + c*C' + beta*u*v
+    with L = l*a + f*c, and the last three terms lie in
+    [0, (b-1)*(A'+C') + beta*(b^2-1)^2], so L lies in a range of a few
+    b; mod b they reduce to l*a + f*c, so L = D mod b.  That leaves a
+    few lines l*a + f*c = L, each of whose integer points is
+    (a0 + t*f/g, c0 - t*l/g), g = gcd(l, f).  Along a line Y and Y^R
+    are linear in t, so Y*Y^R = T is a quadratic in t, whose integer
+    roots are read from an exact square root.  A node costs a few
+    lines, where the walk over a took up to b steps.
+    """
+    i = k // 2 - 1
+    beta, top = base**i, base**k
+    target = low + (y * r - low) % beta
+    if target > high:
+        return
+    d = (target - y * r) // beta
+    lead, last = y // (top // base), y % base
+    a_rest, c_rest = r + base * y - lead * top, base * r + y - last * top
+    extra = (base - 1) * (a_rest + c_rest) + beta * (base * base - 1) ** 2
+    g = gcd(lead, last)
+    da, dc = last // g, lead // g  # the step along a line: a += da, c -= dc
+    inverse = pow(dc, -1, da)
+    line_lo = max(-(-(d - extra) // top), 0)
+    for line in range(line_lo + (d - line_lo) % base, d // top + 1, base):
+        if line % g:
+            continue
+        a0 = line // g * inverse % da
+        c0 = (line - lead * a0) // last
+        y0, r0 = y + beta * (a0 + base * c0), r + beta * (base * a0 + c0)
+        sy, sr = beta * (da - base * dc), beta * (base * da - dc)  # neither is 0: l, f < b
+        qa, qb, qc = sy * sr, y0 * sr + r0 * sy, y0 * r0 - target
+        disc = qb * qb - 4 * qa * qc
+        root = isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            continue
+        for num in {-qb - root, -qb + root}:
+            t, rem = divmod(num, 2 * qa)
+            if not rem and 0 <= a0 + da * t < base and 0 <= c0 - dc * t < base:
+                yield y0 + sy * t, r0 + sr * t
 
 
 def verify_witness(value: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:

@@ -15,7 +15,7 @@ import signal
 import sys
 
 from .bounds import digit_bound
-from .classify import ARH, MRH, NIVEN, classify
+from .classify import ARH, MRH, NIVEN, classify, niven_flags
 from .digitvec import parse_digits
 from .families import (
     FamilyParameterError,
@@ -185,17 +185,19 @@ def _record_json(record, newline: str = "\n") -> str:
     _json_text renders it, so an N past the int-to-str digit limit
     raises the same ValueError.
     """
-    n, base, s, _, arh, mrh = record
-    niven, quad, strong = record.flags()
+    n, base, s, sq_sum, arh, mrh = record
+    niven, quad, strong = niven_flags(n, s, sq_sum)
     key, item, field = newline + "  ", newline + "    ", newline + "      "
     parts = [f'{{{key}"n": {n},{key}"base": {base},{key}"niven": {_JSON_CONSTANTS[niven]}']
-    for name, xs, xrs in (("arh", arh, map(n.__sub__, arh)), ("mrh", mrh, map(n.__floordiv__, mrh))):
+    for name, xs, reverse in (("arh", arh, n.__sub__), ("mrh", mrh, n.__floordiv__)):
+        if not xs:
+            parts.append(f'{key}"{name}": []')
+            continue
         witnesses = [
-            f'{{{field}"m": {x // s},{field}"x": {x},{field}"xr": {xr}{item}}}'
-            for x, xr in zip(xs, xrs)
+            f'{{{field}"m": {x // s},{field}"x": {x},{field}"xr": {reverse(x)}{item}}}'
+            for x in xs
         ]
-        listing = "[" + item + ("," + item).join(witnesses) + key + "]" if witnesses else "[]"
-        parts.append(f'{key}"{name}": {listing}')
+        parts.append(f'{key}"{name}": [{item}' + ("," + item).join(witnesses) + key + "]")
     parts.append(
         f'{key}"quadratic_niven": {_JSON_CONSTANTS[quad]},'
         f'{key}"strongly_quadratic_niven": {_JSON_CONSTANTS[strong]}{newline}}}'
@@ -211,9 +213,10 @@ def _record_csv(record) -> str:
     csv.writer row is built from the record's properties, so an int past
     the digit limit raises the same ValueError.
     """
-    n, base, s, _, arh, mrh = record
-    niven, quad, strong = record.flags()
-    arh_m, mrh_m = (";".join([str(x // s) for x in xs]) for xs in (arh, mrh))
+    n, base, s, sq_sum, arh, mrh = record
+    niven, quad, strong = niven_flags(n, s, sq_sum)
+    arh_m = ";".join([str(x // s) for x in arh]) if arh else ""
+    mrh_m = ";".join([str(x // s) for x in mrh]) if mrh else ""
     return f"{n},{base},{niven},{arh_m},{mrh_m},{quad},{strong}\n"
 
 

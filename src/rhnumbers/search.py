@@ -35,6 +35,7 @@ from .classify import (
     MRH,
     NIVEN,
     ClassifyResult,
+    PairTables,
     Witness,
     arh_products,
     check_witness,
@@ -180,21 +181,25 @@ _TABLE_CAP = 2**20  # entries of a DigitSums table: 8 MB of list
 _WINDOW = 10**7  # values of [lo, hi] that one window of a range scan covers
 
 
-def _hits(cfg: SearchConfig, sums: DigitSums, records: bool):
+def _hits(cfg: SearchConfig, records: bool):
     """Every hit of cfg.kind, ascending: (N, its ClassifyResult) with records set, else N.
 
     The range is walked in windows of _WINDOW values, each finished
     (its hits sorted and yielded) before the next begins, so a scan
     holds one window's hits at a time; every window takes its digit
-    sums from the one table.  A record carries the complete ascending
-    witness lists of N; without records only the work that decides
-    membership is done.
+    sums from one DigitSums and the pair-sum vectors' weights and
+    residue masks from one PairTables, both made for this scan alone.
+    A record carries the complete ascending witness lists of N; without
+    records only the work that decides membership is done.
     """
+    sums, tables = DigitSums(cfg.base, cfg.hi), PairTables(cfg.base)
     for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
-        yield from _window_hits(cfg, sums, records, lo, min(lo + _WINDOW - 1, cfg.hi))
+        yield from _window_hits(cfg, sums, tables, records, lo, min(lo + _WINDOW - 1, cfg.hi))
 
 
-def _window_hits(cfg: SearchConfig, sums: DigitSums, records: bool, lo: int, hi: int):
+def _window_hits(
+    cfg: SearchConfig, sums: DigitSums, tables: PairTables, records: bool, lo: int, hi: int
+):
     """_hits on the window [lo, hi] of cfg's range.
 
     X is a witness product of N iff s_b(N) | X, so an ARH scan keeps a
@@ -219,7 +224,7 @@ def _window_hits(cfg: SearchConfig, sums: DigitSums, records: bool, lo: int, hi:
             s = sums(n)
             if kind == NIVEN and n % s:
                 continue
-            products = pair_sum_products(base, k, p, s)
+            products = pair_sum_products(tables, k, p, s, records)
             if products is not None:
                 found = arh_map.setdefault(n, [])
                 if records:  # k ascending, and the X of k-1 digits lie below those of k
@@ -256,7 +261,7 @@ def scan_numbers(cfg: SearchConfig):
     masks, a Niven scan reads the digit-sum table alone, and an MRH
     scan lists its products without solving their ARH lists.
     """
-    yield from _hits(cfg, DigitSums(cfg.base, cfg.hi), records=False)
+    yield from _hits(cfg, records=False)
 
 
 def scan_range(cfg: SearchConfig):
@@ -265,7 +270,7 @@ def scan_range(cfg: SearchConfig):
     Each record carries N's digit sums and the complete ascending
     witness products of both kinds for that N.
     """
-    yield from _hits(cfg, DigitSums(cfg.base, cfg.hi), records=True)
+    yield from _hits(cfg, records=True)
 
 
 def numbers_for_multiplier(

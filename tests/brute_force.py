@@ -1,11 +1,11 @@
 """Brute-force references for the digit-pair solvers, the range scans and palsquare.
 
 Each tries every candidate below a bound, so they are fit for small
-inputs only: the tests check classify.solve_arh, reversal_pair_sums,
-classify.mrh_products, the range scans, count_not_sum_of_reversal and
-palindromic_square_search against them.  The family multiplier sets
-are checked against their digit patterns, spelled out one member at a
-time.
+inputs only: the tests check classify.solve_arh, pair_sum_products,
+reversal_pair_sums, classify.mrh_products, the range scans,
+count_not_sum_of_reversal and palindromic_square_search against them.
+The family multiplier sets are checked against their digit patterns,
+spelled out one member at a time.
 """
 
 import itertools
@@ -22,6 +22,25 @@ def arh_products_brute(value: int, base: int) -> list[int]:
     """
     s = digit_sum_int(value, base)
     return [x for x in range(s, value, s) if x + reverse_int(x, base) == value]
+
+
+def pair_sum_products_brute(base: int, k: int, p: list[int]) -> list[int]:
+    """Every k-digit X whose digit pairs x_j + x_{k-1-j} sum to p_j, ascending.
+
+    Each choice of the high digits x_{k-1-j} (x_{k-1} >= 1, every digit
+    in [0, b)) is spelled out digit by digit; the middle digit of an
+    odd k is p_mid / 2.
+    """
+    half = k // 2
+    middle = p[half] // 2 * base**half if k % 2 else 0
+    pairs = [
+        [
+            a * base ** (k - 1 - j) + (p[j] - a) * base**j
+            for a in range(max(p[j] - base + 1, 0 if j else 1), min(p[j], base - 1) + 1)
+        ]
+        for j in range(half)
+    ]
+    return sorted(middle + sum(choice) for choice in itertools.product(*pairs))
 
 
 def is_expressible_brute(n: int, base: int) -> bool:

@@ -1,13 +1,20 @@
 import json
+import time
 
 import pytest
-from brute_force import arh_products_brute, is_expressible_brute, mrh_products_brute
+from brute_force import (
+    arh_products_brute,
+    is_expressible_brute,
+    mrh_products_brute,
+    pair_sum_products_brute,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rhnumbers.classify import (
     ARH,
     MRH,
+    PairTables,
     VerifyFailure,
     Witness,
     arh_witnesses,
@@ -17,11 +24,14 @@ from rhnumbers.classify import (
     is_strongly_quadratic_niven,
     mrh_products,
     mrh_witnesses,
+    pair_sum_products,
     reversal_pair_sums,
     solve_arh,
     verify_witness,
 )
-from rhnumbers.digitvec import reverse_int
+from rhnumbers.classify import _completions
+from rhnumbers.digitvec import digits_int, from_digits, reverse_int
+from rhnumbers.search import pair_sum_vectors
 
 
 class TestIsNiven:
@@ -175,6 +185,33 @@ class TestMrhProducts:
         assert (n, y) in listed and (n, reverse_int(y, base)) in listed
         assert all(m == n and x * reverse_int(x, base) == n for m, x in listed)
 
+    def test_trailing_zeros_in_a_large_base(self):
+        # N = Y*Y^R*b^2 for a three-digit Y in base 2^20.  The four-digit Y
+        # of N's own window have no solution, but walking every low digit a
+        # at their innermost pair, and every a <= c at their outer pair,
+        # took 13.6 s (2-core VM).
+        base, y = 2**20, 623701524813656180
+        yr = reverse_int(y, base)
+        n = y * yr * base**2
+        start = time.perf_counter()
+        listed = mrh_products(base, n, n)
+        assert time.perf_counter() - start < 1
+        assert listed == sorted([(n, y * base**2), (n, yr * base**2)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=17, max_value=300),
+        st.lists(st.integers(min_value=1, max_value=299), min_size=2, max_size=4),
+        st.integers(min_value=0, max_value=1),
+    )
+    def test_products_in_medium_bases_match_trial_division(self, base, digits, exact):
+        # Two- to four-digit Y in bases where one digit pair is more than a
+        # few steps: N = Y*Y^R, or the value after it, against trial division.
+        y = from_digits([d % base for d in digits], base)
+        n = y * reverse_int(y, base) + 1 - exact
+        assume(y % base and n <= 10**11)
+        assert mrh_products(base, n, n) == [(n, x) for x in mrh_products_brute(n, base)]
+
     def test_a_near_power_of_a_large_base(self):
         # 2^60 + 12285: four digits in base 2^20.  Its digit pairs took
         # 6.4 s to rule out (2-core VM).
@@ -296,6 +333,52 @@ def test_mrh_implies_niven(base):
     for n in range(1, 4000):
         if mrh_witnesses(n, base):
             assert is_niven(n, base), (base, n)
+
+
+def _solver_agrees(tables, k, p, s, everything):
+    """pair_sum_products on (k, p) at s against the brute-force listing `everything`."""
+    expected = [x for x in everything if x % s == 0]
+    exists = pair_sum_products(tables, k, p, s, listing=False)
+    assert exists is (True if expected else None), (k, p, s)
+    assert (_completions(tables, k, p, s) > 0) == bool(expected), (k, p, s)
+    listed = pair_sum_products(tables, k, p, s)
+    assert (listed is not None) == bool(expected)
+    assert list(listed or ()) == expected, (k, p, s)
+
+
+class TestPairSumSolver:
+    # The scans only ever pass s = s_b(N); the residue DP must hold for every
+    # s >= 1, including s = 1, weights that are 0 mod s, masks that fill up
+    # and vectors of no pair (k = 1) or one pair (k = 2, 3).
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_every_vector_below_b5(self, base):
+        # Over the vectors of each length k, every s in [1, 3*(b-1)*k] is met
+        # and every vector meets some s.
+        tables = PairTables(base)
+        lengths: dict[int, list[list[int]]] = {}
+        for _, k, p in pair_sum_vectors(base, 1, base**5 - 1):
+            lengths.setdefault(k, []).append(p)
+        for k, vectors in lengths.items():
+            s_max = 3 * (base - 1) * k
+            for i, p in enumerate(vectors):
+                everything = pair_sum_products_brute(base, k, p)
+                for s in range(1 + i % s_max, s_max + 1, len(vectors)):
+                    _solver_agrees(tables, k, p, s, everything)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=10**7),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_vectors_of_random_x(self, base, x, s):
+        # The pair sums of a random X, at a random s in [1, 3*(b-1)*k].
+        digits = digits_int(x, base)
+        k = len(digits)
+        assume(k <= 7)
+        p = [digits[j] + digits[k - 1 - j] for j in range(k)]
+        s = 1 + s % (3 * (base - 1) * k)
+        _solver_agrees(PairTables(base), k, p, s, pair_sum_products_brute(base, k, p))
 
 
 class TestDigitPairSolver:

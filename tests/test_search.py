@@ -379,6 +379,33 @@ class TestWindows:
         assert peak < one_peak / 2, (peak, one_peak)
 
 
+def test_interleaved_scans_match_each_alone():
+    # Each scan keeps its own digit-sum and pair-residue tables, keyed by
+    # (k, s) within one base: scans of several bases, lengths, kinds and
+    # views, advanced one hit at a time in turn, give what each gives alone.
+    lengths = {2: (2**9, 2**15), 7: (7**3, 7**5), 10: (10**3, 10**5), 16: (16**2, 16**4)}
+    configs = [
+        SearchConfig(base=base, lo=1, hi=hi, kind=kind)
+        for base, his in lengths.items()
+        for hi in his
+        for kind in (ARH, NIVEN)
+    ]
+    scans = [(scan, cfg) for cfg in configs for scan in (scan_numbers, scan_range)]
+    alone = [list(scan(cfg)) for scan, cfg in scans]
+    streams = [scan(cfg) for scan, cfg in scans]
+    together: list[list] = [[] for _ in streams]
+    live = list(range(len(streams)))
+    while live:
+        for i in list(live):
+            item = next(streams[i], None)
+            if item is None:
+                live.remove(i)
+            else:
+                together[i].append(item)
+    assert together == alone
+    assert all(alone)
+
+
 class TestNumbersForMultiplier:
     def test_arh_7_zero_free(self):
         assert numbers_for_multiplier(10, 7, ARH, FORBID) == [747]
