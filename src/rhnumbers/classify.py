@@ -275,37 +275,46 @@ class PairTables:
     """What the residue DP of pair_sum_products shares across vectors, in one base.
 
     A k-digit X with pair sums p is x0 + sum_t a_t*step_t, with a_t the
-    high digit of pair t and step_t = b^(k-1-t) - b^t (steps(k)).  For
-    each (k, s), row(k, s) holds the weights step_t mod s and, filled
-    the first time a vector needs it, inner[v]: the bitmask of the
-    residues from which the innermost pair alone, with pair sum v,
-    reaches 0 mod s.  A scan meets many vectors of each (k, s), so
-    these cost it once per (k, s), not once per vector.  Every entry
-    is exact for any s >= 1; a scan or call makes its own object and
-    drops it at the end.
+    high digit of pair t and step_t = b^(k-1-t) - b^t.  For each (k, s),
+    row(k, s) holds the weights step_t mod s, taken with pow mod s, and
+    inner[v]: the bitmask of the residues from which the innermost pair
+    alone, with pair sum v, reaches 0 mod s, filled the first time a
+    vector needs it.  A scan meets many vectors of each (k, s), so these
+    cost it once per (k, s), not once per vector, and its memory grows
+    with the vectors it meets, not with the base.  steps(k) holds the
+    steps themselves, which only the listing walk (_ascending) reads.
+    Every entry is exact for any s >= 1; a scan or call makes its own
+    object and drops it at the end.
     """
 
     __slots__ = ("base", "_rows", "_steps")
 
     def __init__(self, base: int):
         self.base = base
-        self._rows: dict[tuple[int, int], tuple[list[int], list[int | None]]] = {}
+        self._rows: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
         self._steps: dict[int, list[int]] = {}
 
-    def steps(self, k: int) -> list[int]:
-        steps = self._steps.get(k)
-        if steps is None:
-            base = self.base
-            steps = self._steps[k] = [base ** (k - 1 - t) - base**t for t in range(k // 2)]
-        return steps
-
-    def row(self, k: int, s: int) -> tuple[list[int], list[int | None]]:
+    def row(self, k: int, s: int) -> tuple[list[int], dict[int, int]]:
         """(weights mod s, inner masks by pair sum) of (k, s), made on first use."""
         row = self._rows.get((k, s))
         if row is None:
-            weights = [step % s for step in self.steps(k)]
-            row = self._rows[k, s] = (weights, [None] * (2 * self.base - 1))
+            base = self.base
+            weights = [(pow(base, k - 1 - t, s) - pow(base, t, s)) % s for t in range(k // 2)]
+            row = self._rows[k, s] = (weights, {})
         return row
+
+    def steps(self, k: int) -> list[int]:
+        """step_t = b^(k-1-t) - b^t for each pair t of k digits, made on first use."""
+        steps = self._steps.get(k)
+        if steps is None:
+            base, steps = self.base, []
+            high, low = base ** (k - 1), 1
+            for _ in range(k // 2):
+                steps.append(high - low)
+                high //= base
+                low *= base
+            self._steps[k] = steps
+        return steps
 
 
 def pair_sum_products(
@@ -331,9 +340,7 @@ def pair_sum_products(
     b-ARH.
     """
     base, half = tables.base, k // 2
-    x0 = p[half] // 2 if k % 2 else 0
-    for j in range(half - 1, -1, -1):
-        x0 = x0 * base + p[j]
+    x0 = _low_half(base, k, p)
     if not half:
         if x0 % s:
             return None
@@ -343,15 +350,17 @@ def pair_sum_products(
     masks = [mask] if listing else None  # reversed below: masks[t] for the pairs after t
     if half > 1:
         v = p[half - 1]
-        mask = inner[v]
+        mask = inner.get(v)
         if mask is None:
             w = weights[half - 1]
             mask = 0
-            for a in range(v - base + 1 if v >= base else 0, (v if v < base else base - 1) + 1):
+            for a in _high_digits(base, p, half - 1):
                 mask |= 1 << (-a * w % s)
             inner[v] = mask
         if listing:
             masks.append(mask)
+        # The middle and outer pairs spell out _high_digits' range: a call
+        # per pair costs a base-2 scan about 1.6x the time per vector.
         for j in range(half - 2, 0, -1):
             w = weights[j]
             if w and mask != full:
@@ -383,6 +392,15 @@ def pair_sum_products(
     return _ascending(tables, x0, k, p, s, masks)
 
 
+def _low_half(base: int, k: int, p: list[int]) -> int:
+    """x0: X with every high digit 0, i.e. the pair sums p_j at the low positions and p_mid/2."""
+    half = k // 2
+    x0 = p[half] // 2 if k % 2 else 0
+    for j in range(half - 1, -1, -1):
+        x0 = x0 * base + p[j]
+    return x0
+
+
 def _high_digits(base: int, p: list[int], j: int) -> range:
     """The high digits a_j that pair j's sum p_j allows (a_0 >= 1: X has k digits)."""
     return range(max(p[j] - base + 1, 0 if j else 1), min(p[j], base - 1) + 1)
@@ -391,9 +409,6 @@ def _high_digits(base: int, p: list[int], j: int) -> range:
 def _completions(tables: PairTables, k: int, p: list[int], s: int) -> int:
     """Number of high-digit choices for pair sums p that make s | X."""
     base, half = tables.base, k // 2
-    x0 = p[half] // 2 if k % 2 else 0
-    for j in range(half - 1, -1, -1):
-        x0 = x0 * base + p[j]
     weights = tables.row(k, s)[0]
     ways = [1] + [0] * (s - 1)
     scale = 1  # true number of completions is scale * ways[r]
@@ -407,7 +422,7 @@ def _completions(tables: PairTables, k: int, p: list[int], s: int) -> int:
             shift = a * w % s
             next_ways = list(map(add, next_ways, ways[shift:] + ways[:shift]))
         ways = next_ways
-    return scale * ways[x0 % s]
+    return scale * ways[_low_half(base, k, p) % s]
 
 
 def _ascending(tables: PairTables, x0: int, k: int, p: list[int], s: int, masks: list[int]):

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 from brute_force import (
@@ -379,6 +380,26 @@ class TestPairSumSolver:
         p = [digits[j] + digits[k - 1 - j] for j in range(k)]
         s = 1 + s % (3 * (base - 1) * k)
         _solver_agrees(PairTables(base), k, p, s, pair_sum_products_brute(base, k, p))
+
+
+@pytest.mark.parametrize("digits", [[1, 2, 3], [5, 7, 1, 3], [9, 0, 4, 11, 2]])
+def test_large_base_arh_memory_does_not_grow_with_base(digits):
+    # One call's pair tables hold what its vectors need: in base 2^20 a
+    # table sized by the base would take 16 MB for each (k, s).
+    base = 2**20
+    x = from_digits(digits, base)
+    value = x + reverse_int(x, base)
+    tracemalloc.start()
+    try:
+        count, products = solve_arh(value, base)
+        listed = list(products)
+        witnesses = arh_witnesses(value, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(listed) == len(witnesses) > 0
+    assert all(y + reverse_int(y, base) == value for y in listed)
+    assert peak < 10**6, peak
 
 
 class TestDigitPairSolver:

@@ -379,6 +379,22 @@ class TestWindows:
         assert peak < one_peak / 2, (peak, one_peak)
 
 
+def test_large_base_arh_scan_memory_tracks_its_vectors():
+    # A scan's pair tables grow with the (k, s) and pair sums it meets, not
+    # with the base: below 10^7 in base 10^5 nearly every two-digit vector
+    # has its own s, and a row of 2b - 1 entries for each of them would
+    # hold over 100 MB.
+    cfg = SearchConfig(base=10**5, lo=1, hi=10**7, kind=ARH)
+    tracemalloc.start()
+    try:
+        hits = sum(1 for _ in scan_numbers(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == 111
+    assert peak < 2 * 10**6, peak
+
+
 def test_interleaved_scans_match_each_alone():
     # Each scan keeps its own digit-sum and pair-residue tables, keyed by
     # (k, s) within one base: scans of several bases, lengths, kinds and
