@@ -16,7 +16,7 @@ import sys
 
 from .bounds import digit_bound
 from .classify import ARH, MRH, NIVEN, classify, niven_flags
-from .digitvec import parse_digits
+from .digitvec import parse_digits, render_digits
 from .families import (
     FamilyParameterError,
     gen_all_ones,
@@ -225,6 +225,47 @@ _CLASSIFY_HEADER = (
 )
 
 
+def _instance_parts(inst, newline: str = "\n") -> list[str]:
+    """_json_text of inst.to_json_dict(), as parts for one join.
+
+    Written from the FamilyInstance's fields; newline is the instance's
+    own line break and indent.  Each value's digits are rendered once,
+    straight into its part, and digit text holds only digits and commas,
+    so it needs no escaping.  N is rendered before any multiplier, as
+    _json_text renders it, and every multiplier is below N, so a member
+    past the int-to-str digit limit raises the same ValueError.
+    """
+    base, n = inst.base, inst.number
+    key, item, field = newline + "  ", newline + "    ", newline + "      "
+    parts = [
+        f'{{{key}"family": {_json_string(inst.family)},{key}"base": {base},'
+        f'{key}"params": {_json_text(inst.params, key)},'
+        f'{key}"number": {{{item}"value": {n},{item}"digits": "{render_digits(n, base)}"{key}}},'
+        f'{key}"predicted_multipliers": ['
+    ]
+    parts += [
+        f'{item}{{{field}"value": {m},{field}"digits": "{render_digits(m, base)}"{item}}},'
+        for m in inst.predicted_multipliers
+    ]
+    if len(parts) > 1:
+        parts[-1] = parts[-1][:-1] + key  # no comma after the last multiplier
+    claims = _json_text([c.to_json_dict() for c in inst.claims], key)
+    parts.append(f'],{key}"claims": {claims}{newline}}}')
+    return parts
+
+
+def _report_parts(report) -> list[str]:
+    """_json_text of report.to_json_dict(), as parts for one join."""
+    key = "\n  "
+    results = _json_text([r.to_json_dict() for r in report.results], key)
+    conflicts = _json_text([r.name for r in report.conflicts], key)
+    tail = (
+        f',{key}"results": {results},{key}"passed": {_JSON_CONSTANTS[report.passed]},'
+        f'{key}"conflicts": {conflicts}\n}}'
+    )
+    return [f'{{{key}"instance": ', *_instance_parts(report.instance, key), tail]
+
+
 def _write_search(cfg: SearchConfig, fmt: str, out) -> None:
     """search's b-file, CSV or JSON text, written as the scan goes.
 
@@ -322,10 +363,10 @@ def _dispatch(args, out, err) -> int:
     if args.command == "family":
         inst = _build_family(args)
         if not args.verify:
-            _print_json(inst.to_json_dict(), out)
+            print("".join(_instance_parts(inst)), file=out)
             return 0
         report = verify_family(inst)
-        _print_json(report.to_json_dict(), out)
+        print("".join(_report_parts(report)), file=out)
         return 0 if report.passed else 1
 
     if args.command == "tables":

@@ -8,12 +8,14 @@ from its base-b digits, most significant first; the family generators
 build their members this way.  Digits are text in two places only: the
 `classify --digits` input (parse_digits) and the family JSON
 (render_digits), juxtaposed for b <= 10 and comma-separated above.
-Rendering takes digits by divmod, never by str(int), so digit text has
-no int-to-str digit limit.  It takes them c at a time, as the base-b^c
-digits of the value, and looks each chunk's text up in a table of the
-b^c chunk texts (_chunk_texts, at most _CHUNK_TABLE_CAP entries, cached
-per base, so at most 255 tables; a base above the cap builds none and
-renders digit by digit).
+Digit text has no int-to-str digit limit.  Base 2 is format(value,
+"b"), which has none, and base 10 up to _REVERSE_SPLIT_BITS bits is
+int.__repr__, whose 617 digits stay below the smallest limit CPython
+accepts (640).  Every other value is rendered by divmod, c digits at a
+time, as the base-b^c digits of the value, each chunk's text looked up
+in a table of the b^c chunk texts (_chunk_texts, at most
+_CHUNK_TABLE_CAP entries, cached per base, so at most 255 tables; a
+base above the cap builds none and renders digit by digit).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _SPLIT_DIGITS = 64
 # 2 to 2^16, and at 2,048 bits it was the faster in every base measured
 # (2-core VM, CPython 3.11), provided x has more than _SPLIT_DIGITS
 # digits, below which digits_int takes one digit at a time as well.
+# render_digits takes int.__repr__ for base-10 values up to this size.
 _REVERSE_SPLIT_BITS = 2048
 # Most entries in one base's table of chunk texts: 2^8 keeps each table
 # a few kilobytes, while 4096-entry tables added 3.4 MB of peak RSS to
@@ -81,6 +84,10 @@ def render_digits(value: int, base: int) -> str:
     check_base(base)
     if value < 0:
         raise ValueError(f"negative value {value} has no digits")
+    if base == 10 and value.bit_length() <= _REVERSE_SPLIT_BITS:
+        return int.__repr__(value)
+    if base == 2:
+        return format(value, "b")
     sep = "" if base <= 10 else ","
     if base > _CHUNK_TABLE_CAP:
         return sep.join([str(d) for d in reversed(digits_int(value, base) or [0])])

@@ -14,9 +14,9 @@ CONFLICT-WITH-PAPER, and claims with no expected value are INFO.  One
 listing of the digit-pair solver's multipliers for N serves both
 claims about an additive multiplier set, and the not-MRH claim reads
 the multiplicative digit-pair engine's witnesses, complete at any size,
-so no claim is ever skipped.  The repunit12, square and niven-not-mrh
-members share one size limit, MAX_MEMBER_DIGITS base-b digits.  Digit
-text is rendered only for output.
+so no claim is ever skipped.  The repunit12, alternating, square and
+niven-not-mrh members share one size limit, MAX_MEMBER_DIGITS base-b
+digits.  Digit text is rendered only for output.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ INFO = "INFO"
 
 # Materializing 2^((k-2p)/2) multipliers must stay sane.
 MAX_MULTIPLIER_SET = 1 << 16
-# Most base-b digits of a repunit12 (2*3^k: k <= 7), square (2^k: k <= 13)
-# or niven-not-mrh member N.  Building N from digits, and its digit sums and
-# text, split it in halves, so each costs about one product of that size.
+# Most base-b digits of a repunit12 (2*3^k: k <= 7), alternating (2*b^p - 2p + 1:
+# p <= 12 in base 2), square (2^k: k <= 13) or niven-not-mrh member N.
+# Building N from digits, and its digit sums and text, split it in halves,
+# so each costs about one product of that size.
 MAX_MEMBER_DIGITS = 1 << 13
 
 
@@ -69,6 +70,9 @@ class Claim:
     name: str
     source: str  # CONSTRUCTION | PAPER
     expected: bool | None  # None: informational, reported but not judged
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "source": self.source, "expected": self.expected}
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,7 @@ class FamilyInstance:
                 {"value": m, "digits": render_digits(m, self.base)}
                 for m in self.predicted_multipliers
             ],
-            "claims": [
-                {"name": c.name, "source": c.source, "expected": c.expected}
-                for c in self.claims
-            ],
+            "claims": [c.to_json_dict() for c in self.claims],
         }
 
 
@@ -235,11 +236,17 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
         "multiplier set materializable",
         f"(b-1)^{half} multipliers exceed the materialization limit",
     )
+    # N has 2k - 2p + 1 digits.  Above base 2 the multiplier limit keeps
+    # that to at most 29 (b = 4, p = 2); base 2 has one multiplier at any p.
+    _require_member_digits(
+        2 * k - 2 * p + 1 <= MAX_MEMBER_DIGITS,
+        f"[(1)^p (10)^(k-2p) 0 (1)^p]_b for b = {base}, p = {p}",
+    )
     number = from_digits([1] * p + [1, 0] * blocks + [0] + [1] * p, base)
     # M = [(1)^p 0 a_0 .. 0 a_{h-1} 0 (b-a_{h-1}) .. 0 (b-a_0) 0]_b: free
     # digit a_i sits at b^(2(blocks-i)-1) and its complement at b^(2i+1).
     # Start from every a_i = 1 and step a_i - 1.  Base 2 leaves no choice
-    # (a_i = 1), and there half is bounded by no multiplier count.
+    # (a_i = 1), and there only N's digit count bounds half.
     start = from_digits([1] * p + [0, 1] * half + [0, base - 1] * half + [0], base)
     steps = [
         (range(base - 1), base ** (2 * (blocks - i) - 1) - base ** (2 * i + 1))

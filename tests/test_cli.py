@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhnumbers
-from rhnumbers import cli, search
+from rhnumbers import cli, families, search
 from rhnumbers.bounds import BoundSpec
 from rhnumbers.classify import ARH, MRH, NIVEN, classify
 from rhnumbers.cli import run_cli
-from rhnumbers.digitvec import parse_digits
-from rhnumbers.families import FamilyInstance
+from rhnumbers.digitvec import parse_digits, render_digits
 from rhnumbers.search import ALLOW, FORBID, SearchConfig, scan_range
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -275,16 +274,66 @@ class TestFamily:
 
     @pytest.mark.parametrize("verify", [[], ["--verify"]])
     def test_instance_json_built_once(self, monkeypatch, verify):
+        # Each value's digit text is rendered once: the instance text is
+        # not built a second time through to_json_dict.
         calls = []
-        to_json_dict = FamilyInstance.to_json_dict
 
-        def counted(inst):
-            calls.append(inst)
-            return to_json_dict(inst)
+        def counted(value, base):
+            calls.append(value)
+            return render_digits(value, base)
 
-        monkeypatch.setattr(FamilyInstance, "to_json_dict", counted)
-        code, _, _ = run(["family", "all-ones", "--base", "2", "--p", "2", *verify])
-        assert code == 0 and len(calls) == 1
+        monkeypatch.setattr(cli, "render_digits", counted)
+        monkeypatch.setattr(families, "render_digits", counted)
+        inst = families.gen_all_ones(2, 4)
+        code, _, _ = run(["family", "all-ones", "--base", "2", "--p", "4", *verify])
+        assert code == 0
+        assert sorted(calls) == sorted([inst.number, *inst.predicted_multipliers])
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize(
+        "name,base,param,value",
+        [
+            ("repunit12", 10, "k", 2),
+            ("all-ones", 2, "p", 3),
+            ("all-ones", 4, "p", 2),
+            ("all-ones", 16, "p", 1),
+            ("all-ones", 34, "p", 1),  # 65,536 multipliers
+            ("alternating", 2, "p", 5),
+            ("alternating", 4, "p", 1),
+            ("alternating", 10, "p", 1),
+            ("square", 3, "k", 5),
+            ("square", 17, "k", 5),  # CONFLICT-WITH-PAPER, exit 1
+            ("niven-not-mrh", 10, "n", 19),  # no multipliers
+            ("niven-not-mrh", 16, "n", 7),
+            ("niven-not-mrh", 34, "n", 5),
+        ],
+    )
+    def test_text_is_json_dumps_of_the_dict(self, name, base, param, value, verify):
+        generate = cli.FAMILIES[name][1]
+        inst = generate(base, value)
+        argv = ["family", name, "--base", str(base), f"--{param}", str(value)]
+        if verify:
+            report = families.verify_family(inst)
+            expected = (0 if report.passed else 1, report.to_json_dict())
+            argv.append("--verify")
+        else:
+            expected = (0, inst.to_json_dict())
+        code, out, err = run(argv)
+        assert (code, out, err) == (expected[0], json.dumps(expected[1], indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repunit12", "--k", "7"],  # N past the int-to-str digit limit
+            ["square", "--base", "17", "--k", "12"],  # the same
+            ["alternating", "--base", "2", "--p", "13"],  # N over MAX_MEMBER_DIGITS
+        ],
+    )
+    def test_usage_error_writes_nothing_to_stdout(self, argv, verify):
+        code, out, err = run(["family", *argv, *verify])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestTables:

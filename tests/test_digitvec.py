@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -247,6 +248,23 @@ def test_chunk_boundaries(base):
 def test_5000_digit_rendering(base):
     n = from_digits([(7 * i + 3) % base for i in range(5000)], base)
     assert render_digits(n, base) == per_digit_text(n, base)
+
+
+@pytest.mark.parametrize("limit", [None, 640])  # 640: the smallest int-to-str limit allowed
+@pytest.mark.parametrize("base", [10, 2])
+def test_builtin_rendering_matches_the_per_digit_text(base, limit):
+    # Base 10 takes int.__repr__ up to 2048 bits and the chunk tables
+    # above; base 2 takes format(value, "b") at any size.
+    values = [v for bits in (2047, 2048, 2049) for v in (2 ** (bits - 1), 2**bits - 1)]
+    values.append(from_digits([(7 * i + 3) % base for i in range(5000)], base))
+    saved = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        for n in values:
+            assert render_digits(n, base) == per_digit_text(n, base), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_huge_base_builds_no_table():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from brute_force import all_ones_multipliers_brute, alternating_multipliers_brute
 
@@ -195,6 +197,29 @@ def test_pair_step_multipliers_equal_the_digit_patterns(generate, brute, base, p
     # The generators add one pair step per free digit; the references
     # build each member from its digits, in itertools.product order.
     assert list(generate(base, p).predicted_multipliers) == brute(base, p)
+
+
+def test_base2_alternating_member_is_refused_before_it_is_built():
+    # N has 2*2^p - 2p + 1 digits and one multiplier at every p; p = 20
+    # took 9.6 s to build and print, only to exit 2 at the int-to-str limit.
+    start = time.perf_counter()
+    with pytest.raises(FamilyParameterError) as exc:
+        gen_alternating(2, 20)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.condition == "member materializable"
+    with pytest.raises(FamilyParameterError) as exc:
+        gen_alternating(2, 13)  # 16,359 digits
+    assert exc.value.condition == "member materializable"
+    assert gen_alternating(2, 12).number.bit_length() == 8169 <= MAX_MEMBER_DIGITS
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_base2_alternating_members_below_the_limit(p):
+    k = 2**p
+    inst = gen_alternating(2, p)
+    assert inst.number == int("1" * p + "10" * (k - 2 * p) + "0" + "1" * p, 2)
+    assert list(inst.predicted_multipliers) == alternating_multipliers_brute(2, p)
+    assert verify_family(inst).passed
 
 
 def test_refusal_does_not_build_the_multiplier_count():
