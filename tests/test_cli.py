@@ -13,11 +13,19 @@ from hypothesis import strategies as st
 
 import rhnumbers
 from rhnumbers import cli, families, search
-from rhnumbers.bounds import BoundSpec
+from rhnumbers.bounds import BoundSpec, digit_bound
 from rhnumbers.classify import ARH, MRH, NIVEN, classify
 from rhnumbers.cli import run_cli
 from rhnumbers.digitvec import parse_digits, render_digits
-from rhnumbers.search import ALLOW, FORBID, SearchConfig, scan_range
+from rhnumbers.search import (
+    ALLOW,
+    FORBID,
+    SearchConfig,
+    numbers_for_multiplier,
+    palindromic_square_search,
+    scan_range,
+)
+from rhnumbers.tables import reproduce_all_tables, reproduce_table, section1_counts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -26,6 +34,11 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_cli(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def dumps_line(obj) -> str:
+    """The exact stdout of a small JSON document: json.dumps(obj, indent=2) and a newline."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 class TestClassify:
@@ -223,6 +236,30 @@ class TestMultiplier:
         assert d["numbers"] == [11, 22, 33, 44, 55, 66, 77, 88, 99]
         assert d["multiplicity"] == 9
 
+    @pytest.mark.parametrize(
+        "kind,base,m,policy",
+        [
+            (ARH, 10, 6, FORBID),  # empty set
+            (MRH, 10, 4, ALLOW),
+            (ARH, 7, 2, ALLOW),
+            (MRH, 16, 1, FORBID),
+        ],
+    )
+    def test_json_text(self, kind, base, m, policy):
+        argv = ["multiplier", "--kind", kind, "--base", str(base), "--multiplier", str(m)]
+        if policy == FORBID:
+            argv.append("--no-zero-digits")
+        numbers = numbers_for_multiplier(base, m, kind, policy)
+        expected = {
+            "base": base,
+            "multiplier": m,
+            "kind": kind,
+            "zero_digit_policy": policy,
+            "multiplicity": len(numbers),
+            "numbers": numbers,
+        }
+        assert run(argv) == (0, dumps_line(expected), "")
+
     def test_conflict_with_paper_bound(self, monkeypatch):
         # A member above the paper's digit bound is reported, not dropped.
         argv = ["multiplier", "--kind", "mrh", "--multiplier", "1"]
@@ -356,6 +393,17 @@ class TestTables:
         d = json.loads(out)
         assert d["arh"]["count"] == 264 and d["mrh"]["count"] == 22
 
+    @pytest.mark.parametrize("which", ["1", "2", "3"])
+    def test_table_text(self, which):
+        expected = reproduce_table(f"T{which}").to_json_dict()
+        assert run(["tables", "--which", which]) == (0, dumps_line(expected), "")
+
+    def test_all_and_counts_text(self):
+        expected = [r.to_json_dict() for r in reproduce_all_tables()]
+        assert run(["tables", "--which", "all"]) == (0, dumps_line(expected), "")
+        expected = section1_counts().to_json_dict()
+        assert run(["tables", "--which", "counts"]) == (0, dumps_line(expected), "")
+
 
 class TestOeis:
     def test_bfile_and_note(self):
@@ -381,6 +429,13 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["k_max"] == 6
 
+    @pytest.mark.parametrize("base", [5, 10])
+    @pytest.mark.parametrize("kind", [ARH, MRH])
+    @pytest.mark.parametrize("m", [1, 10**9])  # 10^9 takes the strong clause
+    def test_json_text(self, base, kind, m):
+        argv = ["bounds", "--base", str(base), "--multiplier", str(m), "--kind", kind]
+        assert run(argv) == (0, dumps_line(digit_bound(base, m, kind).to_json_dict()), "")
+
 
 class TestPalsquare:
     def test_json(self):
@@ -388,6 +443,16 @@ class TestPalsquare:
         assert code == 0
         hits = json.loads(out)
         assert {h["n"] for h in hits} == {1, 9, 88, 434, 484, 828}
+
+    @pytest.mark.parametrize("base,limit", [(2, 10**5), (10, 10**4)])
+    def test_json_text(self, base, limit):
+        hits = palindromic_square_search(limit, base=base)
+        expected = [{"n": n, "square": sq, "square_digit_sum": s} for n, sq, s in hits]
+        assert run(["palsquare", "--base", str(base), "--limit", str(limit)]) == (
+            0,
+            dumps_line(expected),
+            "",
+        )
 
     def test_csv(self):
         code, out, _ = run(["palsquare", "--limit", "10", "--format", "csv"])
