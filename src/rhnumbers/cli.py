@@ -131,58 +131,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(obj, out) -> None:
-    print(_json_text(obj), file=out)
+def _json_part(obj, newline: str) -> str:
+    """json.dumps(obj, indent=2) for a part of a larger document.
 
-
-def _json_text(obj, newline: str = "\n") -> str:
-    """json.dumps(obj, indent=2), for the types the CLI prints.
-
-    json.dumps takes its pure-Python encoder whenever it indents, so the
-    reports would spend more time rendering than computing.  This gives
-    the same text for dicts with str keys, lists, tuples, str, int, bool
-    and None, each container joined from its items' text; the CLI prints
-    nothing else, and anything else raises TypeError.  Ints go through
-    int.__repr__, as in json.dumps, so an int past the int-to-str digit
-    limit raises the same ValueError.
-    newline is the line break and indent of obj's own level.
+    newline is the line break and indent of obj's own level.  JSON
+    escapes every line break inside a string, so each raw one is
+    structural and takes the indent.
     """
-    kind = type(obj)
-    if kind is str:
-        return _json_string(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is True or obj is False or obj is None:
-        return _JSON_CONSTANTS[obj]
-    inner = newline + "  "
-    if kind is dict:
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"JSON key {key!r} is not a str")
-            items.append(_json_string(key) + ": " + _json_text(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        items = [_json_text(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"{kind.__name__} has no JSON text here")
+    return json.dumps(obj, indent=2).replace("\n", newline)
 
 
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
-_json_string = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {True: "true", False: "false"}
 
 
 def _record_json(record, newline: str = "\n") -> str:
-    """_json_text of record.to_json_dict(), written from the ClassifyResult's fields.
+    """json.dumps(record.to_json_dict(), indent=2), written from the ClassifyResult's fields.
 
     newline is the record's own line break and indent.  Each witness is
     (m, x, xr) = (X // s, X, N - X) for ARH and (X // s, X, N // X) for
     MRH, as the record's arh and mrh give it.  N is rendered first, as
-    _json_text renders it, so an N past the int-to-str digit limit
+    json.dumps renders it, so an N past the int-to-str digit limit
     raises the same ValueError.
     """
     n, base, s, sq_sum, arh, mrh = record
@@ -226,20 +194,20 @@ _CLASSIFY_HEADER = (
 
 
 def _instance_parts(inst, newline: str = "\n") -> list[str]:
-    """_json_text of inst.to_json_dict(), as parts for one join.
+    """json.dumps(inst.to_json_dict(), indent=2), as parts for one join.
 
     Written from the FamilyInstance's fields; newline is the instance's
     own line break and indent.  Each value's digits are rendered once,
     straight into its part, and digit text holds only digits and commas,
     so it needs no escaping.  N is rendered before any multiplier, as
-    _json_text renders it, and every multiplier is below N, so a member
+    json.dumps renders it, and every multiplier is below N, so a member
     past the int-to-str digit limit raises the same ValueError.
     """
     base, n = inst.base, inst.number
     key, item, field = newline + "  ", newline + "    ", newline + "      "
     parts = [
-        f'{{{key}"family": {_json_string(inst.family)},{key}"base": {base},'
-        f'{key}"params": {_json_text(inst.params, key)},'
+        f'{{{key}"family": {json.dumps(inst.family)},{key}"base": {base},'
+        f'{key}"params": {_json_part(inst.params, key)},'
         f'{key}"number": {{{item}"value": {n},{item}"digits": "{render_digits(n, base)}"{key}}},'
         f'{key}"predicted_multipliers": ['
     ]
@@ -249,16 +217,16 @@ def _instance_parts(inst, newline: str = "\n") -> list[str]:
     ]
     if len(parts) > 1:
         parts[-1] = parts[-1][:-1] + key  # no comma after the last multiplier
-    claims = _json_text([c.to_json_dict() for c in inst.claims], key)
+    claims = _json_part([c.to_json_dict() for c in inst.claims], key)
     parts.append(f'],{key}"claims": {claims}{newline}}}')
     return parts
 
 
 def _report_parts(report) -> list[str]:
-    """_json_text of report.to_json_dict(), as parts for one join."""
+    """json.dumps(report.to_json_dict(), indent=2), as parts for one join."""
     key = "\n  "
-    results = _json_text([r.to_json_dict() for r in report.results], key)
-    conflicts = _json_text([r.name for r in report.conflicts], key)
+    results = _json_part([r.to_json_dict() for r in report.results], key)
+    conflicts = _json_part([r.name for r in report.conflicts], key)
     tail = (
         f',{key}"results": {results},{key}"passed": {_JSON_CONSTANTS[report.passed]},'
         f'{key}"conflicts": {conflicts}\n}}'
@@ -281,7 +249,7 @@ def _write_search(cfg: SearchConfig, fmt: str, out) -> None:
         out.writelines(_record_csv(record) for _, record in scan_range(cfg))
         return
     records = [record for _, record in scan_range(cfg)]
-    config = _json_text(dataclasses.asdict(cfg), "\n  ")
+    config = _json_part(dataclasses.asdict(cfg), "\n  ")
     out.write(f'{{\n  "config": {config},\n  "count": {len(records)},\n  "results": ')
     if not records:
         out.write("[]\n}\n")
@@ -333,17 +301,15 @@ def _dispatch(args, out, err) -> int:
         policy = FORBID if args.no_zero_digits else ALLOW
         numbers = numbers_for_multiplier(args.base, args.multiplier, args.kind, policy)
         if args.format == "json":
-            _print_json(
-                {
-                    "base": args.base,
-                    "multiplier": args.multiplier,
-                    "kind": args.kind,
-                    "zero_digit_policy": policy,
-                    "multiplicity": len(numbers),
-                    "numbers": numbers,
-                },
-                out,
-            )
+            doc = {
+                "base": args.base,
+                "multiplier": args.multiplier,
+                "kind": args.kind,
+                "zero_digit_policy": policy,
+                "multiplicity": len(numbers),
+                "numbers": numbers,
+            }
+            print(json.dumps(doc, indent=2), file=out)
         elif args.format == "csv":
             out.write("n\n" + "".join(f"{n}\n" for n in numbers))
         else:
@@ -371,14 +337,14 @@ def _dispatch(args, out, err) -> int:
 
     if args.command == "tables":
         if args.which == "counts":
-            _print_json(section1_counts().to_json_dict(), out)
+            print(json.dumps(section1_counts().to_json_dict(), indent=2), file=out)
             return 0
         if args.which == "all":
             reports = reproduce_all_tables()
-            _print_json([r.to_json_dict() for r in reports], out)
+            print(json.dumps([r.to_json_dict() for r in reports], indent=2), file=out)
         else:
             reports = [reproduce_table(f"T{args.which}")]
-            _print_json(reports[0].to_json_dict(), out)
+            print(json.dumps(reports[0].to_json_dict(), indent=2), file=out)
         return 1 if any(r.has_toolkit_mismatch for r in reports) else 0
 
     if args.command == "oeis":
@@ -391,7 +357,7 @@ def _dispatch(args, out, err) -> int:
 
     if args.command == "bounds":
         spec = digit_bound(args.base, args.multiplier, args.kind)
-        _print_json(spec.to_json_dict(), out)
+        print(json.dumps(spec.to_json_dict(), indent=2), file=out)
         return 0
 
     if args.command == "palsquare":
@@ -400,9 +366,8 @@ def _dispatch(args, out, err) -> int:
             rows = "".join(f"{n},{sq},{s}\n" for n, sq, s in hits)
             out.write("n,square,square_digit_sum\n" + rows)
         else:
-            _print_json(
-                [{"n": n, "square": sq, "square_digit_sum": s} for n, sq, s in hits], out
-            )
+            doc = [{"n": n, "square": sq, "square_digit_sum": s} for n, sq, s in hits]
+            print(json.dumps(doc, indent=2), file=out)
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

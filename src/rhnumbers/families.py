@@ -186,9 +186,19 @@ def _materializable(radix: int, power: int, limit: int) -> bool:
 
 
 def _all_ones_params(base: int, p: int) -> int:
+    """k = b^p = [1 (0)^p]_b, or a stand-in above the size limits.
+
+    No multiplier set or member N within the limits has k above
+    cap = 2p + MAX_MEMBER_DIGITS, and every k above cap passes the check
+    against 2p and fails the same size check first: the multiplier set's,
+    or N's at b = 2, where the set has one member.  So cap + 1 stands in for
+    a larger b^p, which is never built: at b = 2, p = 10^8, building b^p
+    and its half took 0.8 s and 57 MB (2-core VM) only to be refused.
+    """
     _require(base % 2 == 0, "b even", f"base must be even, got {base}")
     _require(p >= 1, "p >= 1", f"p must be >= 1, got {p}")
-    return base**p  # k = [1 (0)^p]_b
+    cap = 2 * p + MAX_MEMBER_DIGITS
+    return base**p if _materializable(base, p, cap) else cap + 1
 
 
 def gen_all_ones(base: int, p: int) -> FamilyInstance:
@@ -200,7 +210,8 @@ def gen_all_ones(base: int, p: int) -> FamilyInstance:
     _require(
         _materializable(2, half, MAX_MULTIPLIER_SET),
         "multiplier set materializable",
-        f"2^{half} multipliers exceed the materialization limit",
+        f"multiplier set not materializable: 2^((b^p - 2p)/2) multipliers for b = {base}, "
+        f"p = {p} exceed {MAX_MULTIPLIER_SET}",
     )
     number = from_digits([1] * k, base)
     # M = [(1)^p c_0 .. c_{h-1} (1-c_{h-1}) .. (1-c_0)]_b: bit c_i sits at
@@ -234,7 +245,8 @@ def gen_alternating(base: int, p: int) -> FamilyInstance:
     _require(
         _materializable(base - 1, half, MAX_MULTIPLIER_SET),
         "multiplier set materializable",
-        f"(b-1)^{half} multipliers exceed the materialization limit",
+        f"multiplier set not materializable: (b-1)^((b^p - 2p)/2) multipliers for b = {base}, "
+        f"p = {p} exceed {MAX_MULTIPLIER_SET}",
     )
     # N has 2k - 2p + 1 digits.  Above base 2 the multiplier limit keeps
     # that to at most 29 (b = 4, p = 2); base 2 has one multiplier at any p.

@@ -372,6 +372,18 @@ class TestFamily:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all-ones", "--base", "2", "--p", "100000000"],
+            ["alternating", "--base", "4", "--p", "30000000"],
+        ],
+    )
+    def test_huge_p_is_refused_by_size(self, argv):
+        code, out, err = run(["family", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: multiplier set not materializable: ")
+
 
 class TestTables:
     def test_t2_exit_zero(self):
@@ -559,11 +571,16 @@ def test_closed_stdout_ends_quietly():
     assert code != 1
 
 
+# Pieces that stress the line breaks and escapes: raw line breaks of
+# every kind, a lone surrogate and non-ASCII text.
+_TEXT_PIECES = st.sampled_from(
+    ["\n", "\r\n", "\r", "\u2028", "\ud800", "\u00e9", "\U0001f600", '"', "\\"]
+)
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.text()  # any code point: non-ASCII, surrogates and control characters
+    | st.integers(min_value=-(2**200), max_value=2**200)  # past 2^64
+    | st.lists(_TEXT_PIECES | st.characters(exclude_categories=()), max_size=8).map("".join)
 )
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
@@ -580,29 +597,12 @@ def _nested(depth: int, leaf):
     return leaf
 
 
-class TestJsonText:
-    @settings(max_examples=300, deadline=None)
-    @given(_JSON_VALUES)
-    def test_same_text_as_json_dumps(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, indent=2)
-
-    @pytest.mark.parametrize(
-        "obj",
-        [{}, [], (), "", {"": []}, [{}, [], ""], _nested(60, 7), _nested(61, {}), 10**4000,
-         "\x00\x1f\u00e9\u2028\ud800\U0001f600\"\\"],
-    )
-    def test_edge_cases(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, indent=2)
-
-    @pytest.mark.parametrize("obj", [1.5, {1: "int key"}, [float("nan")], {"k": {2, 3}}])
-    def test_other_types_raise(self, obj):
-        with pytest.raises(TypeError):
-            cli._json_text(obj)
-
-    def test_int_past_the_digit_limit_raises_as_json_dumps_does(self):
-        big = 10**5000
-        with pytest.raises(ValueError) as dumps_error:
-            json.dumps({"value": big}, indent=2)
-        with pytest.raises(ValueError) as text_error:
-            cli._json_text({"value": big})
-        assert str(text_error.value) == str(dumps_error.value)
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES, st.integers(min_value=0, max_value=3))
+def test_json_part_sits_at_its_depth(value, depth):
+    # A part under the key "part" of a parent nested `depth` levels deep
+    # has the indent of level depth + 1; spliced into the parent's text
+    # in place of a null, it gives the parent's json.dumps text.
+    prefix, suffix = json.dumps(_nested(depth, {"part": None}), indent=2).split("null")
+    part = cli._json_part(value, "\n" + "  " * (depth + 1))
+    assert prefix + part + suffix == json.dumps(_nested(depth, {"part": value}), indent=2)

@@ -232,6 +232,25 @@ def test_refusal_does_not_build_the_multiplier_count():
     assert exc.value.condition == "multiplier set materializable"
 
 
+@pytest.mark.parametrize(
+    "generate,base,p,condition",
+    [
+        (gen_all_ones, 2, 10**8, "multiplier set materializable"),
+        (gen_alternating, 4, 3 * 10**7, "multiplier set materializable"),
+        (gen_alternating, 2, 10**8, "member materializable"),
+    ],
+)
+def test_refusal_does_not_build_b_to_the_p(generate, base, p, condition):
+    # Building b^p alone took 0.6-0.8 s and 40-57 MB here, and its half
+    # in the message overran the int-to-str digit limit.
+    start = time.perf_counter()
+    with pytest.raises(FamilyParameterError) as exc:
+        generate(base, p)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.condition == condition
+    assert f"b = {base}, p = {p}" in str(exc.value)
+
+
 class TestSquareFamily:
     def test_b3_k2(self):
         inst = gen_square_family(3, 2)
