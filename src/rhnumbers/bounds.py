@@ -12,14 +12,13 @@ arithmetic only, so exact powers never fall on the wrong side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import ARH, MRH
 from .digitvec import check_base, digit_count_int
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     kind: str
     base: int
     multiplier: int
@@ -27,13 +26,7 @@ class BoundSpec:
     source: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base": self.base,
-            "multiplier": self.multiplier,
-            "k_max": self.k_max,
-            "source": self.source,
-        }
+        return self._asdict()
 
 
 def floor_log(base: int, m: int) -> int:

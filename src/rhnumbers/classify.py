@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import add
 from typing import Iterator, NamedTuple
@@ -32,8 +31,7 @@ MRH = "mrh"
 NIVEN = "niven"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Multiplier M with X = M*s_b(N) and X + X^R = N (ARH) or X * X^R = N (MRH)."""
 
     m: int
@@ -41,11 +39,10 @@ class Witness:
     xr: int
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "x": self.x, "xr": self.xr}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerifyFailure:
+class VerifyFailure(NamedTuple):
     """Defining equation failed: `combined` (X op X^R) != `expected` (N)."""
 
     kind: str

@@ -9,7 +9,6 @@ verification failure or CONFLICT-WITH-PAPER present, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import signal
 import sys
@@ -249,7 +248,7 @@ def _write_search(cfg: SearchConfig, fmt: str, out) -> None:
         out.writelines(_record_csv(record) for _, record in scan_range(cfg))
         return
     records = [record for _, record in scan_range(cfg)]
-    config = _json_part(dataclasses.asdict(cfg), "\n  ")
+    config = _json_part(cfg._asdict(), "\n  ")
     out.write(f'{{\n  "config": {config},\n  "count": {len(records)},\n  "results": ')
     if not records:
         out.write("[]\n}\n")

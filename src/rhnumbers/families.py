@@ -22,7 +22,7 @@ digits.  Digit text is rendered only for output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import (
     ARH,
@@ -65,18 +65,16 @@ class FamilyParameterError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     name: str
     source: str  # CONSTRUCTION | PAPER
     expected: bool | None  # None: informational, reported but not judged
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "source": self.source, "expected": self.expected}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     family: str
     base: int
     params: dict
@@ -98,24 +96,17 @@ class FamilyInstance:
         }
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     passed: bool | None  # None: informational
     verdict: str
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     instance: FamilyInstance
     results: tuple[ClaimResult, ...]
 

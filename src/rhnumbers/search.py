@@ -27,7 +27,7 @@ Every window takes its digit sums from one DigitSums table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import digit_bound, digit_sum_cap
 from .classify import (
@@ -59,8 +59,7 @@ FORBID = "forbid"
 WORD_SIZE_CAP = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
     base: int
     lo: int
     hi: int
@@ -68,7 +67,14 @@ class SearchConfig:
     zero_digit_policy: str = ALLOW
     multiplier_filter: int | None = None
 
-    def __post_init__(self) -> None:
+
+class SearchConfig(_SearchFields):
+    """A range scan's parameters, checked when built: by the constructor, _make or _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_base(self.base)
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
@@ -83,6 +89,11 @@ class SearchConfig:
                 raise ValueError("multiplier_filter must be a positive integer")
             if self.kind == NIVEN:
                 raise ValueError("multiplier_filter makes no sense for a Niven scan")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def pair_sum_vectors(base: int, lo: int, hi: int):

@@ -18,7 +18,7 @@ breakdown so that any definitional gap is attributable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .classify import ARH, MRH, VerifyFailure, verify_witness
 from .digitvec import digit_count_int, has_zero_digit, reverse_int
@@ -125,8 +125,7 @@ T3_ROWS: tuple[tuple[int, int, tuple[int, ...]], ...] = (
 TABLE_KINDS = {"T1": ARH, "T2": MRH, "T3": MRH}
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     table: str
     digit_count: int | None
     multiplier: int
@@ -147,8 +146,7 @@ class RowReport:
         }
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     table: str
     rows: tuple[RowReport, ...]
     # Recomputed (digit_count, multiplier, numbers) triples absent from
@@ -271,8 +269,7 @@ ARH_EXPECTED_BELOW_10000 = 264
 MRH_EXPECTED_BELOW_10000 = 23
 
 
-@dataclass(frozen=True)
-class CountsReport:
+class CountsReport(NamedTuple):
     arh_count: int
     mrh_count: int
     arh_expected: int
@@ -282,7 +279,7 @@ class CountsReport:
     arh_with_zero_digit: tuple[int, ...]
     mrh_with_zero_digit: tuple[int, ...]
     mrh_self_multiplier_only: tuple[int, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     @property
     def arh_matches(self) -> bool:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -111,7 +110,7 @@ def _reference_search(cfg: SearchConfig) -> dict[str, str]:
     """search's stdout in each format, rendered from scan_range's records and their dicts."""
     records = [res for _, res in scan_range(cfg)]
     document = {
-        "config": dataclasses.asdict(cfg),
+        "config": cfg._asdict(),
         "count": len(records),
         "results": [res.to_json_dict() for res in records],
     }

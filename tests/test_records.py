@@ -5,8 +5,14 @@ equal records hash equally; SearchConfig refuses bad ranges, kinds and
 policies when it is built.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rhnumbers
 from rhnumbers.bounds import BoundSpec
 from rhnumbers.classify import VerifyFailure, Witness
 from rhnumbers.families import Claim, ClaimResult, FamilyInstance, FamilyReport
@@ -157,22 +163,51 @@ def test_json_dict(cls, expected):
     assert list(got) == list(expected)  # key order is the JSON text's order
 
 
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        (dict(base=1, lo=1, hi=5, kind="arh"), "base must be an integer >= 2"),
-        (dict(base=10, lo=0, hi=5, kind="arh"), "need 1 <= lo <= hi"),
-        (dict(base=10, lo=6, hi=5, kind="arh"), "need 1 <= lo <= hi"),
-        (dict(base=10, lo=1, hi=2**64, kind="arh"), "exceeds word-size cap"),
-        (dict(base=10, lo=1, hi=5, kind="sum"), "kind must be one of"),
-        (dict(base=10, lo=1, hi=5, kind="arh", zero_digit_policy="maybe"),
-         "zero_digit_policy must be"),
-        (dict(base=10, lo=1, hi=5, kind="arh", multiplier_filter=0),
-         "multiplier_filter must be a positive integer"),
-        (dict(base=10, lo=1, hi=5, kind="niven", multiplier_filter=2),
-         "multiplier_filter makes no sense for a Niven scan"),
-    ],
-)
+SEARCH_CONFIG_REFUSALS = [
+    (dict(base=1, lo=1, hi=5, kind="arh"), "base must be an integer >= 2"),
+    (dict(base=10, lo=0, hi=5, kind="arh"), "need 1 <= lo <= hi"),
+    (dict(base=10, lo=6, hi=5, kind="arh"), "need 1 <= lo <= hi"),
+    (dict(base=10, lo=1, hi=2**64, kind="arh"), "exceeds word-size cap"),
+    (dict(base=10, lo=1, hi=5, kind="sum"), "kind must be one of"),
+    (dict(base=10, lo=1, hi=5, kind="arh", zero_digit_policy="maybe"),
+     "zero_digit_policy must be"),
+    (dict(base=10, lo=1, hi=5, kind="arh", multiplier_filter=0),
+     "multiplier_filter must be a positive integer"),
+    (dict(base=10, lo=1, hi=5, kind="niven", multiplier_filter=2),
+     "multiplier_filter makes no sense for a Niven scan"),
+]
+
+
+@pytest.mark.parametrize("fields, message", SEARCH_CONFIG_REFUSALS)
 def test_search_config_refuses(fields, message):
     with pytest.raises(ValueError, match=message):
         SearchConfig(**fields)
+
+
+@pytest.mark.parametrize("fields, message", SEARCH_CONFIG_REFUSALS)
+def test_search_config_replace_and_make_refuse_alike(fields, message):
+    valid = SearchConfig(base=10, lo=1, hi=5, kind="arh")
+    with pytest.raises(ValueError, match=message):
+        valid._replace(**fields)
+    with pytest.raises(ValueError, match=message):
+        SearchConfig._make(fields.get(name, getattr(valid, name)) for name in valid._fields)
+    assert valid._replace(hi=7) == SearchConfig(10, 1, 7, "arh")
+    assert type(SearchConfig._make(valid)) is SearchConfig
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Measured against the modules loaded before the import, so what
+    # site loads at start-up does not count.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rhnumbers.cli\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+    )
+    path = [str(Path(rhnumbers.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\n"
