@@ -30,6 +30,10 @@ ARH = "arh"
 MRH = "mrh"
 NIVEN = "niven"
 
+# The most additive witnesses classify lists: the 40-digit repunit has
+# 131,072 of them, the 100-digit one 2^48, more than any memory holds.
+MAX_LISTED_WITNESSES = 1 << 20
+
 
 class Witness(NamedTuple):
     """Multiplier M with X = M*s_b(N) and X + X^R = N (ARH) or X * X^R = N (MRH)."""
@@ -677,8 +681,17 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 
 
 def classify(value: int, base: int) -> ClassifyResult:
-    """Full classification record of N = value: both digit sums and both witness lists."""
+    """Full classification record of N = value: both digit sums and both witness lists.
+
+    solve_arh counts the additive witnesses before any is listed, and an
+    N with more than MAX_LISTED_WITNESSES of them is refused (ValueError).
+    """
     _require_n(value, base)
+    count, arh = solve_arh(value, base)
+    if count > MAX_LISTED_WITNESSES:
+        raise ValueError(
+            f"N has {count} ARH witnesses, over the listing limit of {MAX_LISTED_WITNESSES}"
+        )
     s, sq_sum = digit_sum_int(value, base), digit_sum_int(value * value, base)
     mrh = tuple(x for _, x in mrh_products(base, value, value) if x % s == 0)
-    return ClassifyResult(value, base, s, sq_sum, tuple(arh_products(value, base, s)), mrh)
+    return ClassifyResult(value, base, s, sq_sum, tuple(arh), mrh)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rhnumbers.classify import (
     ARH,
+    MAX_LISTED_WITNESSES,
     MRH,
     PairTables,
     VerifyFailure,
@@ -278,6 +279,21 @@ class TestClassify:
         }
         assert d["mrh"] == [{"m": 1, "x": 19, "xr": 91}]
         json.dumps(d)  # serializable
+
+    def test_too_many_additive_witnesses_are_refused_by_count(self):
+        # The 100-digit repunit has 2^48 ARH witnesses; solve_arh counts
+        # them without listing any.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{2**48} ARH witnesses, over the listing limit"):
+            classify(int("1" * 100), 10)
+        assert time.perf_counter() - start < 1.0
+        assert 2**17 <= MAX_LISTED_WITNESSES
+
+    def test_a_large_witness_list_below_the_limit(self):
+        res = classify(int("1" * 40), 10)
+        count, stream = solve_arh(int("1" * 40), 10)
+        assert len(res.arh_products) == count == 131_072
+        assert res.arh_products == tuple(stream)
 
 
 # -- completeness against a naive double-loop oracle -------------------

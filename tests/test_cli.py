@@ -76,6 +76,13 @@ class TestClassify:
         code, out, err = run(["classify", "--base", "7", "--digits", "18"])
         assert code == 2 and out == "" and "out of range" in err
 
+    def test_too_many_witnesses_is_a_usage_error(self):
+        code, out, err = run(["classify", "1" * 100])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: N has 281474976710656 ARH witnesses, over the listing limit of 1048576\n"
+        )
+
 
 class TestSearch:
     def test_counts(self):
