@@ -193,10 +193,12 @@ def _all_ones_params(base: int, p: int) -> int:
 
 
 def gen_all_ones(base: int, p: int) -> FamilyInstance:
-    """(1) repeated k = b^p times in even base b; 2^((k-2p)/2) multipliers."""
+    """(1) repeated k = b^p times in even base b; 2^((k-2p)/2) multipliers.
+
+    The paper's k >= 2p always holds: b^p >= 2^p >= 2p, and the stand-in k is above 2p.
+    """
     check_base(base)
     k = _all_ones_params(base, p)
-    _require(k >= 2 * p, "k >= 2p", f"k = b^p = {k} must be >= 2p = {2 * p}")
     half = (k - 2 * p) // 2
     _require(
         _materializable(2, half, MAX_MULTIPLIER_SET),
