@@ -155,6 +155,12 @@ def _record_json(record, newline: str = "\n") -> str:
     n, base, s, sq_sum, arh, mrh = record
     niven, quad, strong = niven_flags(n, s, sq_sum)
     key, item, field = newline + "  ", newline + "    ", newline + "      "
+    if not arh and not mrh:
+        return (
+            f'{{{key}"n": {n},{key}"base": {base},{key}"niven": {_JSON_CONSTANTS[niven]},'
+            f'{key}"arh": [],{key}"mrh": [],{key}"quadratic_niven": {_JSON_CONSTANTS[quad]},'
+            f'{key}"strongly_quadratic_niven": {_JSON_CONSTANTS[strong]}{newline}}}'
+        )
     parts = [f'{{{key}"n": {n},{key}"base": {base},{key}"niven": {_JSON_CONSTANTS[niven]}']
     for name, xs, reverse in (("arh", arh, n.__sub__), ("mrh", mrh, n.__floordiv__)):
         if not xs:

@@ -11,7 +11,7 @@ classify.mrh_products on the scan's window, which fixes the digit pairs
 of X's trailing-zero-free part from both ends and prunes them against
 the window's ends and, for a window narrower than b^(i+1), its
 residues mod b^(i+1); a narrow window far out visits few of them.  A
-Niven scan tests every N.
+Niven scan tests every N, one block of the digit-sum table at a time.
 
 One engine (_hits) walks [lo, hi] in windows of _WINDOW values, so a
 scan holds one window's hits at a time, and serves two views.
@@ -21,13 +21,16 @@ one, and a Niven scan walks no vectors.  scan_range yields N and its
 ClassifyResult, the record that classify gives (both digit sums and
 both ascending witness product lists), listing the witnesses of the
 vectors it yields (for a Niven scan, only those whose N is Niven);
-the CLI's json and csv views render each record's text from it.
-Every window takes its digit sums from one DigitSums table.
+the CLI's json and csv views render each record's text from it.  A
+zero-free scan drops a vector whose N has a zero digit before it takes
+N's digit sum or tests its witnesses.  Every window takes its digit
+sums from one DigitSums table, each hit's s_b(N) once: the pass that
+finds a hit carries its s_b(N) to the hit's record.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bounds import digit_bound, digit_sum_cap
 from .classify import (
@@ -148,15 +151,16 @@ class DigitSums:
 
     The table T holds the digit sums of 0..B-1 for B = b^m, the first
     power of b whose square exceeds hi, so s_b(n) = T[n // B] + T[n % B]
-    for every n <= hi, and since n^2 < B^4, one more split by B^2 gives
-    s_b(n^2) from four lookups.  T starts at one digit (B = b, kept as a
-    range, so any base >= 2 costs nothing), and prepending each digit d
-    to the numbers of T gives the table one digit longer.  T stops
-    growing at _TABLE_CAP entries, so that a narrow window far out
-    (--min 10**14) does not build a table of b*sqrt(hi) entries; past
-    B^2, s_b(n) = T[n % B] + s_b(n // B) takes one split more for each
-    further m digits, and B >= 2 makes that recursion end.  A range
-    scan builds one and takes every digit sum from it.
+    for every n <= hi, and since n^2 < B^4, s_b(n^2) takes one loop of
+    at most three divmods by B and four lookups.  T starts at one digit
+    (B = b, kept as a range, so any base >= 2 costs nothing), and
+    prepending each digit d to the numbers of T gives the table one
+    digit longer.  T stops growing at _TABLE_CAP entries, so that a
+    narrow window far out (--min 10**14) does not build a table of
+    b*sqrt(hi) entries; past B^2, s_b(n) = T[n % B] + s_b(n // B) takes
+    one split more for each further m digits, and B >= 2 makes that
+    recursion end.  A range scan builds one and takes every digit sum
+    from it, each hit's s_b(n) once.
     """
 
     __slots__ = ("table", "size")
@@ -173,19 +177,27 @@ class DigitSums:
         return self.table[low] + (self.table[high] if high < self.size else self(high))
 
     def of_square(self, n: int) -> int:
-        high, low = divmod(n * n, self.size * self.size)
-        return self(high) + self(low)
+        t, size, high, s = self.table, self.size, n * n, 0
+        while high >= size:
+            high, low = divmod(high, size)
+            s += t[low]
+        return s + t[high]
 
-    def niven(self, lo: int, hi: int) -> list[int]:
-        """Every n in [lo, hi] with s_b(n) | n, a block of the n that share n // B at a time."""
+    def niven(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """(n, s_b(n)) for every n in [lo, hi] with s_b(n) | n, ascending.
+
+        One block of the n that share n // B at a time: s_b(n) is the
+        block's digit sum plus T[n % B], and each block's hits are
+        yielded once that block is done, so the listing holds one block.
+        """
         t, size = self.table, self.size
-        out = []
         for high in range(lo // size, hi // size + 1):
-            start, s = high * size, self(high)
+            start, top = high * size, self(high)
             first, last = max(lo - start, 0), min(hi - start, size - 1)
             numbers = range(start + first, start + last + 1)
-            out += [n for n, low in zip(numbers, t[first:last + 1]) if n % (s + low) == 0]
-        return out
+            yield from [
+                (n, s) for n, low in zip(numbers, t[first:last + 1]) if n % (s := top + low) == 0
+            ]
 
 
 _TABLE_CAP = 2**20  # entries of a DigitSums table: 8 MB of list
@@ -216,52 +228,61 @@ def _window_hits(
     X is a witness product of N iff s_b(N) | X, so an ARH scan keeps a
     pair-sum vector whose masks admit some X (pair_sum_products) and
     lists its X only for a record, and a Niven scan lists only the
-    vectors whose N is Niven.  The MRH lists keep the X that s_b(N)
-    divides of the ascending (N, X) that mrh_products lists for the
-    window.  The ARH lists of an MRH scan's few hits are solved from
-    their own digits.  The multiplier filter checks X = M*s_b(N)
+    vectors whose N is Niven.  A zero-free scan drops a vector whose N
+    has a zero digit before any of that work.  The MRH lists keep the X
+    that s_b(N) divides of the ascending (N, X) that mrh_products lists
+    for the window.  The ARH lists of an MRH scan's few hits are solved
+    from their own digits.  Each hit's s_b(N) is taken once: an ARH hit
+    keeps the one its vectors found, at the head of its witness list, a
+    Niven hit the one the listing tested, and an MRH hit takes its own
+    after the zero-digit test.  The multiplier filter checks X = M*s_b(N)
     directly: with the witness lists complete, that is the same as
     finding it in N's list.
     """
-    base, kind = cfg.base, cfg.kind
+    base, kind, m = cfg.base, cfg.kind, cfg.multiplier_filter
+    forbid = cfg.zero_digit_policy == FORBID
     mrh_map: dict[int, list[int]] = {}
     if records or kind == MRH:
         for n, x in mrh_products(base, lo, hi):
             if x % sums(n) == 0:
                 mrh_map.setdefault(n, []).append(x)
-    arh_map: dict[int, list[int]] = {}
+    arh_map: dict[int, list[int]] = {}  # N -> [s_b(N), its witness products X, ascending]
     if kind == ARH or (kind == NIVEN and records):
         for n, k, p in pair_sum_vectors(base, lo, hi):
+            if forbid and has_zero_digit(n, base):
+                continue
             s = sums(n)
             if kind == NIVEN and n % s:
                 continue
             products = pair_sum_products(tables, k, p, s, records)
             if products is not None:
-                found = arh_map.setdefault(n, [])
+                found = arh_map.setdefault(n, [s])
                 if records:  # k ascending, and the X of k-1 digits lie below those of k
                     found.extend(products)
     if kind == ARH:
-        candidates = sorted(arh_map)
+        candidates = ((n, arh_map[n][0]) for n in sorted(arh_map))
     elif kind == MRH:
-        candidates = sorted(mrh_map)
+        candidates = ((n, 0) for n in sorted(mrh_map))  # s_b(N) >= 1: 0 is not yet taken
     else:
         candidates = sums.niven(lo, hi)
-    for n in candidates:
-        if cfg.zero_digit_policy == FORBID and has_zero_digit(n, base):
+    for n, s in candidates:
+        if forbid and has_zero_digit(n, base):
             continue
-        s = sums(n)
-        if cfg.multiplier_filter is not None and not isinstance(
-            check_witness(n, s, base, cfg.multiplier_filter, kind), Witness
-        ):
+        s = s or sums(n)
+        if m is not None and not isinstance(check_witness(n, s, base, m, kind), Witness):
             continue
         if not records:
             yield n
             continue
-        arh = arh_products(n, base, s) if kind == MRH else arh_map.get(n, ())
+        if kind == MRH:
+            arh = tuple(arh_products(n, base, s))
+        else:  # popped, so that a window's lists and its records are not held at once
+            found = arh_map.pop(n, None)
+            arh = tuple(found[1:]) if found else ()
         # The record's fields in order, without the Python-level __new__ call
         # (twice the cost of the tuple itself, once per hit).
         yield n, tuple.__new__(
-            ClassifyResult, (n, base, s, sums.of_square(n), tuple(arh), tuple(mrh_map.get(n, ())))
+            ClassifyResult, (n, base, s, sums.of_square(n), arh, tuple(mrh_map.get(n, ())))
         )
 
 

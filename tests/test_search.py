@@ -1,14 +1,17 @@
+import functools
 import tracemalloc
 
 import pytest
 from brute_force import (
     arh_map_sweep,
+    arh_products_brute,
     count_not_sum_sieve,
     is_expressible_brute,
     mrh_map_sweep,
+    mrh_products_brute,
     palindromic_square_brute,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhnumbers import search
@@ -63,6 +66,13 @@ def _paper_capped_members(base: int, m: int, kind: str, policy: str) -> list[int
         if sum(digits) == s and not (policy == FORBID and 0 in digits):
             found.append(n)
     return sorted(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_witnesses(n: int, base: int) -> tuple[int, list[int], list[int]]:
+    """(s_b(N), ARH products, MRH products) of N = n, each X found by trial."""
+    s = sum(_digits(n, base))
+    return s, arh_products_brute(n, base), [x for x in mrh_products_brute(n, base) if x % s == 0]
 
 
 class TestSearchConfig:
@@ -250,6 +260,45 @@ class TestScanNumbers:
         for n, res in records:
             assert res == classify(n, base), (n, base)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([ARH, MRH, NIVEN]),
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=4000),
+        st.integers(min_value=1, max_value=4000),
+        st.sampled_from([1, "base", 7]),
+        st.sampled_from([ALLOW, FORBID]),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    # B = 100 below 10^4 in base 10: lo at the start of a block, then inside one.
+    @example(NIVEN, 10, 100, 4000, 7, FORBID, None)
+    @example(MRH, 10, 1, 4000, 7, FORBID, None)
+    @example(ARH, 10, 1, 4000, "base", FORBID, 2)
+    @example(NIVEN, 10, 1357, 2468, 1, FORBID, None)
+    def test_scans_match_brute_force(self, kind, base, a, b, window, policy, m):
+        # Zero-free and filtered scans, in windows of 1, b and 7 values
+        # that mostly start inside a block of the digit-sum table, against
+        # witnesses found by trial alone.
+        m = None if kind == NIVEN else m
+        cfg = SearchConfig(base=base, lo=min(a, b), hi=max(a, b), kind=kind,
+                           zero_digit_policy=policy, multiplier_filter=m)
+        wanted = []
+        for n in range(cfg.lo, cfg.hi + 1):
+            if policy == FORBID and 0 in _digits(n, base):
+                continue
+            s, arh, mrh = _brute_witnesses(n, base)
+            if kind == NIVEN:
+                hit = n % s == 0
+            else:
+                products = arh if kind == ARH else mrh
+                hit = bool(products) if m is None else m * s in products
+            if hit:
+                wanted.append(n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_WINDOW", base if window == "base" else window)
+            assert list(scan_numbers(cfg)) == wanted
+            assert [n for n, _ in scan_range(cfg)] == wanted
+
     def test_arh_numbers_below_one_million(self):
         cfg = SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)
         assert len(list(scan_numbers(cfg))) == 5503
@@ -309,8 +358,8 @@ class TestDigitSums:
             assert sums(n) == digit_sum_int(n, base), n
             assert sums.of_square(n) == digit_sum_int(n * n, base), n
         lo = 10**15
-        assert sums.niven(lo, lo + 500) == [
-            n for n in range(lo, lo + 501) if n % digit_sum_int(n, base) == 0
+        assert list(sums.niven(lo, lo + 500)) == [
+            (n, s) for n in range(lo, lo + 501) if n % (s := digit_sum_int(n, base)) == 0
         ]
 
     @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
@@ -358,7 +407,7 @@ class TestWindows:
         assert list(scan_range(cfg)) == records
         assert list(scan_numbers(cfg)) == [n for n, _ in records]
 
-    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    @pytest.mark.parametrize("kind", [ARH, MRH])
     def test_memory_tracks_one_window(self, monkeypatch, kind):
         # Draining the scan over 20 windows peaks well below one pass
         # over the same range, which holds every hit until it ends.
@@ -377,6 +426,20 @@ class TestWindows:
         hits, peak = drained_peak(cfg.hi // 20)
         assert hits == one_hits > 0
         assert peak < one_peak / 2, (peak, one_peak)
+
+    def test_niven_listing_holds_one_block(self):
+        # The Niven listing yields each block of the digit-sum table's B
+        # values once it is done, so a numbers-only scan holds one
+        # block's hits, not its window's 806,095 (31 MiB as one list).
+        cfg = SearchConfig(base=10, lo=1, hi=10**7, kind=NIVEN)
+        tracemalloc.start()
+        try:
+            hits = sum(1 for _ in scan_numbers(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == 806_095
+        assert peak < 2**20, peak
 
 
 def test_large_base_arh_scan_memory_tracks_its_vectors():
