@@ -19,7 +19,7 @@ values below 1 and bases below 2.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import gcd, isqrt
 from operator import add
 from typing import Iterator, NamedTuple
@@ -144,15 +144,15 @@ def is_niven(value: int, base: int) -> bool:
 
 
 def is_quadratic_niven(value: int, base: int) -> bool:
-    """N and N^2 both b-Niven."""
-    return is_niven(value, base) and is_niven(value * value, base)
+    """N and N^2 both b-Niven: the second of niven_flags."""
+    _require_n(value, base)
+    return niven_flags(value, digit_sum_int(value, base), digit_sum_int(value * value, base))[1]
 
 
 def is_strongly_quadratic_niven(value: int, base: int) -> bool:
-    """Quadratic Niven with s_b(N) == s_b(N^2)."""
-    if not is_quadratic_niven(value, base):
-        return False
-    return digit_sum_int(value, base) == digit_sum_int(value * value, base)
+    """Quadratic Niven with s_b(N) == s_b(N^2): the third of niven_flags."""
+    _require_n(value, base)
+    return niven_flags(value, digit_sum_int(value, base), digit_sum_int(value * value, base))[2]
 
 
 def arh_witnesses(value: int, base: int) -> list[Witness]:
@@ -506,17 +506,14 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
     and above in both factors, so y*r mod b^(i+1) is already Y*Y^R's
     residue, and it must be one that the window holds (the low prune).
     That removes all but (high-low+1)/b^(i+1) of the residues for a
-    window narrower than b^(i+1), and all but one for low = high; a
-    wider window holds every residue.  Where the window is narrower
-    than b^i and free digits remain, c sits at a multiple of b^(i+1) in
-    Y and at b^i in Y^R, so with c at 0 in y and r,
-    Y*Y^R = y*r + b^i*c*y_0 mod b^(i+1), y_0 being Y's nonzero last
-    digit: the one residue left fixes c*y_0 mod b, and the run steps
-    through that class of c alone.  Without the low prune, one
-    N = Y*Y^R is a walk over all Y near sqrt(N).  The middle digit of
-    an odd k is one more step, in which a sits at b^(k//2) in both
-    factors and c is 0.  Once every digit is fixed the bounds meet, so
-    each Y that the walk completes lies in the window.
+    window narrower than b^(i+1); a wider window holds every residue.
+    Below b^i, one value of the window is left, and _narrow_pairs
+    solves each two-digit pair i >= 1 on a few lines of (a, c).
+    Without the low prune, one N = Y*Y^R is a walk over all Y near
+    sqrt(N).  The middle digit of an odd k is one more step, in which
+    a sits at b^(k//2) in both factors and c is 0.  Once every digit is
+    fixed the bounds meet, so each Y that the walk completes lies in
+    the window.
 
     Y^R is itself a k-digit Y with no trailing zero, and Y^R*Y is the
     same product, so the outer pair is walked with a <= c only, and a
@@ -539,8 +536,8 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
         first = 1 if i == 0 else 0  # Y's leading and trailing digits are nonzero
         c_first, end = (0, 1) if w_hi == w_lo else (first, base)
         mirrored = i == 0 and w_hi != w_lo
-        if i and w_hi == modulus and width < w_lo:  # the innermost pair of an even k >= 4
-            stack += [(i + 1, yc, rc) for yc, rc in _innermost_pairs(base, k, y, r, low, high)]
+        if i and w_hi != w_lo and width < w_lo:  # one window value is left: solve lines
+            stack += [(i + 1, yc, rc) for yc, rc in _narrow_pairs(base, k, i, y, r, low, high)]
             continue
         if mirrored and not width:  # the outer pair, for one N
             for a, c in _outer_pairs(base, k, low):
@@ -565,15 +562,7 @@ def _reversal_factors(base: int, k: int, low: int, high: int) -> Iterator[tuple[
             uy, ur = ya + span, ra + span  # bound(a, c, span) is (uy + c*w_hi) * (ur + c*w_lo)
             while c > c_min and (uy + (c - 1) * w_hi) * (ur + (c - 1) * w_lo) >= low:
                 c -= 1
-            h, step = max(c, c_min), 1
-            if span and width < w_lo:  # one residue passes: h*y_0 = j mod b
-                y0, j = ya % base, -((ya * ra - low) % modulus // w_lo) % base
-                g = gcd(y0, base)
-                if j % g:
-                    continue
-                step = base // g
-                h += (j // g * pow(y0 // g, -1, step) - h) % step
-            for h in range(h, end, step):
+            for h in range(max(c, c_min), end):
                 yc, rc = ya + h * w_hi, ra + h * w_lo
                 p = yc * rc
                 if p > high:
@@ -602,55 +591,65 @@ def _outer_pairs(base: int, k: int, n: int):
                 yield a, m // a
 
 
-def _innermost_pairs(base: int, k: int, y: int, r: int, low: int, high: int):
-    """(Y, Y^R) for each innermost pair (a, c) of an even k >= 4 with low <= Y*Y^R <= high.
+def _narrow_pairs(base: int, k: int, i: int, y: int, r: int, low: int, high: int):
+    """(y, r) after each (a, c) at a two-digit pair i >= 1, in a window narrower than b^i.
 
-    _reversal_factors' walk at pair i = k/2 - 1 >= 1, for a window
-    narrower than beta = b^i: y and r hold every other digit, and
-    Y = y + beta*u, Y^R = r + beta*v with u = a + b*c and v = b*a + c.
-    Then Y*Y^R = y*r + beta*(a*A + c*C) + beta^2*u*v, A = r + b*y and
-    C = b*r + y, so Y*Y^R = y*r mod beta, and at most one value T of
-    the window is that residue.  Write A = l*b^k + A' and C = f*b^k + C',
-    l and f being Y's leading and last digit (the leading digits of y
-    and r).  Then D = (T - y*r)/beta = b^k*L + a*A' + c*C' + beta*u*v
-    with L = l*a + f*c, and the last three terms lie in
-    [0, (b-1)*(A'+C') + beta*(b^2-1)^2], so L lies in a range of a few
-    b; mod b they reduce to l*a + f*c, so L = D mod b.  That leaves a
-    few lines l*a + f*c = L, each of whose integer points is
-    (a0 + t*f/g, c0 - t*l/g), g = gcd(l, f).  Along a line Y and Y^R
-    are linear in t, so Y*Y^R = T is a quadratic in t, whose integer
-    roots are read from an exact square root.  A node costs a few
-    lines, where the walk over a took up to b steps.
+    _reversal_factors' node (i, y, r): c = y_{k-1-i} sits at w_hi in Y
+    and at w_lo = b^i in Y^R, a the other way round, and w_hi >= b*w_lo.
+    Every Y*Y^R below the node is y*r mod b^i, so one value T of the
+    window is left (pair i-1's low prune kept that residue in it), and
+    mod b^(i+1) it is y*r + b^i*L, L = l*a + f*c, l and f being Y's
+    leading and last digit: L = (T - y*r)/b^i mod b.
+    Both bounds of the walk are y*r + unit*L, unit = b^(k-1)*w_hi, plus
+    a term that grows with a, c and the free digits, from 0 up to its
+    value at a = c = b-1 with the free digits at b-1.  So the lower
+    bound <= T and the upper one >= T hold L to a band of a few lines
+    l*a + f*c = L.  On a line, a = a0 + t*f/g and c = c0 - t*l/g,
+    g = gcd(l, f), so Y and Y^R are linear in t, one slope negative and
+    one positive, and both bounds are concave quadratics in t.  The
+    children are the run of t whose upper bound reaches low, less the
+    run whose lower bound passes high: a few lines of four bisections
+    each, plus one step per child.
     """
-    i = k // 2 - 1
-    beta, top = base**i, base**k
-    target = low + (y * r - low) % beta
-    if target > high:
-        return
-    d = (target - y * r) // beta
-    lead, last = y // (top // base), y % base
-    a_rest, c_rest = r + base * y - lead * top, base * r + y - last * top
-    extra = (base - 1) * (a_rest + c_rest) + beta * (base * base - 1) ** 2
-    g = gcd(lead, last)
+    w_hi, w_lo, top = base ** (k - 1 - i), base**i, base ** (k - 1)
+    span = w_hi - w_lo * base
+    target = low + (y * r - low) % w_lo
+    lead, last = y // top, y % base
+    g, d, unit = gcd(lead, last), target - y * r, top * w_hi
     da, dc = last // g, lead // g  # the step along a line: a += da, c -= dc
+    sy, sr = da * w_lo - dc * w_hi, da * w_hi - dc * w_lo
     inverse = pow(dc, -1, da)
-    line_lo = max(-(-(d - extra) // top), 0)
-    for line in range(line_lo + (d - line_lo) % base, d // top + 1, base):
+    most = (y + span + (base - 1) * (w_lo + w_hi)) * (r + span + (base - 1) * (w_lo + w_hi))
+    line_lo = max((lead + last) * (base - 1) - (most - target) // unit, 0)
+    for line in range(line_lo + (d // w_lo - line_lo) % base, d // unit + 1, base):
         if line % g:
             continue
         a0 = line // g * inverse % da
         c0 = (line - lead * a0) // last
-        y0, r0 = y + beta * (a0 + base * c0), r + beta * (base * a0 + c0)
-        sy, sr = beta * (da - base * dc), beta * (base * da - dc)  # neither is 0: l, f < b
-        qa, qb, qc = sy * sr, y0 * sr + r0 * sy, y0 * r0 - target
-        disc = qb * qb - 4 * qa * qc
-        root = isqrt(disc) if disc >= 0 else -1
-        if root * root != disc:
-            continue
-        for num in {-qb - root, -qb + root}:
-            t, rem = divmod(num, 2 * qa)
-            if not rem and 0 <= a0 + da * t < base and 0 <= c0 - dc * t < base:
-                yield y0 + sy * t, r0 + sr * t
+        y0, r0 = y + a0 * w_lo + c0 * w_hi, r + a0 * w_hi + c0 * w_lo
+        t_lo, t_hi = max(-((base - 1 - c0) // dc), 0), min((base - 1 - a0) // da, c0 // dc)
+        start, stop = _concave_run(y0 + span, r0 + span, sy, sr, low, t_lo, t_hi)
+        cut, resume = _concave_run(y0, r0, sy, sr, high + 1, start, stop - 1)
+        for t in itertools.chain(range(start, cut), range(resume, stop)):
+            yield y0 + sy * t, r0 + sr * t
+
+
+def _concave_run(y: int, r: int, sy: int, sr: int, v: int, t_lo: int, t_hi: int) -> tuple[int, int]:
+    """[start, stop): the t in [t_lo, t_hi] with (y + sy*t)*(r + sr*t) >= v, where sy*sr < 0.
+
+    The product is concave in t, so it rises up to the integer peak
+    and falls after it: one bisection on each side, on exact products,
+    finds the run.  When t_lo <= t_hi + 1, t_lo <= start <= stop <= t_hi + 1,
+    so a run taken within another lies inside it.
+    """
+
+    def product(t: int) -> int:
+        return (y + sy * t) * (r + sr * t)
+
+    peak = min(max((sy * r + sr * y) // (-2 * sy * sr), t_lo), t_hi)
+    start = t_lo + bisect_left(range(t_lo, peak + 1), v, key=product)
+    stop = peak + 1 + bisect_right(range(peak + 1, t_hi + 1), -v, key=lambda t: -product(t))
+    return start, stop
 
 
 def verify_witness(value: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:

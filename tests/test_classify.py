@@ -200,6 +200,39 @@ class TestMrhProducts:
         assert time.perf_counter() - start < 1
         assert listed == sorted([(n, y * base**2), (n, yr * base**2)])
 
+    @pytest.mark.parametrize(
+        "base,y", [(2**20, 188486560736250566853493531919), (1126, 1560314965863155442390)]
+    )
+    def test_middle_pairs_in_large_bases(self, base, y):
+        # Five- and seven-digit Y: walking every low digit a at the pairs
+        # between the outer and the innermost one took 14-21 s in base 2^20
+        # and 0.4-0.8 s in base 1126 (2-core VM).
+        yr = reverse_int(y, base)
+        n = y * yr
+        start = time.perf_counter()
+        listed = mrh_products(base, n, n)
+        assert time.perf_counter() - start < 1
+        assert listed == sorted([(n, y), (n, yr)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=5), st.data())
+    def test_narrow_windows_match_trial_division(self, k, data):
+        # Windows of 2 to b values around N = Y*Y^R: at a two-digit pair
+        # i >= 1 of a k-digit Y, k >= 4, a window narrower than b^i holds
+        # one value the pair can reach.  N <= 10^9 keeps trial division
+        # fast; a k-digit Y has N >= b^(2k-2), so the bases reach 300,
+        # 177, 31 and 13 for k = 2 to 5.
+        base = data.draw(st.integers(min_value=5, max_value=min(300, int(10 ** (9 / (2 * k - 2))))))
+        digits = data.draw(st.lists(st.integers(min_value=0, max_value=base - 1), min_size=k, max_size=k))
+        y = from_digits(digits, base)
+        n = y * reverse_int(y, base)
+        assume(digits[0] and digits[-1] and n <= 10**9)
+        width = data.draw(st.integers(min_value=1, max_value=base - 1))
+        lo = n - data.draw(st.integers(min_value=0, max_value=width))
+        window = range(lo, lo + width + 1)
+        expected = [(v, x) for v in window for x in mrh_products_brute(v, base)]
+        assert mrh_products(base, lo, lo + width) == expected
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(min_value=17, max_value=300),
