@@ -4,7 +4,7 @@ A number N is b-ARH when N = M*s_b(N) + (M*s_b(N))^R for some positive
 integer M, and b-MRH when N = M*s_b(N) * (M*s_b(N))^R.  The witness
 extractors here are complete per-N enumerations at any size, and each
 kind has one digit-pair engine.  arh_witnesses solves N = X + X^R from
-N's digits (arh_products).  mrh_witnesses lists N = X * X^R with
+N's digits (solve_arh).  mrh_witnesses lists N = X * X^R with
 mrh_products, which fixes X's digit pairs from both ends against N's
 high digits and its residues mod b^(i+1); the range scans call the
 same engine on their windows.  verify_witness takes a supplied M
@@ -30,8 +30,8 @@ ARH = "arh"
 MRH = "mrh"
 NIVEN = "niven"
 
-# The most additive witnesses classify lists: the 40-digit repunit has
-# 131,072 of them, the 100-digit one 2^48, more than any memory holds.
+# The most additive witnesses classify and arh_witnesses list: the 40-digit
+# repunit has 131,072 of them, the 100-digit one 2^48, more than any memory holds.
 MAX_LISTED_WITNESSES = 1 << 20
 
 
@@ -156,10 +156,13 @@ def is_strongly_quadratic_niven(value: int, base: int) -> bool:
 
 
 def arh_witnesses(value: int, base: int) -> list[Witness]:
-    """All additive multipliers of N = value, ascending, at any size (arh_products)."""
+    """All additive multipliers of N = value, ascending, at any size (solve_arh).
+
+    Refused (ValueError) past MAX_LISTED_WITNESSES of them, as in classify.
+    """
     _require_n(value, base)
     s = digit_sum_int(value, base)
-    return [Witness(m=x // s, x=x, xr=value - x) for x in arh_products(value, base, s)]
+    return [Witness(m=x // s, x=x, xr=value - x) for x in _listed_arh(value, base)]
 
 
 def reversal_pair_sums(value: int, base: int) -> list[tuple[int, list[int]]]:
@@ -258,18 +261,14 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     return count, itertools.chain.from_iterable(streams)
 
 
-def arh_products(value: int, base: int, s: int) -> Iterator[int]:
-    """Ascending stream over every X with X + X^R = value and s | X, s = s_b(value).
-
-    solve_arh's stream without its count, for a caller that has s at
-    hand: pair_sum_products on each vector of reversal_pair_sums in turn.
-    """
-    tables = PairTables(base)
-    return itertools.chain.from_iterable(
-        products
-        for k, p in reversal_pair_sums(value, base)
-        if (products := pair_sum_products(tables, k, p, s)) is not None
-    )
+def _listed_arh(value: int, base: int) -> Iterator[int]:
+    """solve_arh's stream, refused (ValueError) when its count passes MAX_LISTED_WITNESSES."""
+    count, products = solve_arh(value, base)
+    if count > MAX_LISTED_WITNESSES:
+        raise ValueError(
+            f"N has {count} ARH witnesses, over the listing limit of {MAX_LISTED_WITNESSES}"
+        )
+    return products
 
 
 class PairTables:
@@ -682,15 +681,11 @@ def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness |
 def classify(value: int, base: int) -> ClassifyResult:
     """Full classification record of N = value: both digit sums and both witness lists.
 
-    solve_arh counts the additive witnesses before any is listed, and an
-    N with more than MAX_LISTED_WITNESSES of them is refused (ValueError).
+    An N with more than MAX_LISTED_WITNESSES additive witnesses is
+    refused (ValueError) before any is listed (_listed_arh).
     """
     _require_n(value, base)
-    count, arh = solve_arh(value, base)
-    if count > MAX_LISTED_WITNESSES:
-        raise ValueError(
-            f"N has {count} ARH witnesses, over the listing limit of {MAX_LISTED_WITNESSES}"
-        )
+    arh = _listed_arh(value, base)
     s, sq_sum = digit_sum_int(value, base), digit_sum_int(value * value, base)
     mrh = tuple(x for _, x in mrh_products(base, value, value) if x % s == 0)
     return ClassifyResult(value, base, s, sq_sum, tuple(arh), mrh)

@@ -16,7 +16,9 @@ claims about an additive multiplier set, and the not-MRH claim reads
 the multiplicative digit-pair engine's witnesses, complete at any size,
 so no claim is ever skipped.  The repunit12, alternating, square and
 niven-not-mrh members share one size limit, MAX_MEMBER_DIGITS base-b
-digits.  Digit text is rendered only for output.
+digits.  Every size limit is decided from the family's parameter, as
+e <= bounds.floor_log(radix, limit), before any power is built.  Digit
+text is rendered only for output.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .bounds import floor_log
 from .classify import (
     ARH,
     MRH,
@@ -132,19 +135,17 @@ def _require(ok: bool, condition: str, message: str) -> None:
         raise FamilyParameterError(condition, message)
 
 
-def _require_member_digits(fits: bool, member: str) -> None:
-    """The size limit of a member N, checked from its parameters before N is built."""
-    _require(fits, "member materializable", f"{member} would have over {MAX_MEMBER_DIGITS} digits")
-
-
 # -- generators --------------------------------------------------------
 
 
 def gen_repunit12(k: int) -> FamilyInstance:
     """Base-10 numbers (12) repeated 3^k times; ARH and Niven for every k."""
     _require(k >= 0, "k >= 0", f"k must be a nonnegative integer, got {k}")
-    fits = _materializable(3, k, MAX_MEMBER_DIGITS // 2)  # N has 2*3^k digits
-    _require_member_digits(fits, f"(12) repeated 3^{k} times")
+    _require(  # N has 2*3^k digits
+        k <= floor_log(3, MAX_MEMBER_DIGITS // 2),
+        "member materializable",
+        f"(12) repeated 3^{k} times would have over {MAX_MEMBER_DIGITS} digits",
+    )
     number = from_digits((1, 2) * 3**k, 10)
     s = 3 ** (k + 1)
     quot, rem = divmod(number, 2 * s)
@@ -164,48 +165,25 @@ def gen_repunit12(k: int) -> FamilyInstance:
     )
 
 
-def _materializable(radix: int, power: int, limit: int) -> bool:
-    """radix^power <= limit, without building radix^power for a large power.
-
-    At b = 34, p = 6, the multiplier set's power is 7.7*10^8, and
-    33^power (3.9*10^9 bits) would take hours to build only to be
-    refused.
-    """
-    if radix > 1 and power >= limit.bit_length():
-        return False
-    return radix**power <= limit
-
-
-def _all_ones_params(base: int, p: int) -> int:
-    """k = b^p = [1 (0)^p]_b, or a stand-in above the size limits.
-
-    No multiplier set or member N within the limits has k above
-    cap = 2p + MAX_MEMBER_DIGITS, and every k above cap passes the check
-    against 2p and fails the same size check first: the multiplier set's,
-    or N's at b = 2, where the set has one member.  So cap + 1 stands in for
-    a larger b^p, which is never built: at b = 2, p = 10^8, building b^p
-    and its half took 0.8 s and 57 MB (2-core VM) only to be refused.
-    """
-    _require(base % 2 == 0, "b even", f"base must be even, got {base}")
-    _require(p >= 1, "p >= 1", f"p must be >= 1, got {p}")
-    cap = 2 * p + MAX_MEMBER_DIGITS
-    return base**p if _materializable(base, p, cap) else cap + 1
-
-
 def gen_all_ones(base: int, p: int) -> FamilyInstance:
     """(1) repeated k = b^p times in even base b; 2^((k-2p)/2) multipliers.
 
-    The paper's k >= 2p always holds: b^p >= 2^p >= 2p, and the stand-in k is above 2p.
+    The paper's k >= 2p always holds: b^p >= 2^p >= 2p.  The set's size
+    is decided from p before b^p is built: 2^half <= MAX_MULTIPLIER_SET
+    iff half <= bits = floor_log(2, MAX_MULTIPLIER_SET), iff
+    b^p <= 2p + 2*bits + 1.
     """
     check_base(base)
-    k = _all_ones_params(base, p)
-    half = (k - 2 * p) // 2
+    _require(base % 2 == 0, "b even", f"base must be even, got {base}")
+    _require(p >= 1, "p >= 1", f"p must be >= 1, got {p}")
     _require(
-        _materializable(2, half, MAX_MULTIPLIER_SET),
+        p <= floor_log(base, 2 * p + 2 * floor_log(2, MAX_MULTIPLIER_SET) + 1),
         "multiplier set materializable",
         f"multiplier set not materializable: 2^((b^p - 2p)/2) multipliers for b = {base}, "
         f"p = {p} exceed {MAX_MULTIPLIER_SET}",
     )
+    k = base**p
+    half = (k - 2 * p) // 2
     number = from_digits([1] * k, base)
     # M = [(1)^p c_0 .. c_{h-1} (1-c_{h-1}) .. (1-c_0)]_b: bit c_i sits at
     # b^(2h-1-i) and its complement at b^i.
@@ -229,24 +207,35 @@ def gen_all_ones(base: int, p: int) -> FamilyInstance:
 
 
 def gen_alternating(base: int, p: int) -> FamilyInstance:
-    """[(1)^p (10)^(k-2p) 0 (1)^p]_b in even base b; (b-1)^((k-2p)/2) multipliers."""
+    """[(1)^p (10)^(k-2p) 0 (1)^p]_b in even base b; (b-1)^((k-2p)/2) multipliers.
+
+    Both limits are decided from p before b^p is built.  N has
+    2k - 2p + 1 digits.  Base 2 has one multiplier at any p, so only N's
+    size bounds p there: 2*2^p - 2p + 1 <= MAX_MEMBER_DIGITS.  Above
+    base 2 the multiplier limit reads as in gen_all_ones, with b-1
+    choices per free digit, and keeps N to at most 29 digits (b = 4, p = 2).
+    """
     check_base(base)
-    k = _all_ones_params(base, p)
+    _require(base % 2 == 0, "b even", f"base must be even, got {base}")
+    _require(p >= 1, "p >= 1", f"p must be >= 1, got {p}")
+    if base == 2:
+        _require(
+            p <= floor_log(2, p + (MAX_MEMBER_DIGITS - 1) // 2),
+            "member materializable",
+            f"[(1)^p (10)^(k-2p) 0 (1)^p]_b for b = {base}, p = {p} would have over "
+            f"{MAX_MEMBER_DIGITS} digits",
+        )
+    else:
+        _require(
+            p <= floor_log(base, 2 * p + 2 * floor_log(base - 1, MAX_MULTIPLIER_SET) + 1),
+            "multiplier set materializable",
+            f"multiplier set not materializable: (b-1)^((b^p - 2p)/2) multipliers for "
+            f"b = {base}, p = {p} exceed {MAX_MULTIPLIER_SET}",
+        )
+    k = base**p
     _require(k > 2 * p, "k > 2p", f"k = b^p = {k} must be > 2p = {2 * p}")
     blocks = k - 2 * p
     half = blocks // 2
-    _require(
-        _materializable(base - 1, half, MAX_MULTIPLIER_SET),
-        "multiplier set materializable",
-        f"multiplier set not materializable: (b-1)^((b^p - 2p)/2) multipliers for b = {base}, "
-        f"p = {p} exceed {MAX_MULTIPLIER_SET}",
-    )
-    # N has 2k - 2p + 1 digits.  Above base 2 the multiplier limit keeps
-    # that to at most 29 (b = 4, p = 2); base 2 has one multiplier at any p.
-    _require_member_digits(
-        2 * k - 2 * p + 1 <= MAX_MEMBER_DIGITS,
-        f"[(1)^p (10)^(k-2p) 0 (1)^p]_b for b = {base}, p = {p}",
-    )
     number = from_digits([1] * p + [1, 0] * blocks + [0] + [1] * p, base)
     # M = [(1)^p 0 a_0 .. 0 a_{h-1} 0 (b-a_{h-1}) .. 0 (b-a_0) 0]_b: free
     # digit a_i sits at b^(2(blocks-i)-1) and its complement at b^(2i+1).
@@ -296,12 +285,12 @@ def gen_square_family(base: int, k: int) -> FamilyInstance:
     check_base(base)
     _require(base % 2 == 1, "b odd", f"base must be odd, got {base}")
     _require(k >= 2, "k >= 2", f"k must be >= 2, got {k}")
-    half_len = 2 ** (k - 1)
-    _require(
-        2 * half_len <= MAX_MEMBER_DIGITS,
+    _require(  # N has 2^k digits
+        k <= floor_log(2, MAX_MEMBER_DIGITS),
         "root materializable",
-        f"root would have {half_len} digits, over the materialization limit",
+        f"root not materializable: 2^{k - 1} digits exceed {MAX_MEMBER_DIGITS // 2}",
     )
+    half_len = 2 ** (k - 1)
     number = from_digits(
         [base - 1] * (half_len - 1) + [base - 2] + [0] * (half_len - 1) + [1], base
     )
@@ -339,9 +328,13 @@ def gen_niven_not_mrh(base: int, n: int) -> FamilyInstance:
         "(b-1) does not divide n",
         f"n = {n} is divisible by b-1 = {base - 1}",
     )
-    # (b-1)*n*R_n = n*(b^n - 1) has at least n digits: a large n is refused before b^n is built.
-    fits = n < MAX_MEMBER_DIGITS and n * (base**n - 1) < base**MAX_MEMBER_DIGITS
-    _require_member_digits(fits, "(b-1)*n*R_n")
+    # (b-1)*n*R_n = n*(b^n - 1) < b^L iff n - 1 < b^(L-n), for L = MAX_MEMBER_DIGITS;
+    # floor_log of n - 1 (of 1 at n = 1) decides it without building b^n.
+    _require(
+        floor_log(base, max(n - 1, 1)) < MAX_MEMBER_DIGITS - n,
+        "member materializable",
+        f"(b-1)*n*R_n would have over {MAX_MEMBER_DIGITS} digits",
+    )
     number = (base - 1) * n * from_digits([1] * n, base)
     return FamilyInstance(
         family=NIVEN_NOT_MRH,

@@ -30,9 +30,10 @@ finds a hit carries its s_b(N) to the hit's record.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .bounds import digit_bound, digit_sum_cap
+from .bounds import digit_bound, digit_sum_cap, floor_log
 from .classify import (
     ARH,
     MRH,
@@ -40,11 +41,11 @@ from .classify import (
     ClassifyResult,
     PairTables,
     Witness,
-    arh_products,
     check_witness,
     mrh_products,
     pair_sum_products,
     reversal_pair_sums,
+    solve_arh,
 )
 from .digitvec import (
     check_base,
@@ -58,7 +59,8 @@ ALLOW = "allow"
 FORBID = "forbid"
 
 # Bounds exactly SearchConfig.hi, b^k in count_not_sum_of_reversal and
-# limit^2 in palindromic_square_search; every other entry works at any size.
+# limit^2 in palindromic_square_search, each checked without building the
+# refused value; every other entry works at any size.
 WORD_SIZE_CAP = 2**63 - 1
 
 
@@ -82,7 +84,7 @@ class SearchConfig(_SearchFields):
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
         if self.hi > WORD_SIZE_CAP:
-            raise ValueError(f"range end {self.hi} exceeds word-size cap {WORD_SIZE_CAP}")
+            raise ValueError(f"range end exceeds word-size cap {WORD_SIZE_CAP}")
         if self.kind not in (ARH, MRH, NIVEN):
             raise ValueError(f"kind must be one of {ARH!r}, {MRH!r}, {NIVEN!r}")
         if self.zero_digit_policy not in (ALLOW, FORBID):
@@ -275,7 +277,7 @@ def _window_hits(
             yield n
             continue
         if kind == MRH:
-            arh = tuple(arh_products(n, base, s))
+            arh = tuple(solve_arh(n, base)[1])
         else:  # popped, so that a window's lists and its records are not held at once
             found = arh_map.pop(n, None)
             arh = tuple(found[1:]) if found else ()
@@ -347,10 +349,10 @@ def count_not_sum_of_reversal(base: int, k: int) -> int:
     check_base(base)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > floor_log(base, WORD_SIZE_CAP):
+        raise ValueError(f"b^k exceeds word-size cap {WORD_SIZE_CAP}")
     window_lo = base ** (k - 1) if k > 1 else 1
     window_hi = base**k  # exclusive
-    if window_hi > WORD_SIZE_CAP:
-        raise ValueError(f"b^k = {window_hi} exceeds word-size cap")
     sums = {n for n, _, _ in pair_sum_vectors(base, window_lo, window_hi - 1)}
     return (window_hi - window_lo) - len(sums)
 
@@ -385,7 +387,7 @@ def palindromic_square_search(limit: int, base: int = 10) -> list[tuple[int, int
     check_base(base)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit * limit > WORD_SIZE_CAP:
+    if limit > isqrt(WORD_SIZE_CAP):
         raise ValueError("limit^2 exceeds word-size cap")
     out = []
     for length in range(1, digit_count_int(limit, base) + 1):

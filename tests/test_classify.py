@@ -322,6 +322,13 @@ class TestClassify:
         assert time.perf_counter() - start < 1.0
         assert 2**17 <= MAX_LISTED_WITNESSES
 
+    def test_arh_witnesses_refuses_what_classify_refuses(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{2**48} ARH witnesses, over the listing limit"):
+            arh_witnesses(int("1" * 100), 10)
+        assert time.perf_counter() - start < 1.0
+        assert len(arh_witnesses(int("1" * 40), 10)) == 131_072
+
     def test_a_large_witness_list_below_the_limit(self):
         res = classify(int("1" * 40), 10)
         count, stream = solve_arh(int("1" * 40), 10)

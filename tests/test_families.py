@@ -301,6 +301,17 @@ class TestSquareFamily:
             gen_square_family(base, 14)
         assert exc.value.condition == "root materializable"
 
+    @pytest.mark.parametrize("k", [20000, 10**8])
+    def test_huge_k_is_refused_before_the_root_is_built(self, k):
+        # Building 2^(k-1) first took 0.44 s and 43 MB at k = 10^8, and
+        # printing it overran the int-to-str digit limit.
+        start = time.perf_counter()
+        with pytest.raises(FamilyParameterError) as exc:
+            gen_square_family(3, k)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.condition == "root materializable"
+        assert "4300 digits" not in str(exc.value)
+
     def test_even_base_rejected(self):
         with pytest.raises(FamilyParameterError):
             gen_square_family(4, 2)
@@ -529,3 +540,81 @@ class TestVerdictTaxonomy:
 
         report = verify_family(gen_square_family(17, 5))
         json.dumps(report.to_json_dict())
+
+
+
+# -- size refusals decided from the exponent -----------------------------
+# Each reference builds the powers the limits are stated in and compares
+# them directly.  A radix r >= 2 has r^17 > MAX_MULTIPLIER_SET = 2^16, so a
+# multiplier count is built only up to the exponent 17, which decides it.
+
+
+def _refusal(generate, *args):
+    """The condition the generator refuses, or None when it builds the member."""
+    try:
+        generate(*args)
+    except FamilyParameterError as exc:
+        return exc.condition
+    return None
+
+
+def _all_ones_reference(base, p):
+    half = (base**p - 2 * p) // 2
+    if 2 ** min(half, 17) > MAX_MULTIPLIER_SET:
+        return "multiplier set materializable"
+    return None
+
+
+def _alternating_reference(base, p):
+    k = base**p
+    if k <= 2 * p:
+        return "k > 2p"
+    if (base - 1) ** min((k - 2 * p) // 2, 17) > MAX_MULTIPLIER_SET:
+        return "multiplier set materializable"
+    if 2 * k - 2 * p + 1 > MAX_MEMBER_DIGITS:
+        return "member materializable"
+    return None
+
+
+def _square_reference(base, k):
+    return "root materializable" if 2**k > MAX_MEMBER_DIGITS else None
+
+
+def _repunit12_reference(k):
+    return "member materializable" if 2 * 3**k > MAX_MEMBER_DIGITS else None
+
+
+def _niven_not_mrh_reference(base, n):
+    if n * (base**n - 1) >= base**MAX_MEMBER_DIGITS:
+        return "member materializable"
+    return None
+
+
+def _size_cases():
+    for base in range(2, 41, 2):
+        for p in range(1, 16):
+            yield gen_all_ones, _all_ones_reference, (base, p)
+            yield gen_alternating, _alternating_reference, (base, p)
+    for base in range(3, 40, 2):
+        for k in range(2, 30):
+            yield gen_square_family, _square_reference, (base, k)
+    for k in range(20):
+        yield gen_repunit12, _repunit12_reference, (k,)
+    # n = b^(L-n) at b = 8191 is the one exact fit next to the limit.
+    for base, n in [(8191, 8191), (8191, 8192)] + [
+        (b, n) for b in (2, 3, 10, 40) for n in [*range(1, 8), *range(8176, 8194)]
+    ]:
+        if n % (base - 1):
+            yield gen_niven_not_mrh, _niven_not_mrh_reference, (base, n)
+
+
+def test_size_refusals_match_the_built_powers():
+    # Every generator decides its size limits from the exponent with
+    # bounds.floor_log; over this grid it accepts and refuses exactly as a
+    # comparison of the built powers does, with the same condition.
+    mismatches = [
+        (generate.__name__, args, got, expected)
+        for generate, reference, args in _size_cases()
+        if (got := _refusal(generate, *args)) != (expected := reference(*args))
+    ]
+    assert mismatches == []

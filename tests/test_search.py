@@ -1,4 +1,5 @@
 import functools
+import time
 import tracemalloc
 
 import pytest
@@ -85,6 +86,14 @@ class TestSearchConfig:
     def test_rejects_beyond_cap(self):
         with pytest.raises(ValueError):
             SearchConfig(base=10, lo=1, hi=2**63, kind=ARH)
+
+    def test_huge_hi_is_refused_by_the_cap(self):
+        # The message names the cap, not hi, which has too many digits to print.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds word-size cap") as exc:
+            SearchConfig(base=10, lo=1, hi=10**5000, kind=ARH)
+        assert time.perf_counter() - start < 0.1
+        assert "4300 digits" not in str(exc.value)
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -555,6 +564,16 @@ class TestCountingExperiment:
         assert formula_lower_bound(3, 2) == 1
         assert count_not_sum_of_reversal(3, 2) >= 1
 
+    @pytest.mark.parametrize("k", [63, 10**8])
+    def test_huge_k_is_refused_before_b_to_the_k(self, k):
+        # 2^63 is the first power of 2 past the cap.  Building 2^k first took
+        # 0.82 s at k = 10^8, and the message overran the int-to-str digit limit.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds word-size cap") as exc:
+            count_not_sum_of_reversal(2, k)
+        assert time.perf_counter() - start < 0.1
+        assert "4300 digits" not in str(exc.value)
+
     @pytest.mark.parametrize("base,k", [(3, 3), (4, 3), (5, 2), (7, 2), (10, 2)])
     def test_inequality_holds(self, base, k):
         assert count_not_sum_of_reversal(base, k) >= formula_lower_bound(base, k)
@@ -597,6 +616,11 @@ class TestPalindromicSquareSearch:
 
     def test_limit_1(self):
         assert palindromic_square_search(1) == [(1, 1, 1)]
+
+    def test_limit_past_the_cap_is_refused(self):
+        # 3037000499 = isqrt(2^63 - 1): one more squares past the cap.
+        with pytest.raises(ValueError, match="limit\\^2 exceeds word-size cap"):
+            palindromic_square_search(3037000500)
 
     def test_squares_are_zero_free_mrh(self):
         from rhnumbers.classify import mrh_witnesses
