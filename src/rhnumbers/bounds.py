@@ -2,12 +2,14 @@
 
 digit_sum_cap is proven in its docstring from the definitions alone and
 caps every complete per-multiplier enumeration.  The digit-count bounds
-(arh_digit_bound, mrh_digit_bound, digit_bound) are the paper's claims
-k <= M + c(b), reported as stated and checked against the enumerated
-members, never used to cap them.  Their base clauses hold for all M;
-the strong clauses only under their literal M-thresholds (no
-interpolation in between).  floor_log and digit_sum_cap use integer
-arithmetic only, so exact powers never fall on the wrong side.
+(digit_bound, and arh_digit_bound and mrh_digit_bound, which call it)
+are the paper's claims k <= M + c(b), reported as stated and checked
+against the enumerated members, never used to cap them.  Both kinds
+follow one rule, read from a per-kind table (_RULES): the base clause
+holds for all M, and the strong clause k <= e*floor(log_b M) only from
+its literal threshold M >= b^t (no interpolation in between).
+floor_log is the digit count less one, and it and digit_sum_cap use
+integer arithmetic only, so exact powers never fall on the wrong side.
 """
 
 from __future__ import annotations
@@ -30,70 +32,68 @@ class BoundSpec(NamedTuple):
 
 
 def floor_log(base: int, m: int) -> int:
-    """Largest e with base**e <= m, by repeated integer multiplication."""
+    """Largest e with base**e <= m: one less than m's base-b digit count."""
     check_base(base)
     if m < 1:
         raise ValueError(f"floor_log needs m >= 1, got {m}")
-    e = 0
-    power = base
-    while power <= m:
-        e += 1
-        power *= base
-    return e
+    return digit_count_int(m, base) - 1
+
+
+# The paper's rule per kind: its base clauses k <= M + c (least base, c,
+# condition), the strong factor e of k <= e*floor(log_b M), the strong
+# thresholds M >= b^t (least base, t), and digit_sum_cap's (c1, c0).
+# Each list runs down to base 2, so the first entry the base reaches holds.
+_RULES = {
+    ARH: (((4, 2, "b >= 4"), (2, 3, "b = 2 or 3")), 2, ((10, 6), (3, 7), (2, 8)), (1, 1)),
+    MRH: (
+        ((6, 4, "b >= 6"), (5, 5, "b = 5"), (2, 7, "2 <= b <= 4")),
+        3,
+        ((9, 9), (5, 10), (4, 11), (3, 12), (2, 16)),
+        (2, 0),
+    ),
+}
+
+
+def _rules(base: int, multiplier: int, kind: str) -> tuple:
+    """kind's entry of _RULES, once base, multiplier and kind are checked, in that order."""
+    check_base(base)
+    if multiplier < 1:
+        raise ValueError(f"multiplier must be positive, got {multiplier}")
+    if kind not in (ARH, MRH):
+        raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
+    return _RULES[kind]
+
+
+def digit_bound(base: int, multiplier: int, kind: str) -> BoundSpec:
+    """The paper's digit-count cap k_max for a b-ARH/b-MRH number with multiplier M.
+
+    The base clause k <= M + c(b) holds for every M; the strong clause
+    k <= e*floor(log_b M) replaces it once M reaches its literal
+    threshold b^t, wherever it is the tighter of the two.
+    """
+    clauses, factor, thresholds, _ = _rules(base, multiplier, kind)
+    for least, c, condition in clauses:
+        if base >= least:
+            break
+    k_max, source = multiplier + c, f"k <= M+{c} ({condition})"
+    for least, t in thresholds:
+        if base >= least:
+            break
+    if multiplier >= base**t:
+        k_strong = factor * floor_log(base, multiplier)
+        if k_strong < k_max:
+            k_max, source = k_strong, f"k <= {factor}*floor(log_b M) (strong hypothesis)"
+    return BoundSpec(kind=kind, base=base, multiplier=multiplier, k_max=k_max, source=source)
 
 
 def arh_digit_bound(base: int, multiplier: int) -> BoundSpec:
     """Digit-count cap for a b-ARH number with additive multiplier M."""
-    check_base(base)
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    if base >= 4:
-        k_max, source = multiplier + 2, "k <= M+2 (b >= 4)"
-    else:
-        k_max, source = multiplier + 3, "k <= M+3 (b = 2 or 3)"
-    strong = (
-        (base >= 10 and multiplier >= base**6)
-        or (3 <= base <= 9 and multiplier >= base**7)
-        or (base == 2 and multiplier >= base**8)
-    )
-    if strong:
-        k_strong = 2 * floor_log(base, multiplier)
-        if k_strong < k_max:
-            k_max, source = k_strong, "k <= 2*floor(log_b M) (strong hypothesis)"
-    return BoundSpec(kind=ARH, base=base, multiplier=multiplier, k_max=k_max, source=source)
+    return digit_bound(base, multiplier, ARH)
 
 
 def mrh_digit_bound(base: int, multiplier: int) -> BoundSpec:
     """Digit-count cap for a b-MRH number with multiplicative multiplier M."""
-    check_base(base)
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    if base >= 6:
-        k_max, source = multiplier + 4, "k <= M+4 (b >= 6)"
-    elif base == 5:
-        k_max, source = multiplier + 5, "k <= M+5 (b = 5)"
-    else:
-        k_max, source = multiplier + 7, "k <= M+7 (2 <= b <= 4)"
-    strong = (
-        (base >= 9 and multiplier >= base**9)
-        or (5 <= base <= 8 and multiplier >= base**10)
-        or (base == 4 and multiplier >= base**11)
-        or (base == 3 and multiplier >= base**12)
-        or (base == 2 and multiplier >= base**16)
-    )
-    if strong:
-        k_strong = 3 * floor_log(base, multiplier)
-        if k_strong < k_max:
-            k_max, source = k_strong, "k <= 3*floor(log_b M) (strong hypothesis)"
-    return BoundSpec(kind=MRH, base=base, multiplier=multiplier, k_max=k_max, source=source)
-
-
-def digit_bound(base: int, multiplier: int, kind: str) -> BoundSpec:
-    if kind == ARH:
-        return arh_digit_bound(base, multiplier)
-    if kind == MRH:
-        return mrh_digit_bound(base, multiplier)
-    raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
+    return digit_bound(base, multiplier, MRH)
 
 
 def digit_sum_cap(base: int, multiplier: int, kind: str) -> int:
@@ -121,15 +121,7 @@ def digit_sum_cap(base: int, multiplier: int, kind: str) -> int:
     lies in its run, else to the last s of the run below.  s = 1 always
     satisfies s <= f(s), since f(1) >= b-1, so the cap is at least 1.
     """
-    check_base(base)
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    if kind == ARH:
-        c1, c0 = 1, 1
-    elif kind == MRH:
-        c1, c0 = 2, 0
-    else:
-        raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
+    c1, c0 = _rules(base, multiplier, kind)[3]
     d_m = digit_count_int(multiplier, base)
     j, power = 1, base
     while power <= (base - 1) * (c1 * (d_m + j + 1) + c0):

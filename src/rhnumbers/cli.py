@@ -275,7 +275,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _dispatch(args, out, err)
-    except (FamilyParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2
 

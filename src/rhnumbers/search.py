@@ -64,6 +64,15 @@ FORBID = "forbid"
 WORD_SIZE_CAP = 2**63 - 1
 
 
+def _shown(value: int) -> str:
+    """value as text within the word-size cap; past it, only the side (it may not print)."""
+    if value > WORD_SIZE_CAP:
+        return f"> {WORD_SIZE_CAP}"
+    if value < -WORD_SIZE_CAP:
+        return f"< -{WORD_SIZE_CAP}"
+    return f"{value}"
+
+
 class _SearchFields(NamedTuple):
     base: int
     lo: int
@@ -82,7 +91,7 @@ class SearchConfig(_SearchFields):
         self = super().__new__(cls, *args, **kwargs)
         check_base(self.base)
         if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"need 1 <= lo <= hi, got [{_shown(self.lo)}, {_shown(self.hi)}]")
         if self.hi > WORD_SIZE_CAP:
             raise ValueError(f"range end exceeds word-size cap {WORD_SIZE_CAP}")
         if self.kind not in (ARH, MRH, NIVEN):
@@ -149,20 +158,20 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
 
 
 class DigitSums:
-    """s_b(n) and s_b(n^2) from one table of digit sums, for the n of a scan up to hi.
+    """s_b(n) for the n of a scan up to hi, and their squares, from one table of digit sums.
 
     The table T holds the digit sums of 0..B-1 for B = b^m, the first
-    power of b whose square exceeds hi, so s_b(n) = T[n // B] + T[n % B]
-    for every n <= hi, and since n^2 < B^4, s_b(n^2) takes one loop of
-    at most three divmods by B and four lookups.  T starts at one digit
-    (B = b, kept as a range, so any base >= 2 costs nothing), and
-    prepending each digit d to the numbers of T gives the table one
-    digit longer.  T stops growing at _TABLE_CAP entries, so that a
-    narrow window far out (--min 10**14) does not build a table of
-    b*sqrt(hi) entries; past B^2, s_b(n) = T[n % B] + s_b(n // B) takes
-    one split more for each further m digits, and B >= 2 makes that
-    recursion end.  A range scan builds one and takes every digit sum
-    from it, each hit's s_b(n) once.
+    power of b whose square exceeds hi.  One loop, no recursion, takes
+    s_b(n) as the sum of T over n's base-B digits: one divmod by B for
+    every n <= hi, and at most three for its square, s_b(n^2) =
+    sums(n * n), since n^2 < B^4.  T starts at one digit (B = b, kept
+    as a range, so any base >= 2 costs nothing), and prepending each
+    digit d to the numbers of T gives the table one digit longer.  T
+    stops growing at _TABLE_CAP entries, so that a narrow window far
+    out (--min 10**14) does not build a table of b*sqrt(hi) entries;
+    past B^2 the loop takes one divmod more for each further m digits.
+    A range scan builds one and takes every digit sum from it, each
+    hit's s_b(n) once.
     """
 
     __slots__ = ("table", "size")
@@ -175,15 +184,11 @@ class DigitSums:
         self.table, self.size = table, size
 
     def __call__(self, n: int) -> int:
-        high, low = divmod(n, self.size)
-        return self.table[low] + (self.table[high] if high < self.size else self(high))
-
-    def of_square(self, n: int) -> int:
-        t, size, high, s = self.table, self.size, n * n, 0
-        while high >= size:
-            high, low = divmod(high, size)
+        t, size, s = self.table, self.size, 0
+        while n >= size:
+            n, low = divmod(n, size)
             s += t[low]
-        return s + t[high]
+        return s + t[n]
 
     def niven(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """(n, s_b(n)) for every n in [lo, hi] with s_b(n) | n, ascending.
@@ -233,22 +238,24 @@ def _window_hits(
     vectors whose N is Niven.  A zero-free scan drops a vector whose N
     has a zero digit before any of that work.  The MRH lists keep the X
     that s_b(N) divides of the ascending (N, X) that mrh_products lists
-    for the window.  The ARH lists of an MRH scan's few hits are solved
-    from their own digits.  Each hit's s_b(N) is taken once: an ARH hit
-    keeps the one its vectors found, at the head of its witness list, a
-    Niven hit the one the listing tested, and an MRH hit takes its own
-    after the zero-digit test.  The multiplier filter checks X = M*s_b(N)
+    for the window.  Both hit maps hold N -> [s_b(N), X...]: the X of
+    N's witness list, ascending, after the s_b(N) they were tested
+    against.  The ARH lists of an MRH scan's few hits are solved from
+    their own digits.  No hit's s_b(N) is taken again after the pass
+    that found it: an ARH or MRH hit keeps the one its map holds, and a
+    Niven hit the one the listing tested.  The multiplier filter checks X = M*s_b(N)
     directly: with the witness lists complete, that is the same as
     finding it in N's list.
     """
     base, kind, m = cfg.base, cfg.kind, cfg.multiplier_filter
     forbid = cfg.zero_digit_policy == FORBID
-    mrh_map: dict[int, list[int]] = {}
+    mrh_map: dict[int, list[int]] = {}  # N -> [s_b(N), its witness products X, ascending]
     if records or kind == MRH:
         for n, x in mrh_products(base, lo, hi):
-            if x % sums(n) == 0:
-                mrh_map.setdefault(n, []).append(x)
-    arh_map: dict[int, list[int]] = {}  # N -> [s_b(N), its witness products X, ascending]
+            s = sums(n)
+            if x % s == 0:
+                mrh_map.setdefault(n, [s]).append(x)
+    arh_map: dict[int, list[int]] = {}  # the same for ARH
     if kind == ARH or (kind == NIVEN and records):
         for n, k, p in pair_sum_vectors(base, lo, hi):
             if forbid and has_zero_digit(n, base):
@@ -261,16 +268,14 @@ def _window_hits(
                 found = arh_map.setdefault(n, [s])
                 if records:  # k ascending, and the X of k-1 digits lie below those of k
                     found.extend(products)
-    if kind == ARH:
-        candidates = ((n, arh_map[n][0]) for n in sorted(arh_map))
-    elif kind == MRH:
-        candidates = ((n, 0) for n in sorted(mrh_map))  # s_b(N) >= 1: 0 is not yet taken
-    else:
+    if kind == NIVEN:
         candidates = sums.niven(lo, hi)
+    else:
+        hits = arh_map if kind == ARH else mrh_map
+        candidates = ((n, hits[n][0]) for n in sorted(hits))
     for n, s in candidates:
         if forbid and has_zero_digit(n, base):
             continue
-        s = s or sums(n)
         if m is not None and not isinstance(check_witness(n, s, base, m, kind), Witness):
             continue
         if not records:
@@ -279,13 +284,11 @@ def _window_hits(
         if kind == MRH:
             arh = tuple(solve_arh(n, base)[1])
         else:  # popped, so that a window's lists and its records are not held at once
-            found = arh_map.pop(n, None)
-            arh = tuple(found[1:]) if found else ()
+            arh = tuple(arh_map.pop(n, ())[1:])
+        mrh = tuple(mrh_map.get(n, ())[1:])
         # The record's fields in order, without the Python-level __new__ call
         # (twice the cost of the tuple itself, once per hit).
-        yield n, tuple.__new__(
-            ClassifyResult, (n, base, s, sums.of_square(n), arh, tuple(mrh_map.get(n, ())))
-        )
+        yield n, tuple.__new__(ClassifyResult, (n, base, s, sums(n * n), arh, mrh))
 
 
 def scan_numbers(cfg: SearchConfig):
@@ -362,10 +365,8 @@ def formula_lower_bound(base: int, k: int) -> int:
     check_base(base)
     if k < 2:
         raise ValueError(f"formula needs k >= 2, got {k}")
-    numerator = base ** (k - 1) * (base - 3)
-    if numerator % 2:
-        raise ArithmeticError("b^(k-1)*(b-3) is always even for k >= 2")
-    return numerator // 2 + base ** (k - 2)
+    # b^(k-1)*(b-3) is even: b^(k-1) is for an even b, and b - 3 for an odd one.
+    return base ** (k - 1) * (base - 3) // 2 + base ** (k - 2)
 
 
 def is_expressible_as_sum_of_reversal(n: int, base: int) -> bool:

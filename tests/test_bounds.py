@@ -91,6 +91,64 @@ def test_rejects_bad_inputs():
         mrh_digit_bound(1, 5)
 
 
+def _paper_clause(base: int, m: int, kind: str) -> tuple[int, str]:
+    """(k_max, source) of the paper's clauses for (b, M), spelled out one kind at a time."""
+    if kind == ARH:
+        if base >= 4:
+            k_max, source = m + 2, "k <= M+2 (b >= 4)"
+        else:
+            k_max, source = m + 3, "k <= M+3 (b = 2 or 3)"
+        factor = 2
+        strong = (
+            (base >= 10 and m >= base**6)
+            or (3 <= base <= 9 and m >= base**7)
+            or (base == 2 and m >= base**8)
+        )
+    else:
+        if base >= 6:
+            k_max, source = m + 4, "k <= M+4 (b >= 6)"
+        elif base == 5:
+            k_max, source = m + 5, "k <= M+5 (b = 5)"
+        else:
+            k_max, source = m + 7, "k <= M+7 (2 <= b <= 4)"
+        factor = 3
+        strong = (
+            (base >= 9 and m >= base**9)
+            or (5 <= base <= 8 and m >= base**10)
+            or (base == 4 and m >= base**11)
+            or (base == 3 and m >= base**12)
+            or (base == 2 and m >= base**16)
+        )
+    if strong:
+        e = 0
+        while base ** (e + 1) <= m:
+            e += 1
+        if factor * e < k_max:
+            k_max, source = factor * e, f"k <= {factor}*floor(log_b M) (strong hypothesis)"
+    return k_max, source
+
+
+@pytest.mark.parametrize("base", range(2, 41))
+def test_digit_bounds_follow_the_paper_clauses(base):
+    ms = [*range(1, 81), *(base**t + d for t in range(5, 18) for d in (-1, 0, 1))]
+    for kind, bound in ((ARH, arh_digit_bound), (MRH, mrh_digit_bound)):
+        for m in ms:
+            k_max, source = _paper_clause(base, m, kind)
+            spec = digit_bound(base, m, kind)
+            assert (spec.kind, spec.base, spec.multiplier) == (kind, base, m)
+            assert (spec.k_max, spec.source) == (k_max, source), (base, m, kind)
+            assert bound(base, m) == spec
+
+
+@pytest.mark.parametrize("base", range(2, 41))
+def test_floor_log_at_powers(base):
+    for e in range(71):
+        for m in (base**e - 1, base**e, base**e + 1):
+            if m >= 1:
+                f = floor_log(base, m)
+                assert base**f <= m < base ** (f + 1), (base, m)
+
+
 def _digit_count(v: int, base: int) -> int:
     k = 1
     while v >= base:

@@ -355,7 +355,7 @@ class TestDigitSums:
         edges = {0, 1, hi - 1, hi, size - 1, size, size * size - 2, size * size - 1}
         for n in edges:
             assert sums(n) == digit_sum_int(n, base), n
-            assert sums.of_square(n) == digit_sum_int(n * n, base), n
+            assert sums(n * n) == digit_sum_int(n * n, base), n
 
     @pytest.mark.parametrize("base", [2, 10, 16])
     def test_a_capped_table_splits_again(self, base):
@@ -365,7 +365,7 @@ class TestDigitSums:
         assert len(sums.table) <= search._TABLE_CAP < len(sums.table) * base
         for n in (hi, hi - 1, sums.size**2, sums.size**2 - 1, sums.size**5 + 3, 10**15 + 7):
             assert sums(n) == digit_sum_int(n, base), n
-            assert sums.of_square(n) == digit_sum_int(n * n, base), n
+            assert sums(n * n) == digit_sum_int(n * n, base), n
         lo = 10**15
         assert list(sums.niven(lo, lo + 500)) == [
             (n, s) for n in range(lo, lo + 501) if n % (s := digit_sum_int(n, base)) == 0
@@ -391,7 +391,7 @@ class TestDigitSums:
         assert sums.size == base
         for n in (1, base - 1, base, base**2 - 1, base**2 + base, base**3 + 5):
             assert sums(n) == digit_sum_int(n, base), n
-            assert sums.of_square(n) == digit_sum_int(n * n, base), n
+            assert sums(n * n) == digit_sum_int(n * n, base), n
         cfg = SearchConfig(base=base, lo=1, hi=30, kind=kind)
         full = [classify(n, base) for n in range(1, 31)]
         member = {ARH: lambda res: res.arh, MRH: lambda res: res.mrh, NIVEN: lambda res: res.is_niven}
