@@ -13,8 +13,8 @@ the window's ends and, for a window narrower than b^(i+1), its
 residues mod b^(i+1); a narrow window far out visits few of them.  A
 Niven scan tests every N, one block of the digit-sum table at a time.
 
-One engine (_hits) walks [lo, hi] in windows of _WINDOW values, so a
-scan holds one window's hits at a time, and serves two views.
+One engine (_hits) walks [lo, hi] window by window, so a scan holds
+one window's hits at a time, and serves two views.
 scan_numbers yields N alone, for b-files and oeis: it lists no
 witness, since the DP's exact masks already say whether a vector has
 one, and a Niven scan walks no vectors.  scan_range yields N and its
@@ -40,8 +40,6 @@ from .classify import (
     NIVEN,
     ClassifyResult,
     PairTables,
-    Witness,
-    check_witness,
     mrh_products,
     pair_sum_products,
     reversal_pair_sums,
@@ -125,8 +123,12 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
     The walk fixes the outer pair first.  A pair's loop stops once the
     partial sum passes hi, since larger values only add to it, and a
     value is skipped when even the largest sums of the pairs left
-    cannot lift N to lo.
+    cannot lift N to lo.  A window of one value reads its vectors from
+    its digits instead (reversal_pair_sums), in steps linear in them.
     """
+    if lo == hi:
+        yield from ((lo, k, p) for k, p in reversal_pair_sums(lo, base))
+        return
     top = 2 * base - 2
     for k in range(1, digit_count_int(hi, base) + 1):
         half = k // 2
@@ -174,14 +176,14 @@ class DigitSums:
     hit's s_b(n) once.
     """
 
-    __slots__ = ("table", "size")
+    __slots__ = ("base", "table", "size")
 
     def __init__(self, base: int, hi: int):
         table, size = range(base), base  # one digit: s_b(d) = d, at no cost for any base
         while size * size <= hi and size * base <= _TABLE_CAP:
             table = [d + t for d in range(base) for t in table]
             size *= base
-        self.table, self.size = table, size
+        self.base, self.table, self.size = base, table, size
 
     def __call__(self, n: int) -> int:
         t, size, s = self.table, self.size, 0
@@ -190,15 +192,20 @@ class DigitSums:
             s += t[low]
         return s + t[n]
 
-    def niven(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    def niven(self, lo: int, hi: int, zero_free: bool = False) -> Iterator[tuple[int, int]]:
         """(n, s_b(n)) for every n in [lo, hi] with s_b(n) | n, ascending.
 
         One block of the n that share n // B at a time: s_b(n) is the
         block's digit sum plus T[n % B], and each block's hits are
         yielded once that block is done, so the listing holds one block.
+        With zero_free set, a block whose high part n // B is positive
+        and has a zero digit is skipped whole, since all its n have that
+        zero; the n of other blocks are left to the caller's filter.
         """
         t, size = self.table, self.size
         for high in range(lo // size, hi // size + 1):
+            if zero_free and high and has_zero_digit(high, self.base):
+                continue
             start, top = high * size, self(high)
             first, last = max(lo - start, 0), min(hi - start, size - 1)
             numbers = range(start + first, start + last + 1)
@@ -219,12 +226,18 @@ def _hits(cfg: SearchConfig, records: bool):
     holds one window's hits at a time; every window takes its digit
     sums from one DigitSums and the pair-sum vectors' weights and
     residue masks from one PairTables, both made for this scan alone.
-    A record carries the complete ascending witness lists of N; without
-    records only the work that decides membership is done.
+    A filtered scan's windows are [N, N] for each N in [lo, hi] that
+    numbers_for_multiplier lists, complete by digit_sum_cap.  A record
+    carries the complete ascending witness lists of N; without records
+    only the work that decides membership is done.
     """
     sums, tables = DigitSums(cfg.base, cfg.hi), PairTables(cfg.base)
-    for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
-        yield from _window_hits(cfg, sums, tables, records, lo, min(lo + _WINDOW - 1, cfg.hi))
+    m, starts, width = cfg.multiplier_filter, range(cfg.lo, cfg.hi + 1, _WINDOW), _WINDOW
+    if m is not None:
+        members = numbers_for_multiplier(cfg.base, m, cfg.kind, cfg.zero_digit_policy, cfg.hi)
+        starts, width = [n for n in members if n >= cfg.lo], 1
+    for lo in starts:
+        yield from _window_hits(cfg, sums, tables, records, lo, min(lo + width - 1, cfg.hi))
 
 
 def _window_hits(
@@ -243,16 +256,16 @@ def _window_hits(
     against.  The ARH lists of an MRH scan's few hits are solved from
     their own digits.  No hit's s_b(N) is taken again after the pass
     that found it: an ARH or MRH hit keeps the one its map holds, and a
-    Niven hit the one the listing tested.  The multiplier filter checks X = M*s_b(N)
-    directly: with the witness lists complete, that is the same as
-    finding it in N's list.
+    Niven hit the one the listing tested.
     """
-    base, kind, m = cfg.base, cfg.kind, cfg.multiplier_filter
+    base, kind = cfg.base, cfg.kind
     forbid = cfg.zero_digit_policy == FORBID
     mrh_map: dict[int, list[int]] = {}  # N -> [s_b(N), its witness products X, ascending]
     if records or kind == MRH:
+        last = 0  # the pairs of one N come together: its s_b(N) is taken once
         for n, x in mrh_products(base, lo, hi):
-            s = sums(n)
+            if n != last:
+                last, s = n, sums(n)
             if x % s == 0:
                 mrh_map.setdefault(n, [s]).append(x)
     arh_map: dict[int, list[int]] = {}  # the same for ARH
@@ -269,14 +282,12 @@ def _window_hits(
                 if records:  # k ascending, and the X of k-1 digits lie below those of k
                     found.extend(products)
     if kind == NIVEN:
-        candidates = sums.niven(lo, hi)
+        candidates = sums.niven(lo, hi, forbid)
     else:
         hits = arh_map if kind == ARH else mrh_map
         candidates = ((n, hits[n][0]) for n in sorted(hits))
     for n, s in candidates:
         if forbid and has_zero_digit(n, base):
-            continue
-        if m is not None and not isinstance(check_witness(n, s, base, m, kind), Witness):
             continue
         if not records:
             yield n
@@ -311,24 +322,28 @@ def scan_range(cfg: SearchConfig):
 
 
 def numbers_for_multiplier(
-    base: int, multiplier: int, kind: str, zero_digit_policy: str = ALLOW
+    base: int, multiplier: int, kind: str, zero_digit_policy: str = ALLOW, hi: int | None = None
 ) -> list[int]:
-    """The complete set of b-ARH/b-MRH numbers with the given multiplier.
+    """The complete set of b-ARH/b-MRH numbers with the given multiplier (those <= hi, if given).
 
     Forward generation: any qualifying N has s_b(N) <= digit_sum_cap
     (proven in bounds.digit_sum_cap from the definitions alone); each
     candidate digit sum s determines X = M*s and N, accepted iff
-    s_b(N) == s.  The paper's digit-count bound plays no part here;
-    paper_bound_conflicts checks the result against it.
+    s_b(N) == s.  A member N <= hi also has s <= (b-1)*D(hi), and
+    s <= hi // M since N >= X.  The paper's digit-count bound plays no
+    part here; paper_bound_conflicts checks the result against it.
     """
     if zero_digit_policy not in (ALLOW, FORBID):
         raise ValueError(f"zero_digit_policy must be {ALLOW!r} or {FORBID!r}")
+    cap = digit_sum_cap(base, multiplier, kind)
+    if hi is not None:
+        cap = min(cap, (base - 1) * digit_count_int(hi, base), hi // multiplier)
     found = []
-    for s in range(1, digit_sum_cap(base, multiplier, kind) + 1):
+    for s in range(1, cap + 1):
         x = multiplier * s
         xr = reverse_int(x, base)
         n = x + xr if kind == ARH else x * xr
-        if digit_sum_int(n, base) != s:
+        if digit_sum_int(n, base) != s or (hi is not None and n > hi):
             continue
         if zero_digit_policy == FORBID and has_zero_digit(n, base):
             continue

@@ -22,6 +22,7 @@ from rhnumbers.classify import (
     MRH,
     NIVEN,
     ClassifyResult,
+    Witness,
     classify,
     is_niven,
     is_quadratic_niven,
@@ -33,6 +34,7 @@ from rhnumbers.search import (
     ALLOW,
     FORBID,
     DigitSums,
+    WORD_SIZE_CAP,
     SearchConfig,
     count_not_sum_of_reversal,
     formula_lower_bound,
@@ -313,6 +315,61 @@ class TestScanNumbers:
         assert len(list(scan_numbers(cfg))) == 5503
 
 
+# Multipliers with a member in [10^15, 2^63 - 1]: M = X / s_b(N) for
+# random X with N = X + X^R (or X * X^R) in that range and s_b(N) | X,
+# kept when no member has over 2*10^5 ARH witnesses, so that classify
+# lists them.  Past base 2 the second of each pair has a zero-free member.
+_FAR_MULTIPLIERS = {
+    (2, ARH): (57210841894920371, 148062804395088694),
+    (2, MRH): (12427410, 34720007),
+    (7, ARH): (27276621093585680, 18736509936491197),
+    (7, MRH): (2703978, 25141855),
+    (10, ARH): (38133278325696950, 14634456469250702),
+    (10, MRH): (24380506, 2935762),
+    (16, ARH): (89496386169425, 9366100166801934),
+    (16, MRH): (5349137, 8117137),
+}
+
+
+class TestFilteredScans:
+    @pytest.mark.parametrize("base, kind", list(_FAR_MULTIPLIERS))
+    def test_far_filtered_scans_read_the_multiplier_sets(self, base, kind):
+        # A filtered scan visits only the members of its multiplier's set,
+        # so a range of 9*10^18 values costs what the set costs, where a
+        # walk over the range would visit about 9*10^11 windows.
+        lo, hi = 10**15, WORD_SIZE_CAP
+        far = 0
+        for m in (1, 7, *_FAR_MULTIPLIERS[base, kind]):
+            for policy in (ALLOW, FORBID):
+                cfg = SearchConfig(base=base, lo=lo, hi=hi, kind=kind,
+                                   zero_digit_policy=policy, multiplier_filter=m)
+                wanted = [n for n in numbers_for_multiplier(base, m, kind, policy) if lo <= n <= hi]
+                start = time.perf_counter()
+                numbers = list(scan_numbers(cfg))
+                assert time.perf_counter() - start < 1, (m, policy)
+                start = time.perf_counter()
+                records = list(scan_range(cfg))
+                assert time.perf_counter() - start < 1, (m, policy)
+                assert numbers == [n for n, _ in records] == wanted, (m, policy)
+                for n, res in records:
+                    assert res == classify(n, base), (n, m)
+                far += len(numbers)
+        assert far >= 2 if base == 2 else far >= 3  # zero-free members count twice
+
+    @pytest.mark.parametrize("kind", [ARH, MRH])
+    def test_a_large_base_tries_only_the_window_digit_sums(self, kind):
+        # digit_sum_cap is about 3*10^6 in base 10^6, where the members up
+        # to 3000 have s <= 3000 // M: a filtered scan tries only those.
+        base, hi = 10**6, 3000
+        for m in (1, 2, 5):
+            cfg = SearchConfig(base=base, lo=1, hi=hi, kind=kind, multiplier_filter=m)
+            start = time.perf_counter()
+            numbers = list(scan_numbers(cfg))
+            assert time.perf_counter() - start < 1, m
+            assert numbers == [n for n in range(1, hi + 1)
+                               if isinstance(verify_witness(n, base, m, kind), Witness)], m
+
+
 class TestRecords:
     @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
     @pytest.mark.parametrize("base", [2, 7, 10])
@@ -494,6 +551,11 @@ def test_interleaved_scans_match_each_alone():
     assert all(alone)
 
 
+@functools.lru_cache(maxsize=None)
+def _unfiltered_hits(kind: str, hi: int) -> tuple[int, ...]:
+    return tuple(n for n, _ in scan_range(SearchConfig(base=10, lo=1, hi=hi, kind=kind)))
+
+
 class TestNumbersForMultiplier:
     def test_arh_7_zero_free(self):
         assert numbers_for_multiplier(10, 7, ARH, FORBID) == [747]
@@ -516,12 +578,30 @@ class TestNumbersForMultiplier:
     @pytest.mark.parametrize("kind", [ARH, MRH])
     @pytest.mark.parametrize("m", list(range(1, 13)))
     def test_oracle_equivalence_with_scan(self, kind, m):
-        """Complete per-multiplier sets agree with the naive range scan."""
+        """Complete per-multiplier sets agree with the unfiltered range scan.
+
+        A filtered scan reads numbers_for_multiplier, so the reference is
+        the unfiltered scan's hits kept where M*s_b(N) is a witness.
+        """
         hi = 10**5
-        cfg = SearchConfig(base=10, lo=1, hi=hi, kind=kind, multiplier_filter=m)
-        scanned = [n for n, _ in scan_range(cfg)]
+        reference = [n for n in _unfiltered_hits(kind, hi)
+                     if isinstance(verify_witness(n, 10, m, kind), Witness)]
         bounded = [n for n in numbers_for_multiplier(10, m, kind, ALLOW) if n <= hi]
-        assert scanned == bounded, (kind, m)
+        assert bounded == reference, (kind, m)
+        cfg = SearchConfig(base=10, lo=1, hi=hi, kind=kind, multiplier_filter=m)
+        assert [n for n, _ in scan_range(cfg)] == reference, (kind, m)
+
+    @pytest.mark.parametrize("kind", [ARH, MRH])
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_hi_keeps_the_members_up_to_hi(self, base, kind):
+        # hi caps the digit sums tried at (b-1)*D(hi) and hi // M; every
+        # member at or below hi is still listed, right up to hi itself.
+        for m in range(1, 61):
+            for policy in (ALLOW, FORBID):
+                full = numbers_for_multiplier(base, m, kind, policy)
+                for hi in {1, m, *full, *(n - 1 for n in full if n > 1)}:
+                    got = numbers_for_multiplier(base, m, kind, policy, hi)
+                    assert got == [n for n in full if n <= hi], (m, policy, hi)
 
     @pytest.mark.parametrize("kind", [ARH, MRH])
     @pytest.mark.parametrize("base", range(2, 17))
