@@ -23,7 +23,6 @@ text is rendered only for output.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .bounds import floor_log
@@ -31,9 +30,9 @@ from .classify import (
     ARH,
     MRH,
     VerifyFailure,
+    _listed_arh,
     check_witness,
     mrh_witnesses,
-    solve_arh,
 )
 from .digitvec import check_base, digit_sum_int, from_digits, render_digits, reverse_int
 
@@ -371,17 +370,17 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
     outcome and detail, which one _judge records.  Constructive
     witnesses are used at any size.
 
-    Both claims about an additive multiplier set read one listing:
-    classify.solve_arh solves N = X + X^R from N's digits, and its X
-    are exactly those with X + X^R = N and s_b(N) | X, complete at any
-    size.  So a predicted M satisfies X + X^R = N for X = M*s_b(N)
-    (multipliers_verify) iff M is listed, and the listing, against the
-    predicted set, decides multiplier_set_complete.  The listing reads
-    at most four multipliers more than the predicted set holds: a
-    longer one holds at least five unpredicted multipliers, and then
-    the predicted ones are checked one by one instead.  The not-MRH
-    claim reads classify.mrh_witnesses, complete at any size, so no
-    claim is ever skipped.
+    Both claims about an additive multiplier set read one listing,
+    classify's: classify.solve_arh solves N = X + X^R from N's digits,
+    and its X are exactly those with X + X^R = N and s_b(N) | X,
+    complete at any size.  So a predicted M satisfies X + X^R = N for
+    X = M*s_b(N) (multipliers_verify) iff M is listed, and the listing,
+    against the predicted set, decides multiplier_set_complete.  Like
+    classify, it refuses (ValueError) an N with more than
+    MAX_LISTED_WITNESSES witnesses before listing any, above the
+    MAX_MULTIPLIER_SET multipliers a generated set may hold.  The
+    not-MRH claim reads classify.mrh_witnesses, complete at any size,
+    so no claim is ever skipped.
     """
     base = inst.base
     value = inst.number
@@ -392,16 +391,9 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
         root_sum = digit_sum_int(root, base)
     if any(c.name in ("multipliers_verify", "multiplier_set_complete") for c in inst.claims):
         predicted = set(multipliers)
-        count, products = solve_arh(value, base)
-        listed = [x // s for x in itertools.islice(products, len(predicted) + 4)]
-        if len(listed) == count:
-            solved = set(listed)
-            failing = [m for m in multipliers if m not in solved]
-        else:
-            failing = [
-                m for m in multipliers
-                if isinstance(check_witness(value, s, base, m, ARH), VerifyFailure)
-            ]
+        listed = [x // s for x in _listed_arh(value, base)]
+        solved = set(listed)
+        failing = [m for m in multipliers if m not in solved]
     results = []
     for claim in inst.claims:
         name = claim.name
@@ -434,7 +426,7 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
             extra = [m for m in listed if m not in predicted][:4]
             missing = sorted(set(failing))[:4]
             ok = not extra and not missing
-            detail = f"brute force found {count} multipliers"
+            detail = f"brute force found {len(listed)} multipliers"
             if extra:
                 detail += f"; unpredicted: {extra}"
             if missing:

@@ -13,19 +13,19 @@ the window's ends and, for a window narrower than b^(i+1), its
 residues mod b^(i+1); a narrow window far out visits few of them.  A
 Niven scan tests every N, one block of the digit-sum table at a time.
 
-One engine (_hits) walks [lo, hi] window by window, so a scan holds
-one window's hits at a time, and serves two views.
-scan_numbers yields N alone, for b-files and oeis: it lists no
-witness, since the DP's exact masks already say whether a vector has
-one, and a Niven scan walks no vectors.  scan_range yields N and its
-ClassifyResult, the record that classify gives (both digit sums and
-both ascending witness product lists), listing the witnesses of the
-vectors it yields (for a Niven scan, only those whose N is Niven);
-the CLI's json and csv views render each record's text from it.  A
-zero-free scan drops a vector whose N has a zero digit before it takes
-N's digit sum or tests its witnesses.  Every window takes its digit
-sums from one DigitSums table, each hit's s_b(N) once: the pass that
-finds a hit carries its s_b(N) to the hit's record.
+One engine (_hits) serves two views.  A filtered scan (--multiplier)
+takes its hits from numbers_for_multiplier and each record from
+classify; an unfiltered one walks [lo, hi] window by window, holding
+one window's hits at a time.  scan_numbers yields N alone, for b-files
+and oeis: it lists no witness, since the DP's exact masks already say
+whether a vector has one, and a Niven scan walks no vectors.
+scan_range yields N and its ClassifyResult, the record that classify
+gives (both digit sums and both ascending witness product lists),
+under classify's listing limit; the CLI's json and csv views render
+each record's text from it.  A zero-free scan drops a vector whose N
+has a zero digit before it takes N's digit sum or tests its
+witnesses.  Every window takes each hit's s_b(N) once, from one
+DigitSums table, and carries it to the hit's record.
 """
 
 from __future__ import annotations
@@ -36,14 +36,16 @@ from typing import Iterator, NamedTuple
 from .bounds import digit_bound, digit_sum_cap, floor_log
 from .classify import (
     ARH,
+    MAX_LISTED_WITNESSES,
     MRH,
     NIVEN,
     ClassifyResult,
     PairTables,
+    _listed_arh,
+    classify,
     mrh_products,
     pair_sum_products,
     reversal_pair_sums,
-    solve_arh,
 )
 from .digitvec import (
     check_base,
@@ -123,8 +125,9 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
     The walk fixes the outer pair first.  A pair's loop stops once the
     partial sum passes hi, since larger values only add to it, and a
     value is skipped when even the largest sums of the pairs left
-    cannot lift N to lo.  A window of one value reads its vectors from
-    its digits instead (reversal_pair_sums), in steps linear in them.
+    cannot lift N to lo.  A one-value range, which only an unfiltered
+    scan of [N, N] brings, reads its vectors from its digits instead
+    (reversal_pair_sums), in steps linear in them.
     """
     if lo == hi:
         yield from ((lo, k, p) for k, p in reversal_pair_sums(lo, base))
@@ -221,45 +224,50 @@ _WINDOW = 10**7  # values of [lo, hi] that one window of a range scan covers
 def _hits(cfg: SearchConfig, records: bool):
     """Every hit of cfg.kind, ascending: (N, its ClassifyResult) with records set, else N.
 
-    The range is walked in windows of _WINDOW values, each finished
-    (its hits sorted and yielded) before the next begins, so a scan
-    holds one window's hits at a time; every window takes its digit
-    sums from one DigitSums and the pair-sum vectors' weights and
-    residue masks from one PairTables, both made for this scan alone.
-    A filtered scan's windows are [N, N] for each N in [lo, hi] that
-    numbers_for_multiplier lists, complete by digit_sum_cap.  A record
-    carries the complete ascending witness lists of N; without records
-    only the work that decides membership is done.
+    A filtered scan's hits are the members of [lo, hi] that
+    numbers_for_multiplier lists, complete by digit_sum_cap, and each
+    record is classify's.  An unfiltered range is walked in windows of
+    _WINDOW values, each finished (its hits sorted and yielded) before
+    the next begins, so a scan holds one window's hits at a time; every
+    window takes its digit sums from one DigitSums and the pair-sum
+    vectors' weights and residue masks from one PairTables, both made
+    for this scan alone.  A record carries the complete ascending
+    witness lists of N; without records only the work that decides
+    membership is done.
     """
-    sums, tables = DigitSums(cfg.base, cfg.hi), PairTables(cfg.base)
-    m, starts, width = cfg.multiplier_filter, range(cfg.lo, cfg.hi + 1, _WINDOW), _WINDOW
+    base, m = cfg.base, cfg.multiplier_filter
     if m is not None:
-        members = numbers_for_multiplier(cfg.base, m, cfg.kind, cfg.zero_digit_policy, cfg.hi)
-        starts, width = [n for n in members if n >= cfg.lo], 1
-    for lo in starts:
-        yield from _window_hits(cfg, sums, tables, records, lo, min(lo + width - 1, cfg.hi))
+        for n in numbers_for_multiplier(base, m, cfg.kind, cfg.zero_digit_policy, cfg.hi):
+            if n >= cfg.lo:
+                yield (n, classify(n, base)) if records else n
+        return
+    sums, tables = DigitSums(base, cfg.hi), PairTables(base)
+    for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
+        yield from _window_hits(cfg, sums, tables, records, lo, min(lo + _WINDOW - 1, cfg.hi))
 
 
 def _window_hits(
     cfg: SearchConfig, sums: DigitSums, tables: PairTables, records: bool, lo: int, hi: int
 ):
-    """_hits on the window [lo, hi] of cfg's range.
+    """_hits on the window [lo, hi] of an unfiltered range.
 
     X is a witness product of N iff s_b(N) | X, so an ARH scan keeps a
-    pair-sum vector whose masks admit some X (pair_sum_products) and
-    lists its X only for a record, and a Niven scan lists only the
-    vectors whose N is Niven.  A zero-free scan drops a vector whose N
-    has a zero digit before any of that work.  The MRH lists keep the X
-    that s_b(N) divides of the ascending (N, X) that mrh_products lists
-    for the window.  Both hit maps hold N -> [s_b(N), X...]: the X of
-    N's witness list, ascending, after the s_b(N) they were tested
-    against.  The ARH lists of an MRH scan's few hits are solved from
-    their own digits.  No hit's s_b(N) is taken again after the pass
-    that found it: an ARH or MRH hit keeps the one its map holds, and a
-    Niven hit the one the listing tested.
+    pair-sum vector whose masks admit some X (pair_sum_products), and a
+    Niven scan lists only the vectors whose N is Niven.  A zero-free
+    scan drops a vector whose N has a zero digit before any of that
+    work.  The MRH lists keep the X that s_b(N) divides of the (N, X)
+    that mrh_products lists.  Both hit maps hold N -> [s_b(N), X...],
+    the X ascending.  A record's ARH list is the walk's only if no N of
+    the window can pass MAX_LISTED_WITNESSES (a D-digit N has at most
+    b^(k//2) X for each k = D-1, D), else, as in an MRH scan, that of
+    _listed_arh, which refuses such an N as classify does.  No hit's
+    s_b(N) is taken twice: a record reuses the one its map holds or,
+    for Niven, the one the listing tested.
     """
     base, kind = cfg.base, cfg.kind
     forbid = cfg.zero_digit_policy == FORBID
+    most = 2 * base ** (digit_count_int(hi, base) // 2)  # ARH witnesses of any N <= hi
+    listing = records and kind != MRH and most <= MAX_LISTED_WITNESSES
     mrh_map: dict[int, list[int]] = {}  # N -> [s_b(N), its witness products X, ascending]
     if records or kind == MRH:
         last = 0  # the pairs of one N come together: its s_b(N) is taken once
@@ -269,17 +277,17 @@ def _window_hits(
             if x % s == 0:
                 mrh_map.setdefault(n, [s]).append(x)
     arh_map: dict[int, list[int]] = {}  # the same for ARH
-    if kind == ARH or (kind == NIVEN and records):
+    if kind == ARH or listing:  # a listing walk is never an MRH scan's
         for n, k, p in pair_sum_vectors(base, lo, hi):
             if forbid and has_zero_digit(n, base):
                 continue
             s = sums(n)
             if kind == NIVEN and n % s:
                 continue
-            products = pair_sum_products(tables, k, p, s, records)
+            products = pair_sum_products(tables, k, p, s, listing)
             if products is not None:
                 found = arh_map.setdefault(n, [s])
-                if records:  # k ascending, and the X of k-1 digits lie below those of k
+                if listing:  # k ascending, and the X of k-1 digits lie below those of k
                     found.extend(products)
     if kind == NIVEN:
         candidates = sums.niven(lo, hi, forbid)
@@ -292,10 +300,8 @@ def _window_hits(
         if not records:
             yield n
             continue
-        if kind == MRH:
-            arh = tuple(solve_arh(n, base)[1])
-        else:  # popped, so that a window's lists and its records are not held at once
-            arh = tuple(arh_map.pop(n, ())[1:])
+        # popped, so that a window's lists and its records are not held at once
+        arh = tuple(arh_map.pop(n, ())[1:] if listing else _listed_arh(n, base))
         mrh = tuple(mrh_map.get(n, ())[1:])
         # The record's fields in order, without the Python-level __new__ call
         # (twice the cost of the tuple itself, once per hit).

@@ -9,7 +9,7 @@ from brute_force import (
     mrh_products_brute,
     pair_sum_products_brute,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rhnumbers.classify import (
@@ -232,6 +232,25 @@ class TestMrhProducts:
         window = range(lo, lo + width + 1)
         expected = [(v, x) for v in window for x in mrh_products_brute(v, base)]
         assert mrh_products(base, lo, lo + width) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    @example(3, 1, 2701)
+    def test_exact_width_windows_match_trial_division(self, base, i, lo):
+        # A window [lo, lo + b^i] is as wide as the residues mod b^i, where
+        # a pair i's narrow solver (one window value left below b^i) no
+        # longer applies.  In base 3, [2701, 2704] holds 2704 = 52 * 52^R,
+        # 52 = [1221]_3, which a narrow solver at its pair 1 misses.
+        window = range(lo, lo + base**i + 1)
+        expected = [(v, x) for v in window for x in mrh_products_brute(v, base)]
+        assert mrh_products(base, lo, lo + base**i) == expected
+
+    def test_a_window_as_wide_as_its_pair_residues(self):
+        assert mrh_products(3, 2701, 2704) == [(2704, 52)]
 
     @settings(max_examples=30, deadline=None)
     @given(

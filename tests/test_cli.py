@@ -1,9 +1,11 @@
 import csv
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,66 @@ class TestSearch:
     def test_usage_error_on_bad_kind(self):
         code, _, _ = run(["search", "--max", "100", "--kind", "weird"])
         assert code == 2
+
+
+# The base-10 members of M = 17207540799049233 and their ARH witness
+# counts, both over MAX_LISTED_WITNESSES = 2^20.
+_MANY_WITNESS_M = 17207540799049233
+_MANY_WITNESS_MEMBERS = {1215064044451361511: 4_374_000, 7869479794879749687: 12_096_000}
+
+
+class TestListingLimit:
+    """A scan record obeys classify's one listing limit, with classify's message."""
+
+    @staticmethod
+    def _windows(n):
+        """One-value, eleven-value and filtered scans whose first ARH member is n."""
+        return {
+            "one": ["--min", str(n), "--max", str(n)],
+            "eleven": ["--min", str(n - 5), "--max", str(n + 5)],
+            "multiplier": ["--min", str(n), "--max", str(search.WORD_SIZE_CAP),
+                           "--multiplier", str(_MANY_WITNESS_M)],
+        }
+
+    @pytest.mark.parametrize("window", ["one", "eleven", "multiplier"])
+    @pytest.mark.parametrize("n", sorted(_MANY_WITNESS_MEMBERS))
+    def test_many_witness_members_are_refused(self, n, window):
+        count = _MANY_WITNESS_MEMBERS[n]
+        refusal = f"error: N has {count} ARH witnesses, over the listing limit of 1048576\n"
+        assert run(["classify", str(n)]) == (2, "", refusal)
+        argv = ["search", "--kind", "arh", *self._windows(n)[window]]
+        for fmt, out in (("json", ""), ("csv", _reference_csv([]))):
+            start = time.perf_counter()
+            assert run(argv + ["--format", fmt]) == (2, out, refusal), fmt
+            assert time.perf_counter() - start < 1, fmt
+        # A b-file lists no witness, so it is not refused.
+        members = [m for m in sorted(_MANY_WITNESS_MEMBERS) if m >= n]
+        listed = members if window == "multiplier" else [n]
+        bfile = "".join(f"{i} {m}\n" for i, m in enumerate(listed, start=1))
+        assert run(argv + ["--format", "bfile"]) == (0, bfile, "")
+
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    @pytest.mark.parametrize("base", [3, 7])
+    def test_scans_refuse_at_the_first_n_classify_refuses(self, base, kind, monkeypatch):
+        # With the limit at 3, every window of [1, 10^4] may hold an N past
+        # it, so each record's ARH list goes through classify's check.
+        classify_module = importlib.import_module("rhnumbers.classify")
+        monkeypatch.setattr(classify_module, "MAX_LISTED_WITNESSES", 3)
+        monkeypatch.setattr(search, "MAX_LISTED_WITNESSES", 3)
+
+        def refusal(n):
+            try:
+                classify(n, base)
+            except ValueError as exc:
+                return f"error: {exc}\n"
+            return None
+
+        hits = search.scan_numbers(SearchConfig(base=base, lo=1, hi=10**4, kind=kind))
+        first = next(n for n in hits if refusal(n))
+        argv = ["search", "--kind", kind, "--base", str(base), "--format", "json"]
+        assert run(argv + ["--max", str(10**4)]) == (2, "", refusal(first))
+        assert run(argv + ["--max", str(first)]) == (2, "", refusal(first))
+        assert run(argv + ["--max", str(first - 1)])[0] == 0
 
 
 def _reference_csv(records) -> str:

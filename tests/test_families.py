@@ -3,7 +3,15 @@ import time
 import pytest
 from brute_force import all_ones_multipliers_brute, alternating_multipliers_brute
 
-from rhnumbers.classify import ARH, Witness, arh_witnesses, is_niven, verify_witness
+from rhnumbers.classify import (
+    ARH,
+    MAX_LISTED_WITNESSES,
+    Witness,
+    arh_witnesses,
+    is_niven,
+    solve_arh,
+    verify_witness,
+)
 from rhnumbers.digitvec import digit_count_int, digit_sum_int, parse_digits, render_digits
 from rhnumbers.families import (
     ALL_ONES,
@@ -197,6 +205,37 @@ def test_pair_step_multipliers_equal_the_digit_patterns(generate, brute, base, p
     # The generators add one pair step per free digit; the references
     # build each member from its digits, in itertools.product order.
     assert list(generate(base, p).predicted_multipliers) == brute(base, p)
+
+
+def test_every_multiplier_set_fits_the_listing_limit():
+    # verify_family reads one listing under classify's limit for both set
+    # claims, so no set a generator builds may pass that limit.
+    assert MAX_MULTIPLIER_SET <= MAX_LISTED_WITNESSES
+
+
+def test_generated_multiplier_sets_are_the_solver_sets():
+    # Every all-ones and alternating instance the generators admit, small
+    # enough to list, has exactly its predicted multipliers: the solver's
+    # count equals the predicted size, and both set claims pass.
+    checked = 0
+    for generate in (gen_all_ones, gen_alternating):
+        for base in range(2, 35, 2):
+            for p in range(1, 8):
+                try:
+                    inst = generate(base, p)
+                except FamilyParameterError:
+                    continue
+                predicted = inst.predicted_multipliers
+                assert solve_arh(inst.number, base)[0] == len(predicted), (generate, base, p)
+                results = {r.name: r for r in verify_family(inst).results}
+                assert results["multipliers_verify"].passed, (generate, base, p)
+                complete = results.get("multiplier_set_complete")
+                if complete is not None:
+                    assert (complete.passed, complete.detail) == (
+                        True, f"brute force found {len(predicted)} multipliers"
+                    ), (generate, base, p)
+                checked += 1
+    assert checked == 33
 
 
 def test_base2_alternating_member_is_refused_before_it_is_built():

@@ -333,10 +333,17 @@ _FAR_MULTIPLIERS = {
 
 class TestFilteredScans:
     @pytest.mark.parametrize("base, kind", list(_FAR_MULTIPLIERS))
-    def test_far_filtered_scans_read_the_multiplier_sets(self, base, kind):
+    def test_far_filtered_scans_read_the_multiplier_sets(self, base, kind, monkeypatch):
         # A filtered scan visits only the members of its multiplier's set,
         # so a range of 9*10^18 values costs what the set costs, where a
-        # walk over the range would visit about 9*10^11 windows.
+        # walk over the range would visit about 9*10^11 windows.  It builds
+        # no digit-sum table, pair tables or window, and its records are
+        # classify's.
+        def refuse(*args):
+            raise AssertionError("a filtered scan built a range-scan table or window")
+
+        for name in ("DigitSums", "PairTables", "_window_hits"):
+            monkeypatch.setattr(search, name, refuse)
         lo, hi = 10**15, WORD_SIZE_CAP
         far = 0
         for m in (1, 7, *_FAR_MULTIPLIERS[base, kind]):
@@ -344,6 +351,9 @@ class TestFilteredScans:
                 cfg = SearchConfig(base=base, lo=lo, hi=hi, kind=kind,
                                    zero_digit_policy=policy, multiplier_filter=m)
                 wanted = [n for n in numbers_for_multiplier(base, m, kind, policy) if lo <= n <= hi]
+                assert wanted == [
+                    n for n in numbers_for_multiplier(base, m, kind, policy, hi) if n >= lo
+                ], (m, policy)
                 start = time.perf_counter()
                 numbers = list(scan_numbers(cfg))
                 assert time.perf_counter() - start < 1, (m, policy)
