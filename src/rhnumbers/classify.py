@@ -234,7 +234,7 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     [max(p_j-b+1, 0), min(p_j, b-1)], with a_0 >= 1 (_high_digits).  A
     backward DP over the pairs, mod s = s_b(value), gives for each pair
     the bitmask of residues from which some choice of the remaining high
-    digits makes s | X (pair_sum_products), and a second one the number
+    digits makes s | X (pair_sum_masks), and a second one the number
     of such choices (_completions).  A depth-first walk then tries each
     high digit in ascending order and enters only reachable residues, so
     every branch it enters ends in a qualifying X (_ascending).  It
@@ -254,10 +254,10 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     count = 0
     streams = []
     for k, p in pair_sums:
-        products = pair_sum_products(tables, k, p, s)
-        if products is not None:
+        masks = pair_sum_masks(tables, k, p, s)
+        if masks is not None:
             count += _completions(tables, k, p, s)
-            streams.append(products)
+            streams.append(_ascending(tables, k, p, s, masks))
     return count, itertools.chain.from_iterable(streams)
 
 
@@ -272,7 +272,7 @@ def _listed_arh(value: int, base: int) -> Iterator[int]:
 
 
 class PairTables:
-    """What the residue DP of pair_sum_products shares across vectors, in one base.
+    """What the residue DP of pair_sum_masks shares across vectors, in one base.
 
     A k-digit X with pair sums p is x0 + sum_t a_t*step_t, with a_t the
     high digit of pair t and step_t = b^(k-1-t) - b^t.  For each (k, s),
@@ -317,37 +317,32 @@ class PairTables:
         return steps
 
 
-def pair_sum_products(
-    tables: PairTables, k: int, p: list[int], s: int, listing: bool = True
-) -> Iterator[int] | bool | None:
-    """Ascending X with k digits and pair sums p (so X + X^R = N) and s | X.
+def pair_sum_masks(tables: PairTables, k: int, p: list[int], s: int) -> list[int] | None:
+    """masks[t], the residues mod s from which the pairs after t reach 0; None if no X does.
 
-    The step solve_arh takes for each of its vectors, without the
-    count: range scans meet each vector once, generating it from p
-    rather than from N's digits, take s = s_b(N) from their digit-sum
-    table and share one PairTables across the scan.  None when no such
-    X exists.  mask holds the residues mod s from which pairs t.. can
-    reach 0: residue 0 after the last pair, tables.row's inner mask
-    after the innermost, and before each middle pair the union of the
-    rotations of the mask after it by a*w, w its weight mod s, for each
-    high digit a.  A weight of 0 leaves the mask as it is, and a full
-    mask stays full.  The outer pair then tests only the residues
+    The X have k digits, pair sums p (so X + X^R = N) and s | X.  The
+    step solve_arh takes for each of its vectors; range scans meet each
+    vector once, generating it from p rather than from N's digits, take
+    s = s_b(N) from their digit-sum table and share one PairTables
+    across the scan.  mask holds the residues mod s from which pairs
+    t.. can reach 0: residue 0 after the last pair, tables.row's inner
+    mask after the innermost, and before each middle pair the union of
+    the rotations of the mask after it by a*w, w its weight mod s, for
+    each high digit a.  A weight of 0 leaves the mask as it is, and a
+    full mask stays full.  The outer pair then tests only the residues
     (x0 + a*w) mod s that its own digits reach, up to the first one in
     the mask.  The masks are exact (a residue is in a mask iff some
-    choice of the later high digits takes it to 0), so a stream that is
-    returned is never empty, and with listing false the answer is True,
-    no stream being built for a caller that only asks whether N is
-    b-ARH.
+    choice of the later high digits takes it to 0), so a vector with
+    masks has an X: a membership test asks for None, and a listing
+    passes the masks to _ascending ([] for k = 1 and s | X).
     """
     base, half = tables.base, k // 2
     x0 = _low_half(base, k, p)
     if not half:
-        if x0 % s:
-            return None
-        return iter((x0,)) if listing else True
+        return None if x0 % s else []
     weights, inner = tables.row(k, s)
     mask, full = 1, (1 << s) - 1
-    masks = [mask] if listing else None  # reversed below: masks[t] for the pairs after t
+    masks = [mask]  # reversed at the end: masks[t] for the pairs after t
     if half > 1:
         v = p[half - 1]
         mask = inner.get(v)
@@ -357,8 +352,7 @@ def pair_sum_products(
             for a in _high_digits(base, p, half - 1):
                 mask |= 1 << (-a * w % s)
             inner[v] = mask
-        if listing:
-            masks.append(mask)
+        masks.append(mask)
         # The middle and outer pairs spell out _high_digits' range: a call
         # per pair costs a base-2 scan about 1.6x the time per vector.
         for j in range(half - 2, 0, -1):
@@ -373,8 +367,7 @@ def pair_sum_products(
                     if shift >= s:
                         shift -= s
                 mask = rotations & full
-            if listing:
-                masks.append(mask)
+            masks.append(mask)
     v, w = p[0], weights[0]
     a = v - base + 1 if v >= base else 1
     r = (x0 + a * w) % s
@@ -386,10 +379,7 @@ def pair_sum_products(
             r -= s
     else:
         return None
-    if not listing:
-        return True
-    masks.reverse()
-    return _ascending(tables, x0, k, p, s, masks)
+    return masks[::-1]
 
 
 def _low_half(base: int, k: int, p: list[int]) -> int:
@@ -425,14 +415,19 @@ def _completions(tables: PairTables, k: int, p: list[int], s: int) -> int:
     return scale * ways[_low_half(base, k, p) % s]
 
 
-def _ascending(tables: PairTables, x0: int, k: int, p: list[int], s: int, masks: list[int]):
-    """Depth-first walk over the high digits; masks[t]: the residues the pairs after t finish from.
+def _ascending(tables: PairTables, k: int, p: list[int], s: int, masks: list[int]):
+    """The X of pair_sum_masks' vector, ascending: a depth-first walk over the high digits.
 
-    Pair t moves X by its step and the residue by its weight mod s,
-    both read from tables.  The last pair finishes X from residue 0
-    alone, so its X are yielded as they are found.
+    masks[t] holds the residues the pairs after t finish from.  Pair t
+    moves X by its step and the residue by its weight mod s, both read
+    from tables.  The last pair finishes X from residue 0 alone, so its
+    X are yielded as they are found; a vector of no pair has one X.
     """
     base, half = tables.base, k // 2
+    x0 = _low_half(base, k, p)
+    if not half:
+        yield x0
+        return
     steps, weights = tables.steps(k), tables.row(k, s)[0]
     highs = [_high_digits(base, p, j) for j in range(half)]
     stack = [(0, x0, x0 % s)]

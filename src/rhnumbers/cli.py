@@ -242,16 +242,18 @@ def _report_parts(report) -> list[str]:
 def _write_search(cfg: SearchConfig, fmt: str, out) -> None:
     """search's b-file, CSV or JSON text, written as the scan goes.
 
-    b-file lines and CSV rows are written as their hits come.  JSON
-    prints "count" before "results", so it holds the scan's records
+    b-file lines and CSV rows are written as their hits come, the header
+    with the first row (a scan refused at its first hit prints nothing).
+    JSON prints "count" before "results", so it holds the scan's records
     (never their text) until the count is known.
     """
     if fmt == "bfile":
         out.writelines(bfile_lines(scan_numbers(cfg)))
         return
     if fmt == "csv":
-        out.write(_CLASSIFY_HEADER)
-        out.writelines(_record_csv(record) for _, record in scan_range(cfg))
+        rows = (_record_csv(record) for _, record in scan_range(cfg))
+        out.write(_CLASSIFY_HEADER + next(rows, ""))
+        out.writelines(rows)
         return
     records = [record for _, record in scan_range(cfg)]
     config = _json_part(cfg._asdict(), "\n  ")

@@ -6,12 +6,12 @@ N; X is a witness product of N iff s_b(N) | X.  The additive scan
 walks the digit-pair sum vectors p of N = X + X^R (pair_sum_vectors),
 about (2b-1)^(k/2) of them for k-digit X against b^k values of X, and
 tests each p's X for s_b(N) | X with a residue DP
-(classify.pair_sum_products).  The multiplicative lists come from
-classify.mrh_products on the scan's window, which fixes the digit pairs
-of X's trailing-zero-free part from both ends and prunes them against
-the window's ends and, for a window narrower than b^(i+1), its
-residues mod b^(i+1); a narrow window far out visits few of them.  A
-Niven scan tests every N, one block of the digit-sum table at a time.
+(classify.pair_sum_masks).  The multiplicative lists come from
+classify.mrh_products.  Both walks fix digit pairs from both ends and
+prune them against the window's ends and, in a window narrower than
+b^(i+1), its residues mod b^(i+1), so a narrow window far out visits
+few of them.  A Niven scan tests every N, one block of the digit-sum
+table at a time.
 
 One engine (_hits) serves two views.  A filtered scan (--multiplier)
 takes its hits from numbers_for_multiplier and each record from
@@ -25,7 +25,7 @@ under classify's listing limit; the CLI's json and csv views render
 each record's text from it.  A zero-free scan drops a vector whose N
 has a zero digit before it takes N's digit sum or tests its
 witnesses.  Every window takes each hit's s_b(N) once, from one
-DigitSums table, and carries it to the hit's record.
+DigitSums table sized to the range, and carries it to the hit's record.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from .classify import (
     NIVEN,
     ClassifyResult,
     PairTables,
+    _ascending,
     _listed_arh,
     classify,
     mrh_products,
-    pair_sum_products,
+    pair_sum_masks,
     reversal_pair_sums,
 )
 from .digitvec import (
@@ -125,14 +126,13 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
     The walk fixes the outer pair first.  A pair's loop stops once the
     partial sum passes hi, since larger values only add to it, and a
     value is skipped when even the largest sums of the pairs left
-    cannot lift N to lo.  A one-value range, which only an unfiltered
-    scan of [N, N] brings, reads its vectors from its digits instead
-    (reversal_pair_sums), in steps linear in them.
+    cannot lift N to lo.  The pairs after pair i and the middle add
+    multiples of b^(i+1), so the partial sum has N's residue mod
+    b^(i+1), and in a window narrower than b^(i+1) (moduli[i] > 0) a
+    value is also skipped when the window holds no N of that residue:
+    one walk serves [N, N] and every wider window.
     """
-    if lo == hi:
-        yield from ((lo, k, p) for k, p in reversal_pair_sums(lo, base))
-        return
-    top = 2 * base - 2
+    top, width = 2 * base - 2, hi - lo
     for k in range(1, digit_count_int(hi, base) + 1):
         half = k // 2
         weights = [base**j + base ** (k - 1 - j) for j in range(half)]
@@ -143,15 +143,16 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
         rest = [0] * (len(weights) + 1)  # rest[i]: the most positions i.. can add
         for i in reversed(range(len(weights))):
             rest[i] = rest[i + 1] + top * weights[i]
+        moduli = [base ** (i + 1) if width < base ** (i + 1) else 0 for i in range(len(weights))]
         p = [0] * k
 
         def walk(i: int, partial: int):
-            w, left, last = weights[i], rest[i + 1], i + 1 == len(weights)
+            w, left, last, modulus = weights[i], rest[i + 1], i + 1 == len(weights), moduli[i]
             for v in values[i]:
                 n = partial + v * w
                 if n > hi:
                     break
-                if n + left < lo:
+                if n + left < lo or modulus and (n - lo) % modulus > width:
                     continue
                 p[i] = p[k - 1 - i] = v
                 if last:
@@ -172,11 +173,11 @@ class DigitSums:
     sums(n * n), since n^2 < B^4.  T starts at one digit (B = b, kept
     as a range, so any base >= 2 costs nothing), and prepending each
     digit d to the numbers of T gives the table one digit longer.  T
-    stops growing at _TABLE_CAP entries, so that a narrow window far
-    out (--min 10**14) does not build a table of b*sqrt(hi) entries;
-    past B^2 the loop takes one divmod more for each further m digits.
-    A range scan builds one and takes every digit sum from it, each
-    hit's s_b(n) once.
+    stops growing at _TABLE_CAP entries; past B^2 the loop takes one
+    divmod more for each further m digits, which any n works with.  A
+    range scan builds one, passing min(hi, (hi - lo + 1)^2) as hi, so a
+    narrow window far out (--min 10**14) builds no table of b*sqrt(hi)
+    entries, and takes every digit sum from it, each hit's s_b(n) once.
     """
 
     __slots__ = ("base", "table", "size")
@@ -241,7 +242,7 @@ def _hits(cfg: SearchConfig, records: bool):
             if n >= cfg.lo:
                 yield (n, classify(n, base)) if records else n
         return
-    sums, tables = DigitSums(base, cfg.hi), PairTables(base)
+    sums, tables = DigitSums(base, min(cfg.hi, (cfg.hi - cfg.lo + 1) ** 2)), PairTables(base)
     for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
         yield from _window_hits(cfg, sums, tables, records, lo, min(lo + _WINDOW - 1, cfg.hi))
 
@@ -252,17 +253,18 @@ def _window_hits(
     """_hits on the window [lo, hi] of an unfiltered range.
 
     X is a witness product of N iff s_b(N) | X, so an ARH scan keeps a
-    pair-sum vector whose masks admit some X (pair_sum_products), and a
-    Niven scan lists only the vectors whose N is Niven.  A zero-free
-    scan drops a vector whose N has a zero digit before any of that
-    work.  The MRH lists keep the X that s_b(N) divides of the (N, X)
-    that mrh_products lists.  Both hit maps hold N -> [s_b(N), X...],
-    the X ascending.  A record's ARH list is the walk's only if no N of
-    the window can pass MAX_LISTED_WITNESSES (a D-digit N has at most
-    b^(k//2) X for each k = D-1, D), else, as in an MRH scan, that of
-    _listed_arh, which refuses such an N as classify does.  No hit's
-    s_b(N) is taken twice: a record reuses the one its map holds or,
-    for Niven, the one the listing tested.
+    pair-sum vector whose masks admit some X (pair_sum_masks), and a
+    Niven scan with records tests only the vectors whose N is Niven.  A
+    zero-free scan drops a vector whose N has a zero digit before any
+    of that work.  The MRH lists keep the X that s_b(N) divides of the
+    (N, X) that mrh_products lists.  Both hit maps hold
+    N -> [s_b(N), X...], the X ascending.  A record's ARH list is the
+    walk's (_ascending) only if no N of the window can pass
+    MAX_LISTED_WITNESSES (a D-digit N has at most b^(k//2) X for each
+    k = D-1, D), else _listed_arh's, which refuses such an N as classify
+    does: for the N whose masks admit an X, and for every MRH hit.  No
+    hit's s_b(N) is taken twice: a record reuses the one its map holds
+    or, for Niven, the one the listing tested.
     """
     base, kind = cfg.base, cfg.kind
     forbid = cfg.zero_digit_policy == FORBID
@@ -277,18 +279,18 @@ def _window_hits(
             if x % s == 0:
                 mrh_map.setdefault(n, [s]).append(x)
     arh_map: dict[int, list[int]] = {}  # the same for ARH
-    if kind == ARH or listing:  # a listing walk is never an MRH scan's
+    if kind == ARH or records and kind == NIVEN:  # MRH records solve each hit instead
         for n, k, p in pair_sum_vectors(base, lo, hi):
             if forbid and has_zero_digit(n, base):
                 continue
             s = sums(n)
             if kind == NIVEN and n % s:
                 continue
-            products = pair_sum_products(tables, k, p, s, listing)
-            if products is not None:
+            masks = pair_sum_masks(tables, k, p, s)
+            if masks is not None:
                 found = arh_map.setdefault(n, [s])
                 if listing:  # k ascending, and the X of k-1 digits lie below those of k
-                    found.extend(products)
+                    found.extend(_ascending(tables, k, p, s, masks))
     if kind == NIVEN:
         candidates = sums.niven(lo, hi, forbid)
     else:
@@ -300,8 +302,8 @@ def _window_hits(
         if not records:
             yield n
             continue
-        # popped, so that a window's lists and its records are not held at once
-        arh = tuple(arh_map.pop(n, ())[1:] if listing else _listed_arh(n, base))
+        found = arh_map.pop(n, None)  # popped: a window's lists and records are not held at once
+        arh = tuple(found[1:] if listing else _listed_arh(n, base)) if found or kind == MRH else ()
         mrh = tuple(mrh_map.get(n, ())[1:])
         # The record's fields in order, without the Python-level __new__ call
         # (twice the cost of the tuple itself, once per hit).

@@ -1,10 +1,13 @@
 """Brute-force references for the digit-pair solvers, the range scans and palsquare.
 
 Each tries every candidate below a bound, so they are fit for small
-inputs only: the tests check classify.solve_arh, pair_sum_products,
+inputs only: the tests check classify.solve_arh, the residue masks and
+listing walk of one vector (pair_sum_masks, _ascending),
 reversal_pair_sums, classify.mrh_products, the range scans,
 count_not_sum_of_reversal and palindromic_square_search against them.
-The family multiplier sets are checked against their digit patterns,
+Far windows, beyond any brute force, check pair_sum_vectors against
+the vectors that reversal_pair_sums reads from each N's digits.  The
+family multiplier sets are checked against their digit patterns,
 spelled out one member at a time.
 """
 

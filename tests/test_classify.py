@@ -26,12 +26,12 @@ from rhnumbers.classify import (
     is_strongly_quadratic_niven,
     mrh_products,
     mrh_witnesses,
-    pair_sum_products,
+    pair_sum_masks,
     reversal_pair_sums,
     solve_arh,
     verify_witness,
 )
-from rhnumbers.classify import _completions
+from rhnumbers.classify import _ascending, _completions
 from rhnumbers.digitvec import digits_int, from_digits, reverse_int
 from rhnumbers.search import pair_sum_vectors
 
@@ -412,14 +412,13 @@ def test_mrh_implies_niven(base):
 
 
 def _solver_agrees(tables, k, p, s, everything):
-    """pair_sum_products on (k, p) at s against the brute-force listing `everything`."""
+    """pair_sum_masks and _ascending on (k, p) at s against the brute-force listing `everything`."""
     expected = [x for x in everything if x % s == 0]
-    exists = pair_sum_products(tables, k, p, s, listing=False)
-    assert exists is (True if expected else None), (k, p, s)
+    masks = pair_sum_masks(tables, k, p, s)
+    assert (masks is not None) == bool(expected), (k, p, s)
     assert (_completions(tables, k, p, s) > 0) == bool(expected), (k, p, s)
-    listed = pair_sum_products(tables, k, p, s)
-    assert (listed is not None) == bool(expected)
-    assert list(listed or ()) == expected, (k, p, s)
+    listed = [] if masks is None else list(_ascending(tables, k, p, s, masks))
+    assert listed == expected, (k, p, s)
 
 
 class TestPairSumSolver:

@@ -128,15 +128,21 @@ class TestListingLimit:
         refusal = f"error: N has {count} ARH witnesses, over the listing limit of 1048576\n"
         assert run(["classify", str(n)]) == (2, "", refusal)
         argv = ["search", "--kind", "arh", *self._windows(n)[window]]
-        for fmt, out in (("json", ""), ("csv", _reference_csv([]))):
+        for fmt in ("json", "csv"):
             start = time.perf_counter()
-            assert run(argv + ["--format", fmt]) == (2, out, refusal), fmt
+            assert run(argv + ["--format", fmt]) == (2, "", refusal), fmt
             assert time.perf_counter() - start < 1, fmt
         # A b-file lists no witness, so it is not refused.
         members = [m for m in sorted(_MANY_WITNESS_MEMBERS) if m >= n]
         listed = members if window == "multiplier" else [n]
         bfile = "".join(f"{i} {m}\n" for i, m in enumerate(listed, start=1))
         assert run(argv + ["--format", "bfile"]) == (0, bfile, "")
+
+    def test_an_empty_csv_scan_prints_the_header(self):
+        # The header is written with the first row, so a scan refused at its
+        # first hit prints nothing; a scan with no hit still prints it.
+        argv = ["search", "--kind", "arh", "--max", "9", "--format", "csv"]
+        assert run(argv) == (0, _reference_csv([]), "")
 
     @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
     @pytest.mark.parametrize("base", [3, 7])

@@ -1,4 +1,5 @@
 import functools
+import random
 import time
 import tracemalloc
 
@@ -27,9 +28,10 @@ from rhnumbers.classify import (
     is_niven,
     is_quadratic_niven,
     is_strongly_quadratic_niven,
+    reversal_pair_sums,
     verify_witness,
 )
-from rhnumbers.digitvec import digit_sum_int
+from rhnumbers.digitvec import digit_sum_int, reverse_int
 from rhnumbers.search import (
     ALLOW,
     FORBID,
@@ -40,6 +42,7 @@ from rhnumbers.search import (
     formula_lower_bound,
     is_expressible_as_sum_of_reversal,
     numbers_for_multiplier,
+    pair_sum_vectors,
     palindromic_square_search,
     paper_bound_conflicts,
     scan_numbers,
@@ -313,6 +316,82 @@ class TestScanNumbers:
     def test_arh_numbers_below_one_million(self):
         cfg = SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)
         assert len(list(scan_numbers(cfg))) == 5503
+
+
+# N = X + X^R in base 2, with 512 ARH witnesses: its 11-value window took
+# the size-pruned walk 0.8-1.4 s (2-core VM).
+_FAR_SUM = 8227499634859045266
+
+
+def _window_vectors(base: int, lo: int, hi: int) -> list[tuple[int, int, list[int]]]:
+    """(N, k, p) for each N in [lo, hi] and each vector reversal_pair_sums reads from N's digits."""
+    return sorted((n, k, p) for n in range(lo, hi + 1) for k, p in reversal_pair_sums(n, base))
+
+
+class TestNarrowWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=2**62),
+        st.sampled_from(["0", "1", "b-1", "b", "b^2", "1000"]),
+    )
+    @example(2, _FAR_SUM, "0")
+    @example(2, _FAR_SUM - 5, "b^2")
+    @example(10, 10**18 - 500, "1000")
+    def test_walk_matches_the_digits(self, base, lo, width):
+        # The low prune keeps a prefix only if its residue mod b^(i+1) is
+        # one the window holds; the digits of each N give its vectors.
+        width = {"0": 0, "1": 1, "b-1": base - 1, "b": base, "b^2": base**2, "1000": 1000}[width]
+        hi = lo + width
+        assert sorted(pair_sum_vectors(base, lo, hi)) == _window_vectors(base, lo, hi)
+
+    def test_a_far_window_walks_its_residues(self):
+        lo, hi = _FAR_SUM - 5, _FAR_SUM + 5
+        start = time.perf_counter()
+        vectors = list(pair_sum_vectors(2, lo, hi))
+        assert time.perf_counter() - start < 0.1
+        assert sorted(vectors) == _window_vectors(2, lo, hi)
+        assert [k for n, k, _ in vectors if n == _FAR_SUM] == [62]
+
+    @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
+    @pytest.mark.parametrize("base, n", [(2, _FAR_SUM), (10, 2**61 + 1 + reverse_int(2**61 + 1, 10))])
+    def test_the_digit_sum_table_is_sized_to_the_range(self, monkeypatch, kind, base, n):
+        # A table sized to hi alone held 2^20 entries for these 11 values.
+        lo, hi = n - 5, n + 5
+        built = []
+
+        def sized(*args):
+            sums = DigitSums(*args)
+            built.append(sums.size)
+            return sums
+
+        monkeypatch.setattr(search, "DigitSums", sized)
+        records = list(scan_range(SearchConfig(base=base, lo=lo, hi=hi, kind=kind)))
+        assert built and max(built) <= base * 11
+        member = {ARH: lambda res: res.arh, MRH: lambda res: res.mrh, NIVEN: lambda res: res.is_niven}
+        wanted = [(m, res) for m in range(lo, hi + 1) if member[kind](res := classify(m, base))]
+        assert records == wanted
+
+    def test_niven_records_past_the_walk_limit_solve_only_arh_hits(self, monkeypatch):
+        # Past 10^11 in base 10 a record's ARH list may pass the listing
+        # limit, so it is solved with the count first: only for the N whose
+        # vectors' masks admit an X, where every Niven hit was solved.
+        solved = []
+
+        def counted(n, base):
+            solved.append(n)
+            return listed_arh(n, base)
+
+        listed_arh = search._listed_arh
+        monkeypatch.setattr(search, "_listed_arh", counted)
+        lo = 10**12
+        records = list(scan_range(SearchConfig(base=10, lo=lo, hi=lo + 10**5, kind=NIVEN)))
+        with_arh = [n for n, res in records if res.arh_products]
+        assert (len(records), len(with_arh)) == (11213, 2)
+        assert solved == with_arh
+        rng = random.Random(25)
+        for n, res in [r for r in records if r[1].arh_products] + rng.sample(records, 50):
+            assert res == classify(n, 10), n
 
 
 # Multipliers with a member in [10^15, 2^63 - 1]: M = X / s_b(N) for
