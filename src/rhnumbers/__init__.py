@@ -7,14 +7,7 @@ X * X^R, with X a multiple of the digit sum), with exact arithmetic at
 any size and provably complete per-multiplier enumerations.
 """
 
-from .bounds import (
-    BoundSpec,
-    arh_digit_bound,
-    digit_bound,
-    digit_sum_cap,
-    floor_log,
-    mrh_digit_bound,
-)
+from .bounds import BoundSpec, digit_bound, digit_sum_cap, floor_log
 from .classify import (
     ARH,
     MRH,
@@ -41,7 +34,7 @@ from .families import (
     gen_square_family,
     verify_family,
 )
-from .oeis import emit_bfile, first_terms
+from .oeis import first_terms
 from .search import (
     ALLOW,
     FORBID,
@@ -74,13 +67,11 @@ __all__ = [
     "VerifyFailure",
     "WORD_SIZE_CAP",
     "Witness",
-    "arh_digit_bound",
     "arh_witnesses",
     "classify",
     "count_not_sum_of_reversal",
     "digit_bound",
     "digit_sum_cap",
-    "emit_bfile",
     "first_terms",
     "floor_log",
     "formula_lower_bound",
@@ -92,7 +83,6 @@ __all__ = [
     "is_niven",
     "is_quadratic_niven",
     "is_strongly_quadratic_niven",
-    "mrh_digit_bound",
     "mrh_witnesses",
     "numbers_for_multiplier",
     "palindromic_square_search",

@@ -1,13 +1,12 @@
 """Bounds for ARH/MRH numbers as functions of (base, multiplier).
 
 digit_sum_cap is proven in its docstring from the definitions alone and
-caps every complete per-multiplier enumeration.  The digit-count bounds
-(digit_bound, and arh_digit_bound and mrh_digit_bound, which call it)
-are the paper's claims k <= M + c(b), reported as stated and checked
-against the enumerated members, never used to cap them.  Both kinds
-follow one rule, read from a per-kind table (_RULES): the base clause
-holds for all M, and the strong clause k <= e*floor(log_b M) only from
-its literal threshold M >= b^t (no interpolation in between).
+caps every complete per-multiplier enumeration.  The digit-count bound
+digit_bound is the paper's claim k <= M + c(b), reported as stated and
+checked against the enumerated members, never used to cap them.  Both
+kinds follow one rule, read from a per-kind table (_RULES): the base
+clause holds for all M, and the strong clause k <= e*floor(log_b M)
+only from its literal threshold M >= b^t (no interpolation in between).
 floor_log is the digit count less one, and it and digit_sum_cap use
 integer arithmetic only, so exact powers never fall on the wrong side.
 """
@@ -84,16 +83,6 @@ def digit_bound(base: int, multiplier: int, kind: str) -> BoundSpec:
         if k_strong < k_max:
             k_max, source = k_strong, f"k <= {factor}*floor(log_b M) (strong hypothesis)"
     return BoundSpec(kind=kind, base=base, multiplier=multiplier, k_max=k_max, source=source)
-
-
-def arh_digit_bound(base: int, multiplier: int) -> BoundSpec:
-    """Digit-count cap for a b-ARH number with additive multiplier M."""
-    return digit_bound(base, multiplier, ARH)
-
-
-def mrh_digit_bound(base: int, multiplier: int) -> BoundSpec:
-    """Digit-count cap for a b-MRH number with multiplicative multiplier M."""
-    return digit_bound(base, multiplier, MRH)
 
 
 def digit_sum_cap(base: int, multiplier: int, kind: str) -> int:

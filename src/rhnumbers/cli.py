@@ -12,6 +12,7 @@ import argparse
 import json
 import signal
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .bounds import digit_bound
 from .classify import ARH, MRH, NIVEN, classify, niven_flags
@@ -271,8 +272,9 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # argparse writes --help and usage errors to the given streams, not the process's
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -8,7 +8,7 @@ text, the deviation is reported alongside, never silently edited in.
 
 from __future__ import annotations
 
-import itertools
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .classify import ARH, MRH
@@ -21,7 +21,7 @@ SEQ_MRH = "A305131"
 # to flag deviations of A305131's leading terms.
 SECTION1_MRH_TEXT_SET = (1, 81, 1458, 1729)
 
-# first_terms scans [1, 10^4] and then one decade at a time up to here.
+# The end of first_terms' one scan: a count with fewer terms below it is refused.
 _SCAN_LIMIT = 10**9
 
 
@@ -34,22 +34,15 @@ def _kind_for(seq: str) -> str:
 
 
 def first_terms(seq: str, count: int) -> list[int]:
-    """First `count` terms, ascending, from one stream over [1, 10^4] and each decade after it.
+    """First `count` terms, ascending: the head of one scan of [1, _SCAN_LIMIT].
 
-    Each decade is its own scan, with a digit-sum table for its own
-    end, and the stream stops once it has `count` terms.
+    The scan's windows grow from its start, so reading stops within the
+    window that holds the last term asked for.
     """
-    kind = _kind_for(seq)
+    cfg = SearchConfig(base=10, lo=1, hi=_SCAN_LIMIT, kind=_kind_for(seq))
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ends = [10**4]
-    while ends[-1] < _SCAN_LIMIT:
-        ends.append(ends[-1] * 10)
-    stream = itertools.chain.from_iterable(
-        scan_numbers(SearchConfig(base=10, lo=lo + 1, hi=hi, kind=kind))
-        for lo, hi in zip([0] + ends, ends)
-    )
-    terms = list(itertools.islice(stream, count))
+    terms = list(islice(scan_numbers(cfg), count))
     if len(terms) < count:
         raise ValueError(
             f"{seq} has only {len(terms)} terms up to {_SCAN_LIMIT}; count {count} is out of reach"
@@ -65,11 +58,6 @@ def bfile_lines(terms: Iterable[int]) -> Iterator[str]:
 def bfile_text(terms: Iterable[int]) -> str:
     """OEIS b-file text: the lines of bfile_lines, joined."""
     return "".join(bfile_lines(terms))
-
-
-def emit_bfile(seq: str, count: int) -> str:
-    """The b-file of the first `count` terms of `seq`."""
-    return bfile_text(first_terms(seq, count))
 
 
 def bfile_deviation_note(seq: str, terms: list[int]) -> str | None:

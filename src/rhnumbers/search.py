@@ -15,17 +15,19 @@ table at a time.
 
 One engine (_hits) serves two views.  A filtered scan (--multiplier)
 takes its hits from numbers_for_multiplier and each record from
-classify; an unfiltered one walks [lo, hi] window by window, holding
-one window's hits at a time.  scan_numbers yields N alone, for b-files
-and oeis: it lists no witness, since the DP's exact masks already say
-whether a vector has one, and a Niven scan walks no vectors.
-scan_range yields N and its ClassifyResult, the record that classify
+classify; an unfiltered one walks [lo, hi] in windows that grow from
+lo, holding one window's hits at a time, so a reader that stops early
+(oeis) walks only the windows it reads.  scan_numbers yields N alone,
+for b-files and oeis: it lists no witness, since the DP's exact masks
+already say whether a vector has one, and a Niven scan walks no
+vectors.  scan_range yields N and its ClassifyResult, the record that classify
 gives (both digit sums and both ascending witness product lists),
 under classify's listing limit; the CLI's json and csv views render
 each record's text from it.  A zero-free scan drops a vector whose N
 has a zero digit before it takes N's digit sum or tests its
 witnesses.  Every window takes each hit's s_b(N) once, from one
-DigitSums table sized to the range, and carries it to the hit's record.
+DigitSums table grown to the window's need, and carries it to the
+hit's record.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .classify import (
     classify,
     mrh_products,
     pair_sum_masks,
-    reversal_pair_sums,
 )
 from .digitvec import (
     check_base,
@@ -175,19 +176,25 @@ class DigitSums:
     digit d to the numbers of T gives the table one digit longer.  T
     stops growing at _TABLE_CAP entries; past B^2 the loop takes one
     divmod more for each further m digits, which any n works with.  A
-    range scan builds one, passing min(hi, (hi - lo + 1)^2) as hi, so a
-    narrow window far out (--min 10**14) builds no table of b*sqrt(hi)
-    entries, and takes every digit sum from it, each hit's s_b(n) once.
+    range scan keeps one and grows it for each window [lo, hi] to
+    min(hi, (hi - lo + 1)^2), so a narrow window far out (--min 10**14)
+    builds no table of b*sqrt(hi) entries and no table size is built
+    twice; it takes every digit sum from it, each hit's s_b(n) once.
     """
 
     __slots__ = ("base", "table", "size")
 
     def __init__(self, base: int, hi: int):
-        table, size = range(base), base  # one digit: s_b(d) = d, at no cost for any base
+        self.base, self.table, self.size = base, range(base), base  # s_b(d) = d, at no cost
+        self.grow(hi)
+
+    def grow(self, hi: int) -> None:
+        """Lengthen the table, digit by digit, to the size DigitSums(base, hi) would build."""
+        base, table, size = self.base, self.table, self.size
         while size * size <= hi and size * base <= _TABLE_CAP:
             table = [d + t for d in range(base) for t in table]
             size *= base
-        self.base, self.table, self.size = base, table, size
+        self.table, self.size = table, size
 
     def __call__(self, n: int) -> int:
         t, size, s = self.table, self.size, 0
@@ -219,7 +226,8 @@ class DigitSums:
 
 
 _TABLE_CAP = 2**20  # entries of a DigitSums table: 8 MB of list
-_WINDOW = 10**7  # values of [lo, hi] that one window of a range scan covers
+_FIRST_WINDOW = 10**4  # values of the first window of a scan from 1; later ones span 9x their start
+_WINDOW = 10**7  # the most values of [lo, hi] that one window of a range scan covers
 
 
 def _hits(cfg: SearchConfig, records: bool):
@@ -227,14 +235,18 @@ def _hits(cfg: SearchConfig, records: bool):
 
     A filtered scan's hits are the members of [lo, hi] that
     numbers_for_multiplier lists, complete by digit_sum_cap, and each
-    record is classify's.  An unfiltered range is walked in windows of
-    _WINDOW values, each finished (its hits sorted and yielded) before
-    the next begins, so a scan holds one window's hits at a time; every
-    window takes its digit sums from one DigitSums and the pair-sum
-    vectors' weights and residue masks from one PairTables, both made
-    for this scan alone.  A record carries the complete ascending
-    witness lists of N; without records only the work that decides
-    membership is done.
+    record is classify's.  An unfiltered range is walked in windows that
+    grow from its start: the window from lo spans min(_WINDOW,
+    max(_FIRST_WINDOW, 9*lo)) values, so a scan from 1 walks [1, 10^4],
+    then about a decade at a time up to _WINDOW values.  Each window is
+    finished (its hits sorted and yielded) before the next begins, so a
+    scan holds one window's hits at a time and a reader that stops
+    early pays only for the windows it reads.  Every window takes its
+    digit sums from one DigitSums, grown to the window's need, and the
+    pair-sum vectors' weights and residue masks from one PairTables,
+    both made for this scan alone.  A record carries the complete
+    ascending witness lists of N; without records only the work that
+    decides membership is done.
     """
     base, m = cfg.base, cfg.multiplier_filter
     if m is not None:
@@ -242,9 +254,12 @@ def _hits(cfg: SearchConfig, records: bool):
             if n >= cfg.lo:
                 yield (n, classify(n, base)) if records else n
         return
-    sums, tables = DigitSums(base, min(cfg.hi, (cfg.hi - cfg.lo + 1) ** 2)), PairTables(base)
-    for lo in range(cfg.lo, cfg.hi + 1, _WINDOW):
-        yield from _window_hits(cfg, sums, tables, records, lo, min(lo + _WINDOW - 1, cfg.hi))
+    sums, tables, lo = DigitSums(base, 0), PairTables(base), cfg.lo
+    while lo <= cfg.hi:
+        hi = min(cfg.hi, lo + min(_WINDOW, max(_FIRST_WINDOW, 9 * lo)) - 1)
+        sums.grow(min(hi, (hi - lo + 1) ** 2))
+        yield from _window_hits(cfg, sums, tables, records, lo, hi)
+        lo = hi + 1
 
 
 def _window_hits(
@@ -390,11 +405,6 @@ def formula_lower_bound(base: int, k: int) -> int:
         raise ValueError(f"formula needs k >= 2, got {k}")
     # b^(k-1)*(b-3) is even: b^(k-1) is for an even b, and b - 3 for an odd one.
     return base ** (k - 1) * (base - 3) // 2 + base ** (k - 2)
-
-
-def is_expressible_as_sum_of_reversal(n: int, base: int) -> bool:
-    """Whether n = X + X^R for some positive X: some digit-pair sum vector exists."""
-    return n >= 1 and bool(reversal_pair_sums(n, base))
 
 
 def palindromic_square_search(limit: int, base: int = 10) -> list[tuple[int, int, int]]:

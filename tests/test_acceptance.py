@@ -13,8 +13,8 @@ import time
 
 import pytest
 
-from rhnumbers.bounds import digit_bound, mrh_digit_bound
-from rhnumbers.classify import ARH, MRH, classify, is_niven, mrh_witnesses
+from rhnumbers.bounds import digit_bound
+from rhnumbers.classify import ARH, MRH, classify, is_niven, mrh_witnesses, reversal_pair_sums
 from rhnumbers.cli import run_cli
 from rhnumbers.digitvec import (
     digit_count_int,
@@ -32,13 +32,12 @@ from rhnumbers.families import (
     gen_square_family,
     verify_family,
 )
-from rhnumbers.oeis import SEQ_ARH, SEQ_MRH, emit_bfile
+from rhnumbers.oeis import SEQ_ARH, SEQ_MRH, bfile_text, first_terms
 from rhnumbers.search import (
     ALLOW,
     SearchConfig,
     count_not_sum_of_reversal,
     formula_lower_bound,
-    is_expressible_as_sum_of_reversal,
     numbers_for_multiplier,
     palindromic_square_search,
     scan_range,
@@ -71,7 +70,7 @@ def wide_scans():
 
 def test_c01_multiplier_one_mrh_set():
     t0 = time.perf_counter()
-    assert mrh_digit_bound(10, 1).k_max == 5
+    assert digit_bound(10, 1, MRH).k_max == 5
     scanned = [
         n
         for n, _ in scan_range(
@@ -254,7 +253,7 @@ def test_c10_counting_experiment():
     count = count_not_sum_of_reversal(10, 3)
     formula = formula_lower_bound(10, 3)
     ok = formula == 360 and count >= formula
-    base2 = all(not is_expressible_as_sum_of_reversal(2**k - 1, 2) for k in (3, 5, 7))
+    base2 = all(not reversal_pair_sums(2**k - 1, 2) for k in (3, 5, 7))
     check(
         "C10",
         ok and base2,
@@ -316,5 +315,5 @@ def test_c14_determinism_bfile():
     for kind, seq, count in ((ARH, SEQ_ARH, 264), (MRH, SEQ_MRH, 22)):
         out = io.StringIO()
         code = run_cli(["search", "--max", "9999", "--kind", kind, "--format", "bfile"], out)
-        ok &= code == 0 and out.getvalue() == emit_bfile(seq, count)
-    check("C14", ok, "search b-file below 1e4 equals emit_bfile for ARH (264) and MRH (22)", t0)
+        ok &= code == 0 and out.getvalue() == bfile_text(first_terms(seq, count))
+    check("C14", ok, "search b-file below 1e4 equals the oeis one for ARH (264) and MRH (22)", t0)

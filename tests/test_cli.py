@@ -551,6 +551,20 @@ def test_no_command_is_usage_error():
     assert code == 2
 
 
+def test_usage_errors_go_to_the_given_stream(capsys):
+    code, out, err = run(["search", "--kind", "arh"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "the following arguments are required: --max" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stream(capsys):
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ") and "palsquare" in out
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,12 +2,12 @@ import hashlib
 
 import pytest
 
-from rhnumbers import oeis
+from rhnumbers import oeis, search
 from rhnumbers.oeis import (
     SEQ_ARH,
     SEQ_MRH,
     bfile_deviation_note,
-    emit_bfile,
+    bfile_text,
     first_terms,
 )
 from rhnumbers.classify import ARH
@@ -35,21 +35,23 @@ class TestFirstTerms:
         with pytest.raises(ValueError):
             first_terms(SEQ_ARH, 0)
 
-    def test_one_stream_of_decades(self, monkeypatch):
-        # [1, 10^4], then one decade at a time, and no scan past the
-        # decade that holds the last term asked for.
-        scanned = []
+    def test_one_scan_stops_at_the_last_term(self, monkeypatch):
+        # One scan, read up to the window that holds the last term asked
+        # for: [1, 10^4] alone for 4 terms, and no window past 10^5 for
+        # the 1000th ARH term.
+        windows = []
+        window_hits = search._window_hits
 
-        def recording(cfg):
-            scanned.append((cfg.lo, cfg.hi))
-            return scan_numbers(cfg)
+        def recording(cfg, sums, tables, records, lo, hi):
+            windows.append((lo, hi))
+            return window_hits(cfg, sums, tables, records, lo, hi)
 
-        monkeypatch.setattr(oeis, "scan_numbers", recording)
+        monkeypatch.setattr(search, "_window_hits", recording)
         assert first_terms(SEQ_MRH, 4) == [1, 10, 40, 81]
-        assert scanned == [(1, 10**4)]
-        scanned.clear()
+        assert windows == [(1, 10**4)]
+        windows.clear()
         terms = first_terms(SEQ_ARH, 1000)  # 264 terms lie below 10^4, 1581 below 10^5
-        assert scanned == [(1, 10**4), (10**4 + 1, 10**5)]
+        assert windows == [(1, 10**4), (10**4 + 1, 10**5 + 9)]
         assert terms == list(scan_numbers(SearchConfig(base=10, lo=1, hi=10**5, kind=ARH)))[:1000]
 
     def test_count_out_of_reach(self, monkeypatch):
@@ -62,7 +64,7 @@ class TestFirstTerms:
     def test_first_hundred_thousand_arh_terms_are_pinned(self):
         # The b-file of the first 10^5 terms of A305130 (the last one is
         # 85,789,748): any change of scan engine must print these bytes.
-        text = emit_bfile(SEQ_ARH, 10**5)
+        text = bfile_text(first_terms(SEQ_ARH, 10**5))
         assert text.endswith("\n100000 85789748\n")
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "59300fcead2337caa7f85a71c6763b3e80ea7ee762968bdd97de6231953afeca"
@@ -71,13 +73,13 @@ class TestFirstTerms:
 
 class TestBfileFormat:
     def test_exact_bytes(self):
-        assert emit_bfile(SEQ_MRH, 4) == "1 1\n2 10\n3 40\n4 81\n"
+        assert bfile_text(first_terms(SEQ_MRH, 4)) == "1 1\n2 10\n3 40\n4 81\n"
 
     def test_one_based_single_term(self):
-        assert emit_bfile(SEQ_ARH, 1) == "1 10\n"
+        assert bfile_text(first_terms(SEQ_ARH, 1)) == "1 10\n"
 
     def test_newline_terminated_no_trailing_spaces(self):
-        text = emit_bfile(SEQ_ARH, 50)
+        text = bfile_text(first_terms(SEQ_ARH, 50))
         assert text.endswith("\n")
         for line in text.splitlines():
             assert line == line.rstrip()
@@ -85,7 +87,7 @@ class TestBfileFormat:
             assert int(idx) >= 1 and int(val) >= 1
 
     def test_bit_stable_across_runs(self):
-        assert emit_bfile(SEQ_MRH, 30) == emit_bfile(SEQ_MRH, 30)
+        assert bfile_text(first_terms(SEQ_MRH, 30)) == bfile_text(first_terms(SEQ_MRH, 30))
 
 
 class TestDeviationNote:
