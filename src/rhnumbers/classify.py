@@ -657,15 +657,7 @@ def verify_witness(value: int, base: int, m: int, kind: str) -> Witness | Verify
         raise ValueError(f"multiplier must be positive, got {m}")
     if kind not in (ARH, MRH):
         raise ValueError(f"kind must be {ARH!r} or {MRH!r}, got {kind!r}")
-    return check_witness(value, digit_sum_int(value, base), base, m, kind)
-
-
-def check_witness(value: int, s: int, base: int, m: int, kind: str) -> Witness | VerifyFailure:
-    """The defining equation for N = value with s = s_b(N): X = M*s, X op X^R == N.
-
-    Callers that test many multipliers of one N compute value and s once.
-    """
-    x = m * s
+    x = m * digit_sum_int(value, base)
     xr = reverse_int(x, base)
     combined = x + xr if kind == ARH else x * xr
     if combined == value:

@@ -31,8 +31,8 @@ from .classify import (
     MRH,
     VerifyFailure,
     _listed_arh,
-    check_witness,
     mrh_witnesses,
+    verify_witness,
 )
 from .digitvec import check_base, digit_sum_int, from_digits, render_digits, reverse_int
 
@@ -398,7 +398,7 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
     for claim in inst.claims:
         name = claim.name
         if name == "arh_witness":
-            ok = not isinstance(check_witness(value, s, base, multipliers[0], ARH), VerifyFailure)
+            ok = not isinstance(verify_witness(value, base, multipliers[0], ARH), VerifyFailure)
             detail = f"M={multipliers[0]}: X + X^R {'=' if ok else '!='} N"
         elif name == "half_is_palindrome":
             x = multipliers[0] * s
@@ -444,7 +444,7 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
             detail = f"root mod s_b(N) = {rem}"
         elif name == "mrh_witness":
             if multipliers:
-                ok = not isinstance(check_witness(value, s, base, multipliers[0], MRH), VerifyFailure)
+                ok = not isinstance(verify_witness(value, base, multipliers[0], MRH), VerifyFailure)
                 detail = f"M={multipliers[0]}: X * X^R {'=' if ok else '!='} N"
             else:
                 ok = False

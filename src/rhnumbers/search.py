@@ -60,19 +60,10 @@ from .digitvec import (
 ALLOW = "allow"
 FORBID = "forbid"
 
-# Bounds exactly SearchConfig.hi, b^k in count_not_sum_of_reversal and
-# limit^2 in palindromic_square_search, each checked without building the
-# refused value; every other entry works at any size.
+# Bounds exactly b^k in count_not_sum_of_reversal and limit^2 in
+# palindromic_square_search, each checked without building the refused
+# value; every other entry, range scans included, works at any size.
 WORD_SIZE_CAP = 2**63 - 1
-
-
-def _shown(value: int) -> str:
-    """value as text within the word-size cap; past it, only the side (it may not print)."""
-    if value > WORD_SIZE_CAP:
-        return f"> {WORD_SIZE_CAP}"
-    if value < -WORD_SIZE_CAP:
-        return f"< -{WORD_SIZE_CAP}"
-    return f"{value}"
 
 
 class _SearchFields(NamedTuple):
@@ -85,7 +76,11 @@ class _SearchFields(NamedTuple):
 
 
 class SearchConfig(_SearchFields):
-    """A range scan's parameters, checked when built: by the constructor, _make or _replace."""
+    """A range scan's parameters, checked when built: by the constructor, _make or _replace.
+
+    lo and hi may have any size; a refusal prints neither, which may
+    have too many digits to print.
+    """
 
     __slots__ = ()
 
@@ -93,9 +88,7 @@ class SearchConfig(_SearchFields):
         self = super().__new__(cls, *args, **kwargs)
         check_base(self.base)
         if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{_shown(self.lo)}, {_shown(self.hi)}]")
-        if self.hi > WORD_SIZE_CAP:
-            raise ValueError(f"range end exceeds word-size cap {WORD_SIZE_CAP}")
+            raise ValueError("need 1 <= lo <= hi")
         if self.kind not in (ARH, MRH, NIVEN):
             raise ValueError(f"kind must be one of {ARH!r}, {MRH!r}, {NIVEN!r}")
         if self.zero_digit_policy not in (ALLOW, FORBID):
@@ -121,8 +114,10 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
     when k = 1).  Every such p comes from some X, and
     N = sum_j p_j*(b^j + b^(k-1-j)) over the pairs plus p_mid*b^(k//2).
     Complete for [lo, hi]: X + X^R = N <= hi means X < N, so
-    k = D(X) <= D(hi), and every k up to D(hi) is walked.  Each N has
-    at most one p for each k.
+    k = D(X) <= D(hi); and X, X^R < b^k give N < 2*b^k <= b^(k+1), so
+    N >= lo needs k >= D(lo) - 1.  Every k from max(1, D(lo) - 1) to
+    D(hi) is walked, so a window far out builds no weights for the
+    lengths that cannot reach it.  Each N has at most one p for each k.
 
     The walk fixes the outer pair first.  A pair's loop stops once the
     partial sum passes hi, since larger values only add to it, and a
@@ -134,7 +129,7 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
     one walk serves [N, N] and every wider window.
     """
     top, width = 2 * base - 2, hi - lo
-    for k in range(1, digit_count_int(hi, base) + 1):
+    for k in range(max(1, digit_count_int(lo, base) - 1), digit_count_int(hi, base) + 1):
         half = k // 2
         weights = [base**j + base ** (k - 1 - j) for j in range(half)]
         values = [range(1 if j == 0 else 0, top + 1) for j in range(half)]

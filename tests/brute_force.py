@@ -9,12 +9,56 @@ Far windows, beyond any brute force, check pair_sum_vectors against
 the vectors that reversal_pair_sums reads from each N's digits.  The
 family multiplier sets are checked against their digit patterns,
 spelled out one member at a time.
+
+The digit loops below are this module's own, and it imports nothing
+from rhnumbers, so each comparison stands apart from the package.
 """
 
 import itertools
 from math import isqrt
 
-from rhnumbers.digitvec import digit_sum_int, from_digits, has_zero_digit, reverse_int
+
+def from_digits(ds: list[int], base: int) -> int:
+    """Value of base-b digits, most significant first."""
+    value = 0
+    for d in ds:
+        value = value * base + d
+    return value
+
+
+def reverse(x: int, base: int) -> int:
+    """x's base-b digits read in reverse; trailing zeros of x vanish."""
+    r = 0
+    while x:
+        x, d = divmod(x, base)
+        r = r * base + d
+    return r
+
+
+def digit_sum(x: int, base: int) -> int:
+    s = 0
+    while x:
+        x, d = divmod(x, base)
+        s += d
+    return s
+
+
+def digit_count(x: int, base: int) -> int:
+    """D(x) for x >= 1."""
+    k = 0
+    while x:
+        x //= base
+        k += 1
+    return k
+
+
+def has_zero_digit(x: int, base: int) -> bool:
+    """Whether x >= 1 has a zero base-b digit."""
+    while x:
+        x, d = divmod(x, base)
+        if d == 0:
+            return True
+    return False
 
 
 def arh_products_brute(value: int, base: int) -> list[int]:
@@ -23,8 +67,8 @@ def arh_products_brute(value: int, base: int) -> list[int]:
     X + X^R = N forces s | X and X < N (X^R >= 1), so trying every
     multiple of s = s_b(N) below N is complete.
     """
-    s = digit_sum_int(value, base)
-    return [x for x in range(s, value, s) if x + reverse_int(x, base) == value]
+    s = digit_sum(value, base)
+    return [x for x in range(s, value, s) if x + reverse(x, base) == value]
 
 
 def pair_sum_products_brute(base: int, k: int, p: list[int]) -> list[int]:
@@ -48,7 +92,7 @@ def pair_sum_products_brute(base: int, k: int, p: list[int]) -> list[int]:
 
 def is_expressible_brute(n: int, base: int) -> bool:
     """Whether n = X + X^R for some positive X (X < n suffices)."""
-    return any(x + reverse_int(x, base) == n for x in range(1, n))
+    return any(x + reverse(x, base) == n for x in range(1, n))
 
 
 def arh_map_sweep(base: int, lo: int, hi: int) -> dict[int, list[int]]:
@@ -58,8 +102,8 @@ def arh_map_sweep(base: int, lo: int, hi: int) -> dict[int, list[int]]:
     """
     found: dict[int, list[int]] = {}
     for x in range(1, hi):
-        n = x + reverse_int(x, base)
-        if lo <= n <= hi and x % digit_sum_int(n, base) == 0:
+        n = x + reverse(x, base)
+        if lo <= n <= hi and x % digit_sum(n, base) == 0:
             found.setdefault(n, []).append(x)
     return found
 
@@ -76,7 +120,7 @@ def mrh_products_brute(value: int, base: int) -> list[int]:
             continue
         d2 = value // d1
         for x, other in ((d1, d2), (d2, d1)):
-            if reverse_int(x, base) == other:
+            if reverse(x, base) == other:
                 hits.add(x)
     return sorted(hits)
 
@@ -91,8 +135,8 @@ def mrh_map_sweep(base: int, lo: int, hi: int) -> dict[int, list[int]]:
     for y in range(1, isqrt(hi * base) + 1):
         if y % base == 0:
             continue
-        n, x = y * reverse_int(y, base), y
-        s = digit_sum_int(n, base)  # appending zeros to X leaves s_b(N) fixed
+        n, x = y * reverse(y, base), y
+        s = digit_sum(n, base)  # appending zeros to X leaves s_b(N) fixed
         while n <= hi:
             if n >= lo and x % s == 0:
                 found.setdefault(n, []).append(x)
@@ -110,7 +154,7 @@ def count_not_sum_sieve(base: int, k: int) -> int:
     window_hi = base**k
     marked = bytearray(window_hi - window_lo)
     for x in range(1, window_hi):
-        t = x + reverse_int(x, base)
+        t = x + reverse(x, base)
         if window_lo <= t < window_hi:
             marked[t - window_lo] = 1
     return (window_hi - window_lo) - sum(marked)
@@ -123,12 +167,12 @@ def palindromic_square_brute(limit: int, base: int) -> list[tuple[int, int, int]
     """
     out = []
     for n in range(1, limit + 1):
-        if reverse_int(n, base) != n:
+        if reverse(n, base) != n:
             continue
         sq = n * n
         if has_zero_digit(sq, base):
             continue
-        s = digit_sum_int(sq, base)
+        s = digit_sum(sq, base)
         if n % s == 0:
             out.append((n, sq, s))
     return out

@@ -1,4 +1,5 @@
 import pytest
+from brute_force import digit_count
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -142,18 +143,10 @@ def test_floor_log_at_powers(base):
                 assert base**f <= m < base ** (f + 1), (base, m)
 
 
-def _digit_count(v: int, base: int) -> int:
-    k = 1
-    while v >= base:
-        v //= base
-        k += 1
-    return k
-
-
 def _f(base: int, m: int, kind: str, s: int) -> int:
     """(b-1)*(c1*D(M*s) + c0): no member with multiplier m has digit sum s > _f(s)."""
     c1, c0 = (1, 1) if kind == ARH else (2, 0)
-    return (base - 1) * (c1 * _digit_count(m * s, base) + c0)
+    return (base - 1) * (c1 * digit_count(m * s, base) + c0)
 
 
 class TestDigitSumCap:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from brute_force import (
     arh_products_brute,
+    digit_sum,
     is_expressible_brute,
     mrh_products_brute,
     pair_sum_products_brute,
@@ -376,20 +377,12 @@ def oracle_rev_table(limit, base):
     return table
 
 
-def oracle_digit_sum(n, base):
-    s = 0
-    while n:
-        s += n % base
-        n //= base
-    return s
-
-
 @pytest.mark.parametrize("base,limit", [(10, 20000)] + [(b, 4096) for b in range(2, 17) if b != 10])
 def test_witness_completeness_small_range(base, limit):
     """arh/mrh witnesses agree with trying every M with M*s <= N."""
     rev = oracle_rev_table(limit, base)
     for n in range(1, limit + 1):
-        s = oracle_digit_sum(n, base)
+        s = digit_sum(n, base)
         adds = [x // s for x in range(s, n + 1, s) if x + rev[x] == n]
         muls = [x // s for x in range(s, n + 1, s) if x * rev[x] == n]
         assert [w.m for w in arh_witnesses(n, base)] == adds, (base, n)

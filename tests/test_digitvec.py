@@ -1,5 +1,7 @@
+import ast
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -289,3 +291,13 @@ def test_huge_base_builds_no_table():
 def test_reversal_matches_the_digit_list(base, width, zeros, data):
     n = data.draw(st.integers(min_value=1, max_value=base**width - 1)) * base**zeros
     assert reverse_int(n, base) == value_oracle(digits_oracle(n, base)[::-1], base)
+
+
+def test_brute_force_imports_nothing_from_the_package():
+    # Its digit loops are its own, so no comparison against it shares a
+    # primitive with the code it checks.
+    tree = ast.parse((Path(__file__).parent / "brute_force.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "rhnumbers"]

@@ -168,7 +168,7 @@ SEARCH_CONFIG_REFUSALS = [
     (dict(base=1, lo=1, hi=5, kind="arh"), "base must be an integer >= 2"),
     (dict(base=10, lo=0, hi=5, kind="arh"), "need 1 <= lo <= hi"),
     (dict(base=10, lo=6, hi=5, kind="arh"), "need 1 <= lo <= hi"),
-    (dict(base=10, lo=1, hi=2**64, kind="arh"), "exceeds word-size cap"),
+    (dict(base=10, lo=2**64, hi=2**64 - 1, kind="arh"), "need 1 <= lo <= hi"),
     (dict(base=10, lo=1, hi=5, kind="sum"), "kind must be one of"),
     (dict(base=10, lo=1, hi=5, kind="arh", zero_digit_policy="maybe"),
      "zero_digit_policy must be"),
@@ -183,8 +183,8 @@ SEARCH_CONFIG_REFUSALS = [
 
 @pytest.mark.parametrize("fields, message", SEARCH_CONFIG_REFUSALS)
 def test_search_config_refuses(fields, message):
-    # Quickly, and printing no value past the word-size cap, which may
-    # have too many digits to print.
+    # Quickly, and printing no value of the range, which may have too
+    # many digits to print.
     start = time.perf_counter()
     with pytest.raises(ValueError, match=message) as exc:
         SearchConfig(**fields)
