@@ -457,8 +457,8 @@ def mrh_witnesses(value: int, base: int) -> list[Witness]:
     return [Witness(m=x // s, x=x, xr=value // x) for _, x in products if x % s == 0]
 
 
-def mrh_products(base: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Every (N, X) with N = X * X^R in [lo, hi], ascending.
+def mrh_products(base: int, lo: int, hi: int, zero_free: bool = False) -> list[tuple[int, int]]:
+    """Every (N, X) with N = X * X^R in [lo, hi], ascending (with zero_free, b divides no X).
 
     Write X = Y*b^t with Y free of trailing zeros.  Then X^R = Y^R,
     which has the same k digits as Y, so N = Y*Y^R*b^t, and Y*Y^R, of
@@ -469,6 +469,10 @@ def mrh_products(base: int, lo: int, hi: int) -> list[tuple[int, int]]:
     _reversal_factors lists the Y of each (t, k).  This is the
     multiplicative twin of reversal_pair_sums and the range scans'
     pair_sum_vectors: one digit pair of Y at a time, from both ends.
+
+    A zero-free scan (zero_free set) drops every N with a zero digit,
+    and N = Y*Y^R*b^t ends in t zeros, so the walk stops after t = 0:
+    it lists exactly the (N, X) with X mod b != 0.
     """
     found = []
     scale, lo = 1, max(lo, 1)  # every product is at least 1, and low >= 1 ends the walk
@@ -476,6 +480,8 @@ def mrh_products(base: int, lo: int, hi: int) -> list[tuple[int, int]]:
         k_low, k_high = ((digit_count_int(v, base) + 1) // 2 for v in (low, high))
         for k in range(k_low, k_high + 1):
             found += [(y * r * scale, y * scale) for y, r in _reversal_factors(base, k, low, high)]
+        if zero_free:
+            break
         scale *= base
     found.sort()
     return found

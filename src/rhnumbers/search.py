@@ -32,6 +32,7 @@ hit's record.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -267,7 +268,8 @@ def _window_hits(
     Niven scan with records tests only the vectors whose N is Niven.  A
     zero-free scan drops a vector whose N has a zero digit before any
     of that work.  The MRH lists keep the X that s_b(N) divides of the
-    (N, X) that mrh_products lists.  Both hit maps hold
+    (N, X) that mrh_products lists; a zero-free scan passes it
+    zero_free, so it lists no N that ends in 0.  Both hit maps hold
     N -> [s_b(N), X...], the X ascending.  A record's ARH list is the
     walk's (_ascending) only if no N of the window can pass
     MAX_LISTED_WITNESSES (a D-digit N has at most b^(k//2) X for each
@@ -283,7 +285,7 @@ def _window_hits(
     mrh_map: dict[int, list[int]] = {}  # N -> [s_b(N), its witness products X, ascending]
     if records or kind == MRH:
         last = 0  # the pairs of one N come together: its s_b(N) is taken once
-        for n, x in mrh_products(base, lo, hi):
+        for n, x in mrh_products(base, lo, hi, forbid):
             if n != last:
                 last, s = n, sums(n)
             if x % s == 0:
@@ -350,15 +352,32 @@ def numbers_for_multiplier(
     s_b(N) == s.  A member N <= hi also has s <= (b-1)*D(hi), and
     s <= hi // M since N >= X.  The paper's digit-count bound plays no
     part here; paper_bound_conflicts checks the result against it.
+
+    Casting out b-1 leaves only some digit sums to try.  Let r = b-1.
+    Since b = 1 mod r, every v agrees with s_b(v) mod r, and so X^R,
+    which holds the nonzero digits of X, agrees with X.  A member's
+    s = s_b(N) agrees with N, so r divides s - 2*M*s (ARH, N = X + X^R)
+    or s - (M*s)^2 (MRH, N = X*X^R).  The residues t in [0, r) that
+    meet this are found once, and only s = t, t+r, ... up to the cap
+    are tried (r, 2r, ... for t = 0); in base 2, r = 1 and every s is.
+    That is about cap*|R|/r digit sums for the set R of those residues.
+    A zero-free MRH listing also skips every s with b | M*s: X then
+    ends in 0, and so does N = X*X^R.
     """
     if zero_digit_policy not in (ALLOW, FORBID):
         raise ValueError(f"zero_digit_policy must be {ALLOW!r} or {FORBID!r}")
     cap = digit_sum_cap(base, multiplier, kind)
     if hi is not None:
         cap = min(cap, (base - 1) * digit_count_int(hi, base), hi // multiplier)
+    r, m = base - 1, multiplier
+    residues = [t for t in range(min(r, cap + 1))  # a t above the cap is no s
+                if (t - (2 * m * t if kind == ARH else (m * t) ** 2)) % r == 0]
+    ends_in_zero = zero_digit_policy == FORBID and kind == MRH  # b | X drops N
     found = []
-    for s in range(1, cap + 1):
-        x = multiplier * s
+    for s in chain.from_iterable(range(t or r, cap + 1, r) for t in residues):
+        x = m * s
+        if ends_in_zero and x % base == 0:
+            continue
         xr = reverse_int(x, base)
         n = x + xr if kind == ARH else x * xr
         if digit_sum_int(n, base) != s or (hi is not None and n > hi):

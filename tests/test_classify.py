@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from math import isqrt
 
 import pytest
 from brute_force import (
@@ -187,6 +188,29 @@ class TestMrhProducts:
         listed = mrh_products(base, n, n)
         assert (n, y) in listed and (n, reverse_int(y, base)) in listed
         assert all(m == n and x * reverse_int(x, base) == n for m, x in listed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([10**3, 2**63, 2**70]),
+        st.integers(min_value=0, max_value=10**4),
+        st.integers(min_value=0, max_value=10**4),
+        st.randoms(use_true_random=False),
+    )
+    def test_zero_free_products_are_those_of_x_without_trailing_zero(
+        self, base, t, near, below, above, rng
+    ):
+        # N = Y*Y^R*b^t ends in t zeros, so a zero-free listing stops after
+        # t = 0.  Each window is built around such an N near 10^3, 2^63 or
+        # 2^70, so that most windows hold a product.
+        y = rng.randrange(1, isqrt(near // base**t) + 2)
+        while y % base == 0:
+            y //= base
+        n = y * reverse_int(y, base) * base**t
+        lo, hi = max(n - below, 1), n + above
+        every = mrh_products(base, lo, hi)
+        assert mrh_products(base, lo, hi, zero_free=True) == [(v, x) for v, x in every if x % base]
 
     def test_trailing_zeros_in_a_large_base(self):
         # N = Y*Y^R*b^2 for a three-digit Y in base 2^20.  The four-digit Y

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhnumbers import search
-from rhnumbers.bounds import digit_bound
+from rhnumbers.bounds import digit_bound, digit_sum_cap
 from rhnumbers.classify import (
     ARH,
     MRH,
@@ -281,6 +281,9 @@ class TestScanNumbers:
     @example(MRH, 10, 1, 4000, 7, FORBID, None)
     @example(ARH, 10, 1, 4000, "base", FORBID, 2)
     @example(NIVEN, 10, 1357, 2468, 1, FORBID, None)
+    # Zero-free MRH lists, for an MRH scan and for the records of the others.
+    @example(MRH, 2, 1, 4000, "base", FORBID, None)
+    @example(ARH, 10, 1, 4000, 7, FORBID, None)
     def test_scans_match_brute_force(self, kind, base, a, b, window, policy, m):
         # Zero-free and filtered scans, in windows of 1, b and 7 values
         # that mostly start inside a block of the digit-sum table, against
@@ -308,6 +311,25 @@ class TestScanNumbers:
     def test_arh_numbers_below_one_million(self):
         cfg = SearchConfig(base=10, lo=1, hi=10**6, kind=ARH)
         assert len(list(scan_numbers(cfg))) == 5503
+
+    def test_zero_free_mrh_scans_list_no_product_that_ends_in_zero(self, monkeypatch):
+        # N = Y*Y^R*b^t ends in t zeros, so a zero-free scan below 10^8
+        # lists the 9,000 base-10 products with t = 0 of all 12,559.
+        listed, mrh_products = [], search.mrh_products
+
+        def counted(*args):
+            found = mrh_products(*args)
+            listed.append(len(found))
+            return found
+
+        monkeypatch.setattr(search, "mrh_products", counted)
+        numbers = {}
+        for policy, total in ((FORBID, 9000), (ALLOW, 12559)):
+            listed.clear()
+            cfg = SearchConfig(base=10, lo=1, hi=10**8 - 1, kind=MRH, zero_digit_policy=policy)
+            numbers[policy] = list(scan_numbers(cfg))
+            assert sum(listed) == total, policy
+        assert numbers[FORBID] == [n for n in numbers[ALLOW] if not has_zero_digit(n, 10)]
 
 
 # N = X + X^R in base 2, with 512 ARH witnesses: its 11-value window took
@@ -739,10 +761,11 @@ class TestNumbersForMultiplier:
                     assert got == [n for n in full if n <= hi], (m, policy, hi)
 
     @pytest.mark.parametrize("kind", [ARH, MRH])
-    @pytest.mark.parametrize("base", range(2, 17))
+    @pytest.mark.parametrize("base", range(2, 41))
     def test_equals_paper_capped_brute_force(self, base, kind):
         # Base 2 MRH with M in {2..6, 8} is where the proven cap is looser
-        # than the paper's; the sets agree there too.
+        # than the paper's; the sets agree there too.  Bases 17-40 give
+        # b-1 = 16, 24, 30, 36, ... and so other residue sets to cast out.
         for m in range(1, 61):
             for policy in (ALLOW, FORBID):
                 got = numbers_for_multiplier(base, m, kind, policy)
@@ -758,6 +781,61 @@ class TestNumbersForMultiplier:
     def test_equals_paper_capped_brute_force_large_m(self, base, m, kind):
         assert numbers_for_multiplier(base, m, kind) == _paper_capped_members(base, m, kind, ALLOW)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from([ARH, MRH]),
+        st.sampled_from([ALLOW, FORBID]),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=20).flatmap(
+            lambda e: st.integers(min_value=1, max_value=10**e))),
+    )
+    @example(10, 9000, ARH, ALLOW, None)
+    @example(10, 5, MRH, FORBID, None)
+    @example(2, 5, MRH, FORBID, None)
+    def test_equals_every_digit_sum_to_the_cap(self, base, m, kind, policy, hi):
+        # Casting out b-1 skips the digit sums whose residue no member can
+        # have, and a zero-free MRH listing those with b | M*s; trying every
+        # s up to digit_sum_cap must list the same set.
+        found = []
+        for s in range(1, digit_sum_cap(base, m, kind) + 1):
+            x = m * s
+            n = x + reverse(x, base) if kind == ARH else x * reverse(x, base)
+            if digit_sum(n, base) == s and (hi is None or n <= hi):
+                if not (policy == FORBID and has_zero_digit(n, base)):
+                    found.append(n)
+        assert numbers_for_multiplier(base, m, kind, policy, hi) == sorted(found)
+
+    @pytest.mark.parametrize(
+        "base, m, kind, policy, tried, cap",
+        [
+            (10, 9000, ARH, ALLOW, 7, 63),  # 2*9000 - 1 is prime to 9: s = 0 (mod 9)
+            (10, 5, MRH, ALLOW, 12, 54),  # s = 25*s^2 (mod 9): s = 0, 4 (mod 9)
+            (10, 5, MRH, FORBID, 6, 54),  # and 10 | 5*s for every even s
+            (10, 10, MRH, FORBID, 0, 54),  # X = 10*s always ends in 0
+            (16, 100, ARH, ALLOW, 5, 75),  # gcd(199, 15) = 1: s = 0 (mod 15)
+            (16, 7, MRH, ALLOW, 24, 90),  # s = 49*s^2 (mod 15): s = 0, 4, 9, 10 (mod 15)
+            (31, 12, ARH, ALLOW, 4, 120),  # gcd(23, 30) = 1: s = 0 (mod 30)
+            (2, 7, ARH, ALLOW, 7, 7),  # b - 1 = 1 casts out nothing
+        ],
+    )
+    def test_tries_only_the_digit_sums_of_the_allowed_residues(
+        self, monkeypatch, base, m, kind, policy, tried, cap
+    ):
+        # Every digit sum tried reverses X = M*s once.  Pinned counts catch
+        # a prune that still lists the right set but tries every residue.
+        calls, reverse_int = [], search.reverse_int
+
+        def counted(x, b):
+            calls.append(x)
+            return reverse_int(x, b)
+
+        monkeypatch.setattr(search, "reverse_int", counted)
+        numbers = numbers_for_multiplier(base, m, kind, policy)
+        assert digit_sum_cap(base, m, kind) == cap
+        assert len(calls) == tried
+        assert numbers == _paper_capped_members(base, m, kind, policy)
+
     def test_mrh_one_million(self):
         assert numbers_for_multiplier(10, 10**6, MRH) == [1000000, 81000000, 1458000000, 1729000000]
 
@@ -766,6 +844,35 @@ class TestNumbersForMultiplier:
         assert paper_bound_conflicts(10, 1, MRH, numbers) == []
         # k <= M+4 = 5 digits for base-10 MRH with M = 1.
         assert paper_bound_conflicts(10, 1, MRH, [1, 99999, 100000]) == [100000]
+
+
+class TestMultiplierCensus:
+    """numbers_for_multiplier over every small M, against the paper's caps and the range scans.
+
+    It is complete by digit_sum_cap, an argument independent of the
+    range scans' pair-sum walk and mrh_products, so the two engines
+    check each other on whole ranges.
+    """
+
+    @pytest.mark.parametrize("kind", [ARH, MRH])
+    def test_no_member_passes_the_paper_cap(self, kind):
+        for base in range(2, 17):
+            for m in range(1, 301):
+                numbers = numbers_for_multiplier(base, m, kind)
+                assert paper_bound_conflicts(base, m, kind, numbers) == [], (base, m)
+
+    @pytest.mark.parametrize("kind, hi", [(ARH, 10**5), (MRH, 10**6)])
+    @pytest.mark.parametrize("base", [2, 7, 10, 16])
+    def test_multiplier_sets_are_the_scan_hits_of_their_multipliers(self, base, kind, hi):
+        census = set()
+        for m in range(1, 1001):
+            census.update(numbers_for_multiplier(base, m, kind, ALLOW, hi))
+        scanned = [
+            n for n, res in scan_range(SearchConfig(base=base, lo=1, hi=hi, kind=kind))
+            if any(w.m <= 1000 for w in (res.arh if kind == ARH else res.mrh))
+        ]
+        assert sorted(census) == scanned
+        assert len(scanned) >= 100
 
 
 class TestCountingExperiment:
