@@ -128,6 +128,11 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
     b^(i+1), and in a window narrower than b^(i+1) (moduli[i] > 0) a
     value is also skipped when the window holds no N of that residue:
     one walk serves [N, N] and every wider window.
+
+    The walk is one loop over a stack of one frame per fixed pair (the
+    pair, the partial sum before it, an iterator over its untried
+    values), so its memory grows with the pairs and it has no depth
+    limit.
     """
     top, width = 2 * base - 2, hi - lo
     for k in range(max(1, digit_count_int(lo, base) - 1), digit_count_int(hi, base) + 1):
@@ -141,23 +146,26 @@ def pair_sum_vectors(base: int, lo: int, hi: int):
         for i in reversed(range(len(weights))):
             rest[i] = rest[i + 1] + top * weights[i]
         moduli = [base ** (i + 1) if width < base ** (i + 1) else 0 for i in range(len(weights))]
-        p = [0] * k
-
-        def walk(i: int, partial: int):
-            w, left, last, modulus = weights[i], rest[i + 1], i + 1 == len(weights), moduli[i]
-            for v in values[i]:
+        p, last = [0] * k, len(weights) - 1
+        stack = [(0, 0, iter(values[0]))]  # (pair i, partial sum before it, its untried values)
+        while stack:
+            i, partial, untried = stack[-1]
+            w, left, modulus = weights[i], rest[i + 1], moduli[i]
+            for v in untried:
                 n = partial + v * w
                 if n > hi:
+                    stack.pop()
                     break
                 if n + left < lo or modulus and (n - lo) % modulus > width:
                     continue
-                p[i] = p[k - 1 - i] = v
-                if last:
+                p[i] = p[k - 1 - i] = v  # depth first: pairs before i still hold this path
+                if i == last:
                     yield n, k, p[:]
                 else:
-                    yield from walk(i + 1, n)
-
-        yield from walk(0, 0)
+                    stack.append((i + 1, n, iter(values[i + 1])))
+                    break
+            else:
+                stack.pop()
 
 
 class DigitSums:

@@ -15,6 +15,10 @@ class TestFloorLog:
     def test_values(self, base, m, expected):
         assert floor_log(base, m) == expected
 
+    def test_refuses_m_below_1(self):
+        with pytest.raises(ValueError, match="floor_log needs m >= 1"):
+            floor_log(10, 0)
+
     @given(st.integers(min_value=2, max_value=16), st.integers(min_value=1, max_value=10**18))
     def test_exactness(self, base, m):
         e = floor_log(base, m)

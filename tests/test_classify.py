@@ -18,6 +18,7 @@ from rhnumbers.classify import (
     ARH,
     MAX_LISTED_WITNESSES,
     MRH,
+    NIVEN,
     PairTables,
     VerifyFailure,
     Witness,
@@ -313,6 +314,14 @@ class TestVerifyWitness:
         assert isinstance(got, VerifyFailure)
         assert got.combined == 38 * 83
         assert got.expected == 1729
+
+    @pytest.mark.parametrize("m, kind, message", [
+        (0, ARH, "multiplier must be positive"),
+        (1, NIVEN, "kind must be 'arh' or 'mrh'"),
+    ])
+    def test_refuses_bad_multiplier_and_kind(self, m, kind, message):
+        with pytest.raises(ValueError, match=message):
+            verify_witness(1729, 10, m, kind)
 
     def test_big_instance_digitvec_only(self):
         # 18-digit member verified without any enumeration.

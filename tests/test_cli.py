@@ -377,6 +377,15 @@ class TestFamily:
         code, _, _ = run(["family", "square"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["square", "--base", "3", "--k", "-1"], "expected a nonnegative integer"),
+        (["repunit12", "--base", "7", "--k", "1"], "repunit12 is a base-10 family"),
+    ])
+    def test_refused_parameters_are_usage_errors(self, argv, message):
+        code, out, err = run(["family", *argv])
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_unverified_emits_instance(self):
         code, out, _ = run(["family", "all-ones", "--base", "2", "--p", "4"])
         assert code == 0

@@ -377,6 +377,24 @@ class TestNarrowWindows:
         assert time.perf_counter() - start < 0.1
         assert [k for m, k, _ in vectors if m == n] == [1000]
 
+    @pytest.mark.parametrize("base, e, width, found", [
+        (10, 2499, 200, [(1, 2500), (10, 2499), (109, 2499)]),
+        (2, 6000, 100, [(1, 6001), (2, 6000), (5, 6000), (11, 6000), (23, 6000), (47, 6000), (95, 6000)]),
+    ])
+    def test_a_window_past_the_recursion_limit_is_walked(self, base, e, width, found):
+        # Nesting a generator per digit pair raised RecursionError past about
+        # 1,980 digits; the walk's stack holds one tuple per pair.
+        lo = base**e
+        vectors = list(pair_sum_vectors(base, lo, lo + width))
+        assert sorted(vectors) == _window_vectors(base, lo, lo + width)
+        assert sorted((n - lo, k) for n, k, _ in vectors) == found
+
+    def test_an_arh_scan_past_2000_digits_finds_its_members(self):
+        lo, hi = 10**2499, 10**2499 + 200
+        hits = list(scan_numbers(SearchConfig(base=10, lo=lo, hi=hi, kind=ARH)))
+        assert hits == [lo + 1, lo + 10]
+        assert hits == [n for n in range(lo, hi + 1) if solve_arh(n, 10)[0] > 0]
+
     @pytest.mark.parametrize("kind", [ARH, MRH, NIVEN])
     @pytest.mark.parametrize("base, n", [(2, _FAR_SUM), (10, 2**61 + 1 + reverse(2**61 + 1, 10))])
     def test_the_digit_sum_table_is_sized_to_the_range(self, monkeypatch, kind, base, n):
@@ -717,6 +735,10 @@ class TestNumbersForMultiplier:
     def test_arh_7_zero_free(self):
         assert numbers_for_multiplier(10, 7, ARH, FORBID) == [747]
 
+    def test_rejects_an_unknown_policy(self):
+        with pytest.raises(ValueError, match="zero_digit_policy must be"):
+            numbers_for_multiplier(10, 7, ARH, "never")
+
     def test_arh_6(self):
         assert numbers_for_multiplier(10, 6, ARH, FORBID) == []
         assert 909 in numbers_for_multiplier(10, 6, ARH, ALLOW)
@@ -896,6 +918,12 @@ class TestCountingExperiment:
         assert time.perf_counter() - start < 0.1
         assert "4300 digits" not in str(exc.value)
 
+    def test_refuses_lengths_below_their_range(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            count_not_sum_of_reversal(10, 0)
+        with pytest.raises(ValueError, match="formula needs k >= 2, got 1"):
+            formula_lower_bound(10, 1)
+
     @pytest.mark.parametrize("base,k", [(3, 3), (4, 3), (5, 2), (7, 2), (10, 2)])
     def test_inequality_holds(self, base, k):
         assert count_not_sum_of_reversal(base, k) >= formula_lower_bound(base, k)
@@ -938,6 +966,10 @@ class TestPalindromicSquareSearch:
 
     def test_limit_1(self):
         assert palindromic_square_search(1) == [(1, 1, 1)]
+
+    def test_limit_below_1_is_refused(self):
+        with pytest.raises(ValueError, match="limit must be >= 1, got 0"):
+            palindromic_square_search(0)
 
     def test_limit_past_the_cap_is_refused(self):
         # 3037000499 = isqrt(2^63 - 1): one more squares past the cap.

@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+from rhnumbers.classify import ARH
 from rhnumbers.tables import (
     MATCH,
     PAPER_TYPO_SUSPECTED,
     T1_ROWS,
     T2_ROWS,
     T3_ROWS,
+    TOOLKIT_MISMATCH,
+    _adjudicate,
     reproduce_all_tables,
     reproduce_table,
     section1_counts,
@@ -140,6 +143,16 @@ class TestReportMechanics:
     def test_bad_table_id(self):
         with pytest.raises(ValueError):
             reproduce_table("T4")
+
+    def test_an_unsound_recomputed_member_is_a_toolkit_mismatch(self):
+        row = _adjudicate("T1", None, 1, (), [12], ARH)
+        assert (row.verdict, row.detail) == (
+            TOOLKIT_MISMATCH, "recomputed members fail re-verification: [12]")
+
+    def test_an_unexplained_printed_member_is_a_toolkit_mismatch(self):
+        row = _adjudicate("T1", None, 6, (12,), [], ARH)
+        assert row.verdict == TOOLKIT_MISMATCH
+        assert row.detail.startswith("printed-only [12] neither re-verifies")
 
 
 class TestSection1Counts:
