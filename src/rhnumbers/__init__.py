@@ -38,7 +38,6 @@ from .oeis import first_terms
 from .search import (
     ALLOW,
     FORBID,
-    WORD_SIZE_CAP,
     SearchConfig,
     count_not_sum_of_reversal,
     formula_lower_bound,
@@ -65,7 +64,6 @@ __all__ = [
     "NIVEN",
     "SearchConfig",
     "VerifyFailure",
-    "WORD_SIZE_CAP",
     "Witness",
     "arh_witnesses",
     "classify",

@@ -204,23 +204,54 @@ def _pair_sums_of_length(digits: list[int], k: int, base: int) -> list[int] | No
     c_hi = digits[k] if k < len(digits) else 0
     if k < 1 or c_hi > 1:
         return None
-    c_lo = 0
-    p = [0] * k
-    for j in range(k // 2):
-        low = (digits[j] - c_lo) % base
-        v = digits[k - 1 - j] + base * c_hi - low  # b*e + c_in
-        if v not in (0, 1, base, base + 1):
+    c_lo, half = 0, []  # p_0 .. p_(k//2 - 1); p is symmetric
+    for low, high in zip(digits[: k // 2], digits[k - 1 : (k - 1) // 2 : -1]):
+        step = _pair_step(c_lo, c_hi, low, high, base)
+        if step is None:
             return None
-        c_hi = v % base  # c_in, which position i-1 must now send up
-        p[j] = p[k - 1 - j] = low + v - c_hi
-        if p[j] > 2 * base - 2 or (j == 0 and p[j] < 1):
-            return None
-        c_lo = (p[j] + c_lo) // base
+        p_j, c_lo, c_hi = step
+        half.append(p_j)
+    if half and not half[0]:  # p_0 holds X's leading digit
+        return None
     if k % 2 == 0:
-        return p if c_lo == c_hi else None
-    mid = k // 2
-    p[mid] = digits[mid] + base * c_hi - c_lo
-    return p if p[mid] % 2 == 0 and 0 <= p[mid] <= 2 * base - 2 else None
+        return half + half[::-1] if c_lo == c_hi else None
+    mid = _middle_sum(c_lo, c_hi, digits[k // 2], base)
+    return None if mid is None else half + [mid] + half[::-1]
+
+
+def _pair_step(c_lo: int, c_hi: int, low: int, high: int, base: int) -> tuple[int, int, int] | None:
+    """One digit pair (j, i) of X + X^R = N, j < i: (p_j, next c_lo, next c_hi), or None.
+
+    low and high are N's digits n_j and n_i; c_lo is the carry into
+    position j, c_hi the carry that position i must send up (see
+    reversal_pair_sums).  The low end fixes p_j = (n_j - c_lo) mod b + b*e,
+    and the high end needs p_j + c_in = n_i + b*c_hi, so
+    v = n_i + b*c_hi - (n_j - c_lo) mod b = b*e + c_in, with e and the
+    carry c_in into position i each 0 or 1, and p_j <= 2b - 2.  The next
+    pair, (j+1, i-1), has the carry out of position j below it and c_in
+    above it.  The one carry rule of the package: reversal_pair_sums
+    reads one N with it, and count_not_sum_of_reversal counts every
+    k-digit N with it.
+    """
+    r = (low - c_lo) % base
+    v = high + base * c_hi - r
+    c_in = v % base
+    if v < 0 or c_in > 1:
+        return None
+    p = r + v - c_in
+    if p > 2 * base - 2:
+        return None
+    return p, (p + c_lo) // base, c_in
+
+
+def _middle_sum(c_lo: int, c_hi: int, mid: int, base: int) -> int | None:
+    """The middle pair sum of an odd-length X + X^R = N with middle digit mid; None if none.
+
+    The ends meet at the middle position: p_mid + c_lo = mid + b*c_hi,
+    and p_mid is twice X's middle digit, so even and at most 2b - 2.
+    """
+    p = mid + base * c_hi - c_lo
+    return p if p % 2 == 0 and 0 <= p <= 2 * base - 2 else None
 
 
 def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:

@@ -32,11 +32,13 @@ hit's record.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from itertools import chain
-from math import isqrt
+from math import isqrt, log2
 from typing import Iterator, NamedTuple
 
-from .bounds import digit_bound, digit_sum_cap, floor_log
+from .bounds import digit_bound, digit_sum_cap
 from .classify import (
     ARH,
     MAX_LISTED_WITNESSES,
@@ -46,6 +48,8 @@ from .classify import (
     PairTables,
     _ascending,
     _listed_arh,
+    _middle_sum,
+    _pair_step,
     classify,
     mrh_products,
     pair_sum_masks,
@@ -61,10 +65,13 @@ from .digitvec import (
 ALLOW = "allow"
 FORBID = "forbid"
 
-# Bounds exactly b^k in count_not_sum_of_reversal and limit^2 in
-# palindromic_square_search, each checked without building the refused
-# value; every other entry, range scans included, works at any size.
+# Bounds limit^2 in palindromic_square_search, checked without building
+# it.  Range scans take any size; counts are bounded by their work instead.
 WORD_SIZE_CAP = 2**63 - 1
+# count_not_sum_of_reversal's work bound (_count_work): the largest k it
+# admits in bases 2, 10, 64 and 256 (102,109, 83,693, 71,483 and 65,261)
+# took 8-12 s of CPU each (2-core VM), and k = 2 in base 990,000 12 s.
+_COUNT_WORK_LIMIT = 10**6
 
 
 class _SearchFields(NamedTuple):
@@ -405,19 +412,123 @@ def paper_bound_conflicts(base: int, multiplier: int, kind: str, numbers: list[i
 def count_not_sum_of_reversal(base: int, k: int) -> int:
     """Count of k-digit base-b integers not expressible as X + X^R.
 
-    The window [b^(k-1), b^k) less the distinct N that the pair-sum
-    vectors place in it (pair_sum_vectors): only X of k-1 or k digits
-    can land there, and each such sum comes from a vector.
+    Only an X of k or k-1 digits reaches a k-digit N: a j-digit X gives
+    X <= X + X^R < 2*b^j <= b^(j+1).  So the count is the window's
+    (b-1)*b^(k-1) values less the N that one of two carry automata
+    accepts.  A reads N as X + X^R for a k-digit X: pairs (t, k-1-t),
+    top carry 0 and p_0 >= 1.  B reads it for a (k-1)-digit X: pairs
+    (t, k-2-t) and N's leading digit as top carry, so that digit is 1;
+    B's p_0 >= 1 holds by itself, since pair sums of 0 at both ends of X
+    would leave N below 2*b^(k-2) <= b^(k-1).  Both step with
+    classify._pair_step, the rule reversal_pair_sums reads one N with,
+    and accept N iff it has a pair-sum vector of their length.
+
+    Each automaton is deterministic: N's digits fix its carries at every
+    step, so a count over digit strings meets each N it accepts on one
+    path, once.  The N accepted by either number |A| + |B| - |A and B|.
+    The count reads N from both ends, step t taking n_t and n_(k-1-t):
+    A takes its pair t and B its pair t-1, (n_(t-1), n_(k-1-t)), so a
+    joint state is (A's carries, B's carries, n_(t-1)).  |A and B| is
+    counted on the joint states where both live (at most 16b, and 30 in
+    every base tried), each of which a step leaves by at most four digit
+    pairs (_pair_moves).  |A| and |B| are counted on each one's four
+    carry states alone, stepped by the number of digit pairs that lead
+    from each state to each.  At the end, for even k A's carries meet
+    equal and n_(k/2-1) is B's middle digit; for odd k the middle digit
+    is A's middle and the high digit of B's last pair.
+
+    An input whose _count_work passes _COUNT_WORK_LIMIT is refused
+    (ValueError) before b^k is built.
     """
     check_base(base)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > floor_log(base, WORD_SIZE_CAP):
-        raise ValueError(f"b^k exceeds word-size cap {WORD_SIZE_CAP}")
-    window_lo = base ** (k - 1) if k > 1 else 1
-    window_hi = base**k  # exclusive
-    sums = {n for n, _, _ in pair_sum_vectors(base, window_lo, window_hi - 1)}
-    return (window_hi - window_lo) - len(sums)
+    work = _count_work(base, k)
+    if work > _COUNT_WORK_LIMIT:
+        raise ValueError(
+            f"counting the {k}-digit numbers of base {base} would take about {work:.2e} "
+            f"work units of about 10 us, over the limit of {_COUNT_WORK_LIMIT:.0e}"
+        )
+    if k == 1:
+        return base // 2  # N = 2X: the odd digits
+    leads = [[0] * 4 for _ in range(4)]  # leads[c][c']: the digit pairs that take c to c'
+    for c, lead in enumerate(leads):
+        for low in range(base):
+            for *_, after in _pair_moves(c, low, None, base):
+                lead[after] += 1
+    # Step 0 reads n_0 and N's leading digit n_(k-1) >= 1.  B starts in
+    # carries (0, 1) when that digit is 1, with n_0 as its lagging digit.
+    a_live, b_live, both = [0] * 4, [0, 1, 0, 0], Counter()  # b_live: per lagging digit
+    for low in range(base):
+        for _, high, p_0, a in _pair_moves(0, low, None, base):
+            if high and p_0:
+                a_live[a] += 1
+                if high == 1:
+                    both[a, 1, low] += 1
+    moves = functools.cache(functools.partial(_pair_moves, base=base))
+    for _ in range(1, k // 2):
+        a_live, b_live = ([sum(n * lead[c] for n, lead in zip(live, leads)) for c in range(4)]
+                          for live in (a_live, b_live))
+        after = Counter()
+        for (a, b, prev), n in both.items():
+            for _, high, _, b_next in moves(b, prev, None):
+                for low, _, _, a_next in moves(a, None, high):
+                    after[a_next, b_next, low] += n
+        both = after
+
+    def middle(c: int, mid: int) -> bool:
+        return _middle_sum(c >> 1, c & 1, mid, base) is not None
+
+    # a_ends[c] and b_ends[c]: the ways A, and B for each lagging digit,
+    # close from carries c on the digits left; both_ends: the N on which both do.
+    if k % 2:  # the middle digit m is A's middle and the high digit of B's last pair
+        a_ends = [sum(middle(c, m) for m in range(base)) for c in range(4)]
+        b_ends = [lead[0] + lead[3] for lead in leads]
+        both_ends = sum(
+            n * sum(middle(a, m) for _, m, _, c in moves(b, prev, None) if c in (0, 3))
+            for (a, b, prev), n in both.items()
+        )
+    else:  # A's carries meet equal, and the lagging digit is B's middle
+        a_ends = [1, 0, 0, 1]
+        b_ends = [sum(middle(c, mid) for mid in range(base)) for c in range(4)]
+        both_ends = sum(n * a_ends[a] * middle(b, prev) for (a, b, prev), n in both.items())
+    accepted = sum(n * e for n, e in zip(a_live + b_live, a_ends + b_ends)) - both_ends
+    return (base - 1) * base ** (k - 1) - accepted
+
+
+def _pair_moves(c: int, low: int | None, high: int | None, base: int):
+    """(low, high, p_j, c') for each digit pair that passes a pair step from carries c.
+
+    Either low or high is given, and the other is None.  A carry state
+    c is 2*c_lo + c_hi.  The step needs
+    p_j + c_in = n_i + b*c_hi with p_j = n_j - c_lo (mod b), so
+    n_i = n_j - c_lo + c_in (mod b) for c_in 0 or 1: the given digit
+    leaves two candidates for the other, each tried with
+    classify._pair_step.
+    """
+    c_lo, c_hi = c >> 1, c & 1
+    if high is None:
+        pairs = {(low, (low - c_lo + c_in) % base) for c_in in (0, 1)}
+    else:
+        pairs = {((high + c_lo - c_in) % base, high) for c_in in (0, 1)}
+    found = []
+    for n_j, n_i in pairs:
+        step = _pair_step(c_lo, c_hi, n_j, n_i, base)
+        if step is not None:
+            p_j, lo_next, hi_next = step
+            found.append((n_j, n_i, p_j, 2 * lo_next + hi_next))
+    return found
+
+
+def _count_work(base: int, k: int) -> float:
+    """count_not_sum_of_reversal's work from (b, k) alone, in units of about 10 us (2-core VM).
+
+    Its passes over every digit cost about b units.  Each of its k/2
+    steps costs 5 units, and one more for each 28,000 bits of its ints'
+    size: A's and B's counts reach k*log2(b) bits, the joint ones under
+    a bit per digit (weighted as 3, fitted at b = 2 to 256).
+    """
+    return base + k // 2 * (5 + k * (3 + log2(base)) / 28000)
 
 
 def formula_lower_bound(base: int, k: int) -> int:

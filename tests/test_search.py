@@ -897,6 +897,13 @@ class TestMultiplierCensus:
         assert len(scanned) >= 100
 
 
+def _count_by_vector_sums(base: int, k: int) -> int:
+    """The k-digit window less the set of distinct N its pair-sum vectors place there."""
+    lo = base ** (k - 1) if k > 1 else 1
+    sums = {n for n, _, _ in pair_sum_vectors(base, lo, base**k - 1)}
+    return base**k - lo - len(sums)
+
+
 class TestCountingExperiment:
     def test_10_3_sieve_vs_formula(self):
         count = count_not_sum_of_reversal(10, 3)
@@ -908,13 +915,13 @@ class TestCountingExperiment:
         assert formula_lower_bound(3, 2) == 1
         assert count_not_sum_of_reversal(3, 2) >= 1
 
-    @pytest.mark.parametrize("k", [63, 10**8])
-    def test_huge_k_is_refused_before_b_to_the_k(self, k):
-        # 2^63 is the first power of 2 past the cap.  Building 2^k first took
-        # 0.82 s at k = 10^8, and the message overran the int-to-str digit limit.
+    @pytest.mark.parametrize("base, k", [(2, 10**8), (10**7, 2)])
+    def test_huge_k_is_refused_before_b_to_the_k(self, base, k):
+        # Building 2^k first took 0.82 s at k = 10^8, and the message overran
+        # the int-to-str digit limit; the work estimate reads (b, k) alone.
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="exceeds word-size cap") as exc:
-            count_not_sum_of_reversal(2, k)
+        with pytest.raises(ValueError, match="would take about .* over the limit") as exc:
+            count_not_sum_of_reversal(base, k)
         assert time.perf_counter() - start < 0.1
         assert "4300 digits" not in str(exc.value)
 
@@ -924,14 +931,42 @@ class TestCountingExperiment:
         with pytest.raises(ValueError, match="formula needs k >= 2, got 1"):
             formula_lower_bound(10, 1)
 
-    @pytest.mark.parametrize("base,k", [(3, 3), (4, 3), (5, 2), (7, 2), (10, 2)])
+    @pytest.mark.parametrize(
+        "base,k",
+        [(3, 3), (4, 3), (5, 2), (7, 2), (10, 2),
+         (2, 63), (2, 200), (10, 18), (10, 19), (10, 100), (100, 9)],
+    )
     def test_inequality_holds(self, base, k):
-        assert count_not_sum_of_reversal(base, k) >= formula_lower_bound(base, k)
+        # Past the word size the pair-sum vector sets held up to
+        # (2b-1)^ceil(k/2) sums: about 3*10^11 at (10, 18) and (100, 9).
+        start = time.perf_counter()
+        count = count_not_sum_of_reversal(base, k)
+        assert time.perf_counter() - start < 1
+        assert formula_lower_bound(base, k) <= count < (base - 1) * base ** (k - 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(b, k) for b in range(2, 17) for k in range(1, 17) if b**k <= 10**5]))
     def test_matches_sieve(self, window):
         assert count_not_sum_of_reversal(*window) == count_not_sum_sieve(*window)
+
+    def test_matches_sieve_on_every_small_window(self):
+        windows = [(b, k) for b in range(2, 17) for k in range(1, 14) if b**k <= 10**4]
+        for window in windows:
+            assert count_not_sum_of_reversal(*window) == count_not_sum_sieve(*window), window
+        assert len(windows) == 71
+
+    @pytest.mark.parametrize("base, k", [(10, 7), (10, 8), (3, 14), (2, 24), (16, 4)])
+    def test_matches_the_set_of_pair_sum_vector_sums(self, base, k):
+        assert count_not_sum_of_reversal(base, k) == _count_by_vector_sums(base, k)
+
+    def test_holds_no_set_of_sums(self):
+        tracemalloc.start()
+        try:
+            count_not_sum_of_reversal(10, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_base2_formula_is_zero(self):
         assert formula_lower_bound(2, 5) == 0
