@@ -271,7 +271,11 @@ def solve_arh(value: int, base: int) -> tuple[int, Iterator[int]]:
     every branch it enters ends in a qualifying X (_ascending).  It
     yields exactly the qualifying X of that p, ascending, because X's
     high half decides its order and fixes its low half.  The X for
-    k = D(value)-1 all lie below those for k = D(value).
+    k = D(value)-1 all lie below those for k = D(value).  Every step
+    b^(k-1-j) - b^j is a multiple of q = b^2 - 1 for odd k and of b - 1
+    for even k, so every X of p agrees with x0 mod q: a p with
+    gcd(s, q) not dividing x0 has no X, and pair_sum_masks drops it
+    before the DP.
 
     The count comes from the DP alone, so a caller can refuse an
     oversized output before listing anything.  Each DP takes up to
@@ -307,12 +311,14 @@ class PairTables:
 
     A k-digit X with pair sums p is x0 + sum_t a_t*step_t, with a_t the
     high digit of pair t and step_t = b^(k-1-t) - b^t.  For each (k, s),
-    row(k, s) holds the weights step_t mod s, taken with pow mod s, and
+    row(k, s) holds the weights step_t mod s, taken with pow mod s;
     inner[v]: the bitmask of the residues from which the innermost pair
     alone, with pair sum v, reaches 0 mod s, filled the first time a
-    vector needs it.  A scan meets many vectors of each (k, s), so these
-    cost it once per (k, s), not once per vector, and its memory grows
-    with the vectors it meets, not with the base.  steps(k) holds the
+    vector needs it; and g = gcd(s, b^2 - 1 for odd k, else b - 1), the
+    part of s that every step is a multiple of (pair_sum_masks).  A
+    scan meets many vectors of each (k, s), so these cost it once per
+    (k, s), not once per vector, and its memory grows with the vectors
+    it meets, not with the base.  steps(k) holds the
     steps themselves, which only the listing walk (_ascending) reads.
     Every entry is exact for any s >= 1; a scan or call makes its own
     object and drops it at the end.
@@ -322,16 +328,17 @@ class PairTables:
 
     def __init__(self, base: int):
         self.base = base
-        self._rows: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
+        self._rows: dict[tuple[int, int], tuple[list[int], dict[int, int], int]] = {}
         self._steps: dict[int, list[int]] = {}
 
-    def row(self, k: int, s: int) -> tuple[list[int], dict[int, int]]:
-        """(weights mod s, inner masks by pair sum) of (k, s), made on first use."""
+    def row(self, k: int, s: int) -> tuple[list[int], dict[int, int], int]:
+        """(weights mod s, inner masks by pair sum, g) of (k, s), made on first use."""
         row = self._rows.get((k, s))
         if row is None:
             base = self.base
             weights = [(pow(base, k - 1 - t, s) - pow(base, t, s)) % s for t in range(k // 2)]
-            row = self._rows[k, s] = (weights, {})
+            g = gcd(s, base * base - 1 if k % 2 else base - 1)
+            row = self._rows[k, s] = (weights, {}, g)
         return row
 
     def steps(self, k: int) -> list[int]:
@@ -366,12 +373,23 @@ def pair_sum_masks(tables: PairTables, k: int, p: list[int], s: int) -> list[int
     choice of the later high digits takes it to 0), so a vector with
     masks has an X: a membership test asks for None, and a listing
     passes the masks to _ascending ([] for k = 1 and s | X).
+
+    Casting out b^2 - 1 first drops most vectors with no X before any
+    mask is read.  step_t = b^t*(b^(k-1-2t) - 1), and b^e - 1 is a
+    multiple of b - 1 for every e >= 1 and of b^2 - 1 for every even e.
+    k - 1 - 2t is at least 1, and even when k is odd, so every step is
+    a multiple of q = b^2 - 1 (odd k) or b - 1 (even k), and every X of
+    p agrees with x0 mod q.  s | X needs g | X for g = gcd(s, q), so a
+    vector with g not dividing x0 has no X; every other vector goes on
+    to the DP, whose masks stay exact.
     """
     base, half = tables.base, k // 2
     x0 = _low_half(base, k, p)
     if not half:
         return None if x0 % s else []
-    weights, inner = tables.row(k, s)
+    weights, inner, g = tables.row(k, s)
+    if x0 % g:
+        return None
     mask, full = 1, (1 << s) - 1
     masks = [mask]  # reversed at the end: masks[t] for the pairs after t
     if half > 1:

@@ -282,16 +282,20 @@ def _window_hits(
     pair-sum vector whose masks admit some X (pair_sum_masks), and a
     Niven scan with records tests only the vectors whose N is Niven.  A
     zero-free scan drops a vector whose N has a zero digit before any
-    of that work.  The MRH lists keep the X that s_b(N) divides of the
-    (N, X) that mrh_products lists; a zero-free scan passes it
-    zero_free, so it lists no N that ends in 0.  Both hit maps hold
-    N -> [s_b(N), X...], the X ascending.  A record's ARH list is the
-    walk's (_ascending) only if no N of the window can pass
+    of that work, so its ARH hits need no second test; the MRH and
+    Niven listings can hold an N with an inner zero, and their hits are
+    tested as they are read.  The MRH lists keep the X that s_b(N)
+    divides of the (N, X) that mrh_products lists; a zero-free scan
+    passes it zero_free, so it lists no N that ends in 0.  Both hit
+    maps hold N -> [s_b(N), X...], the X ascending.  A record's ARH
+    list is the walk's (_ascending) only if no N of the window can pass
     MAX_LISTED_WITNESSES (a D-digit N has at most b^(k//2) X for each
     k = D-1, D), else _listed_arh's, which refuses such an N as classify
     does: for the N whose masks admit an X, and for every MRH hit.  No
     hit's s_b(N) is taken twice: a record reuses the one its map holds
-    or, for Niven, the one the listing tested.
+    or, for Niven, the one the listing tested.  A numbers-only scan
+    reads the hits alone, and a Niven hit in neither map gets empty
+    witness lists without a slice.
     """
     base, kind = cfg.base, cfg.kind
     forbid = cfg.zero_digit_policy == FORBID
@@ -323,15 +327,17 @@ def _window_hits(
     else:
         hits = arh_map if kind == ARH else mrh_map
         candidates = ((n, hits[n][0]) for n in sorted(hits))
-    for n, s in candidates:
-        if forbid and has_zero_digit(n, base):
-            continue
-        if not records:
+    if forbid and kind != ARH:  # every ARH hit passed the vector loop's test
+        candidates = ((n, s) for n, s in candidates if not has_zero_digit(n, base))
+    if not records:
+        for n, _ in candidates:
             yield n
-            continue
+        return
+    for n, s in candidates:
         found = arh_map.pop(n, None)  # popped: a window's lists and records are not held at once
         arh = tuple(found[1:] if listing else _listed_arh(n, base)) if found or kind == MRH else ()
-        mrh = tuple(mrh_map.get(n, ())[1:])
+        products = mrh_map.get(n)
+        mrh = tuple(products[1:]) if products else ()
         # The record's fields in order, without the Python-level __new__ call
         # (twice the cost of the tuple itself, once per hit).
         yield n, tuple.__new__(ClassifyResult, (n, base, s, sums(n * n), arh, mrh))

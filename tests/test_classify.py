@@ -1,7 +1,8 @@
 import json
+import random
 import time
 import tracemalloc
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from brute_force import (
@@ -480,6 +481,39 @@ class TestPairSumSolver:
         p = [digits[j] + digits[k - 1 - j] for j in range(k)]
         s = 1 + s % (3 * (base - 1) * k)
         _solver_agrees(PairTables(base), k, p, s, pair_sum_products_brute(base, k, p))
+
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_every_step_is_a_multiple_of_the_cast_out_modulus(self, base):
+        # The modulus pair_sum_masks casts out divides every step, as its
+        # docstring proves, and no larger one does: it is their gcd.
+        tables = PairTables(base)
+        for k in range(2, 13):
+            assert gcd(*tables.steps(k)) == (base * base - 1 if k % 2 else base - 1), k
+
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_cast_out_vectors_read_no_inner_mask(self, base):
+        # A vector with gcd(s, q) not dividing x0, for q = b^2 - 1 (odd k)
+        # or b - 1 (even k), is refused before the DP: its inner-mask table
+        # stays empty.  The table is read only when half >= 2, so such
+        # vectors must be met; odd lengths must also meet vectors that only
+        # the factor b + 1 of b^2 - 1 casts out.
+        rng, pruned, with_inner, by_b_plus_1 = random.Random(base), 0, 0, 0
+        for _, k, p in pair_sum_vectors(base, base**3, min(base**6, 10**5)):
+            half = k // 2
+            x0 = sum(p[j] * base**j for j in range(half))  # X with every high digit 0
+            if k % 2:
+                x0 += p[half] // 2 * base**half
+            s = rng.randrange(1, 3 * (base - 1) * k + 1)
+            q = base * base - 1 if k % 2 else base - 1
+            if x0 % gcd(s, q) == 0:
+                continue
+            tables = PairTables(base)
+            assert pair_sum_masks(tables, k, p, s) is None, (k, p, s)
+            assert tables.row(k, s)[1] == {}, (k, p, s)
+            pruned += 1
+            with_inner += half >= 2
+            by_b_plus_1 += x0 % gcd(s, base - 1) == 0
+        assert with_inner > 0 and (base == 2 or by_b_plus_1 > 0), (pruned, with_inner, by_b_plus_1)
 
 
 @pytest.mark.parametrize("digits", [[1, 2, 3], [5, 7, 1, 3], [9, 0, 4, 11, 2]])

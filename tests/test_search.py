@@ -771,6 +771,26 @@ class TestNumbersForMultiplier:
         assert [n for n, _ in scan_range(cfg)] == reference, (kind, m)
 
     @pytest.mark.parametrize("kind", [ARH, MRH])
+    @pytest.mark.parametrize("base", [3, 7, 10, 16])
+    def test_tries_only_the_digit_sums_left_by_casting_out(self, base, kind, monkeypatch):
+        # One reversal per digit sum tried: exactly the s up to the cap with
+        # s = 2*M*s (ARH) or (M*s)^2 (MRH) mod b-1, less those with b | M*s
+        # in a zero-free MRH listing.  Trying more lists the same set, so
+        # only the count shows that the cast-out is made.
+        calls = []
+        monkeypatch.setattr(search, "reverse_int", lambda v, b: calls.append(v) or reverse(v, b))
+        r = base - 1
+        for m in (1, 2, 7, 12, 45, 1000):
+            for policy in (ALLOW, FORBID):
+                calls.clear()
+                numbers_for_multiplier(base, m, kind, policy)
+                left = [s for s in range(1, digit_sum_cap(base, m, kind) + 1)
+                        if (s - (2 * m * s if kind == ARH else (m * s) ** 2)) % r == 0]
+                if policy == FORBID and kind == MRH:
+                    left = [s for s in left if m * s % base]
+                assert sorted(calls) == [m * s for s in left], (m, policy)
+
+    @pytest.mark.parametrize("kind", [ARH, MRH])
     @pytest.mark.parametrize("base", range(2, 17))
     def test_hi_keeps_the_members_up_to_hi(self, base, kind):
         # hi caps the digit sums tried at (b-1)*D(hi) and hi // M; every
